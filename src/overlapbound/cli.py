@@ -222,7 +222,10 @@ def cmd_oracle(args) -> None:
     norm = NormKind.from_string(args.norm)
     joint = oracle.JointSupport.of(p, q)
     if args.radius:
-        radii = [float(r) for r in args.radius]
+        try:
+            radii = [float(r) for r in args.radius]
+        except ValueError as exc:
+            raise InputError(f"bad --radius: {exc}") from None
     else:
         top = float(norms(joint.points, norm).max())
         radii = [top * j / args.k for j in range(1, args.k + 1)]

@@ -80,15 +80,114 @@ def norm(v, kind: NormKind = NormKind.L2) -> float:
     return float(norms(vec.reshape(1, -1), kind)[0])
 
 
-def exact_mean(points: np.ndarray) -> np.ndarray:
-    """Column means via correctly rounded (fsum) accumulation.
+# Values per block of rows: caps scratch memory at a few MB whatever n is.
+_BLOCK_ELEMENTS = 1 << 19
+# Rows summed in float64 buckets between folds into Python ints. A limb is at
+# most 2**27 in its unit, so a bucket sum over up to 2**26 rows is an integer
+# of at most 2**53 units, which float64 holds exactly; 2**25 leaves a factor 2.
+_FOLD_ROWS = 1 << 25
+# (m + _SPLIT) - _SPLIT rounds a mantissa m in (-1, 1) to a multiple of 2**-27.
+_SPLIT = 3.0 * 2.0**24
+# frexp exponents are >= -1073, so every bucket is an integer times 2**-1126.
+_UNIT_BITS = 1126
 
-    Deterministic and independent of summation order, which keeps the
-    1e-12 equality contracts between code paths honest.
+
+def exact_column_sums(points: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each column of a finite (n, d) array.
+
+    Bitwise equal to ``math.fsum`` per column, except that a column whose
+    partial sums overflow but whose exact sum fits returns that sum.
+
+    Each value x = m * 2**e (``np.frexp``) is split exactly into a high limb,
+    m rounded to a multiple of 2**-27, and a low limb, the rest: a multiple
+    of 2**-53 no larger than 2**-28. Two ``np.bincount`` calls, keyed by
+    column and exponent, add up each limb. Both limbs are integers of at
+    most 2**27 in their unit (2**-27 and 2**-53), so every partial bucket sum
+    over at most 2**26 rows is an integer of at most 2**53 units and thus
+    exact in float64. The buckets are folded into Python ints every
+    ``_FOLD_ROWS`` = 2**25 rows and at the end, and one correctly rounded int
+    division per column gives the result. Rows are taken in blocks of about
+    ``_BLOCK_ELEMENTS`` = 2**19 values, so scratch memory does not grow with n.
+
+    Raises InputError when a column's correctly rounded sum overflows.
     """
     a = np.asarray(points, dtype=np.float64)
-    n = a.shape[0]
-    return np.array([math.fsum(col) for col in a.T.tolist()], dtype=np.float64) / n
+    n, d = a.shape
+    if a.size == 0:
+        return np.zeros(d)
+    if n == 1:  # one term is its own sum; + 0.0 turns -0.0 into 0.0 as fsum does
+        return a[0] + 0.0
+    rows = min(_FOLD_ROWS, max(1, _BLOCK_ELEMENTS // d))
+    cols = np.arange(d)
+    totals = [0] * d  # exact column sums in units of 2**-_UNIT_BITS
+    acc = None  # (2, exponents, d) limb sums; row i holds exponent base + i
+    base = pending = 0
+    for start in range(0, n, rows):
+        mant, exps = np.frexp(a[start:start + rows])
+        lo, hi = int(exps.min()), int(exps.max())
+        # frexp gives zeros exponent 0; keep them from widening the span
+        if (lo == 0 or hi == 0) and not mant.all():
+            nonzero = mant != 0
+            if not nonzero.any():
+                continue
+            lo, hi = int(exps[nonzero].min()), int(exps[nonzero].max())
+            exps[~nonzero] = lo
+        span = hi - lo + 1
+        keys = exps.astype(np.intp)
+        keys -= lo
+        keys *= d
+        keys += cols
+        keys = keys.ravel()
+        high = mant + _SPLIT
+        high -= _SPLIT
+        mant -= high
+        sums = np.stack([
+            np.bincount(keys, high.ravel(), span * d),
+            np.bincount(keys, mant.ravel(), span * d),
+        ]).reshape(2, span, d)
+        if acc is None:
+            acc, base = sums, lo
+        else:
+            first, end = min(base, lo), max(base + acc.shape[1], hi + 1)
+            if end - first > acc.shape[1]:
+                grown = np.zeros((2, end - first, d))
+                grown[:, base - first:base - first + acc.shape[1]] = acc
+                acc, base = grown, first
+            acc[:, lo - base:hi + 1 - base] += sums
+        pending += rows
+        if pending + rows > _FOLD_ROWS:
+            _fold_buckets(acc, base, totals)
+            acc, pending = None, 0
+    if acc is not None:
+        _fold_buckets(acc, base, totals)
+    unit = 1 << _UNIT_BITS
+    out = np.empty(d, dtype=np.float64)
+    for j, total in enumerate(totals):
+        try:
+            out[j] = total / unit
+        except OverflowError:
+            raise InputError(f"the sum of column {j} overflows float64") from None
+    return out
+
+
+def _fold_buckets(acc: np.ndarray, base: int, totals: list[int]) -> None:
+    """Add limb sums at exponent e, (high + low) * 2**e, to the int totals."""
+    idx, col = np.nonzero(acc.any(axis=0))
+    high = (acc[0, idx, col] * 2.0**27).tolist()
+    low = (acc[1, idx, col] * 2.0**53).tolist()
+    for i, j, h, l in zip(idx.tolist(), col.tolist(), high, low):
+        totals[j] += ((int(h) << 26) + int(l)) << (base + i - 53 + _UNIT_BITS)
+
+
+def exact_mean(points: np.ndarray) -> np.ndarray:
+    """Column means: correctly rounded column sums divided by n.
+
+    The sums are bitwise equal to ``math.fsum`` (see ``exact_column_sums``),
+    so the mean is deterministic and independent of summation order, which
+    keeps the 1e-12 equality contracts between code paths honest.
+    """
+    a = np.asarray(points, dtype=np.float64)
+    return exact_column_sums(a) / a.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +213,17 @@ class SampleSet:
         if not np.isfinite(a).all():
             raise InputError("sample array has non-finite entries")
         a.flags.writeable = False
-        per_sample = norms(a, self.norm)
+        with np.errstate(over="ignore"):
+            per_sample = norms(a, self.norm)
+        max_norm = float(per_sample.max())
+        if not math.isfinite(max_norm):
+            raise InputError(f"sample {self.norm.value} norms overflow float64")
         per_sample.flags.writeable = False
         mean = exact_mean(a)
         mean.flags.writeable = False
         object.__setattr__(self, "samples", a)
         object.__setattr__(self, "norms", per_sample)
-        object.__setattr__(self, "max_norm", float(per_sample.max()))
+        object.__setattr__(self, "max_norm", max_norm)
         object.__setattr__(self, "mean", mean)
 
     def __len__(self) -> int:

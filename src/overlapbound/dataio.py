@@ -1,6 +1,6 @@
 """Reading and writing sample files: CSV and the packed binary format.
 
-CSV holds one numeric row per sample; a single header row is auto-detected.
+CSV holds one numeric row per sample; a first row with no numeric cell is a header.
 The binary format is for large batches: magic ``OVLB``, a uint32 version,
 uint64 row and column counts, then row-major little-endian float64 data.
 """
@@ -43,6 +43,14 @@ def _read_samples_binary(path) -> np.ndarray:
     return data.reshape(n, d).astype(np.float64)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_csv_rows(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -60,8 +68,8 @@ def _parse_csv_rows(path) -> np.ndarray:
             try:
                 parsed.append(float(cell))
             except ValueError:
-                if not rows and width is None:
-                    parsed = None  # header row, skipped once
+                if width is None and not any(map(_is_number, cells)):
+                    parsed = None  # header row: first row, every cell non-numeric
                     break
                 raise InputError(
                     f"{path}:{lineno}:{col}: not a number: {cell!r}"

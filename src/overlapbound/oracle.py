@@ -20,6 +20,7 @@ from .core import (
     DimensionMismatchError,
     InputError,
     NormKind,
+    exact_column_sums,
     norms,
 )
 
@@ -70,8 +71,7 @@ class DiscreteDistribution:
 
     def mean(self) -> np.ndarray:
         """Mass-weighted mean, accumulated exactly per coordinate."""
-        cols = (self.points * self.masses[:, None]).T.tolist()
-        return np.array([math.fsum(c) for c in cols], dtype=np.float64)
+        return exact_column_sums(self.points * self.masses[:, None])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n i.i.d. support points according to the masses."""

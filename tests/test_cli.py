@@ -286,3 +286,32 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "bound" in proc.stdout and "oracle" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "rows,norm,message",
+    [
+        ("1e308,1\n1e308,2\n", "l2", "norms overflow"),
+        ("1e200,1\n1e200,2\n", "l2", "norms overflow"),
+        ("1e308,1\n1e308,2\n", "l1", "column 0 overflows"),
+    ],
+)
+def test_fit_overflow_exit_2_without_traceback(tmp_path, rows, norm, message):
+    data = tmp_path / "big.csv"
+    data.write_text(rows)
+    proc = subprocess.run(
+        [sys.executable, "-m", "overlapbound", "fit", str(data), "--norm", norm,
+         "--out", str(tmp_path / "model.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+
+
+def test_oracle_bad_radius_exit_2(tmp_path, capsys):
+    dist = tmp_path / "p.json"
+    dist.write_text(json.dumps({"dimension": 1, "points": [[0.0], [1.0]], "masses": [0.5, 0.5]}))
+    code, _, err = run_cli(capsys, "oracle", str(dist), str(dist), "--radius", "abc")
+    assert code == 2
+    assert err.startswith("error: ") and "'abc'" in err

@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overlapbound import core
 from overlapbound import (
     DimensionMismatchError,
     InputError,
@@ -155,3 +159,81 @@ def test_score_threshold_dimension_mismatch():
     scorer = fit([[1.0, 0.0]], k=1)
     with pytest.raises(DimensionMismatchError):
         ScoreThreshold(0.5, scorer).evaluate([1.0, 0.0, 0.0])
+
+
+def fsum_columns(a):
+    return np.array([math.fsum(col) for col in np.asarray(a).T.tolist()])
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+# any finite float up to 1e300 in size, subnormals and both zeros included
+wide_float = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def column_arrays(draw):
+    """Arrays up to 5000 x 8 whose columns never overflow when summed."""
+    n = draw(st.integers(1, 5000))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 10**-330 underflows to 0 and 10**-320 is subnormal
+    low = draw(st.integers(-330, 300))
+    high = draw(st.integers(low, 300))
+    a = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(low, high, size=(n, d))
+    zeros = rng.random((n, d)) < draw(st.floats(0, 1))
+    a[zeros] = np.copysign(0.0, a[zeros])
+    if draw(st.booleans()):  # exact cancellation: the second half negates the first
+        half = n // 2
+        a[n - half:] = -a[:half][::-1]
+    for value in draw(st.lists(wide_float, max_size=20)):
+        a[rng.integers(n), rng.integers(d)] = value
+    return a
+
+
+@given(column_arrays())
+@example(np.array([[-0.0]]))
+@example(np.array([[5e-324]]))
+@example(np.array([[-0.0], [-0.0]]))
+@example(np.array([[1e300, 0.0], [5e-324, -0.0], [-1e300, 1.0]]))
+@settings(max_examples=150, deadline=None)
+def test_exact_column_sums_equal_fsum_bitwise(a):
+    assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
+
+
+def test_exact_column_sums_million_rows():
+    rng = np.random.default_rng(20221216)
+    a = rng.normal(size=(1_000_000, 1)) * 10.0 ** rng.integers(-20, 20, size=(1_000_000, 1))
+    assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
+
+
+@pytest.mark.parametrize("block_elements,fold_rows", [(8, 1 << 25), (1 << 19, 3), (7, 5)])
+def test_exact_column_sums_across_blocks_and_folds(monkeypatch, rng, block_elements, fold_rows):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(core, "_FOLD_ROWS", fold_rows)
+    # magnitudes drift between rows, so the bucket range grows both ways
+    a = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-40, 40, size=(300, 1))
+    a[100:120] = 0.0  # whole blocks of zeros
+    a[::7, 1] = -0.0
+    assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
+
+
+def test_exact_column_sums_overflow():
+    with pytest.raises(InputError, match="column 1 overflows"):
+        core.exact_column_sums(np.array([[1.0, 1e308], [2.0, 1e308]]))
+    # the partial sums overflow, but the exact sum fits
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert core.exact_column_sums(np.array([[1e308], [1e308], [-1e308]]))[0] == 1e308
+
+
+def test_sample_set_rejects_overflowing_norms():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="norms overflow float64"):
+            SampleSet(np.array([[1e200, 1.0], [1e200, 2.0]]))
+        with pytest.raises(InputError, match="column 0 overflows"):
+            SampleSet(np.array([[1e308, 1.0], [1e308, 2.0]]), NormKind.L1)

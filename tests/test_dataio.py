@@ -23,6 +23,13 @@ def test_csv_header_autodetect(tmp_path):
     assert read_sample_array(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_csv_first_row_with_a_number_is_data(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x,1\n2.0,3.0\n")
+    with pytest.raises(InputError, match=rf"{path.name}:1:1: not a number: 'x'"):
+        read_sample_array(path)
+
+
 def test_csv_blank_lines_skipped(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1.0\n\n2.0\n")

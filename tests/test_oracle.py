@@ -30,6 +30,14 @@ def worked_pair():
     return p, q
 
 
+def test_mean_is_fsum_of_weighted_points(rng):
+    for _ in range(50):
+        p, _ = random_pair(rng, max_points=64, max_dim=4)
+        weighted = (p.points * p.masses[:, None]).T.tolist()
+        want = np.array([math.fsum(col) for col in weighted])
+        assert p.mean().tobytes() == want.tobytes()
+
+
 def test_overlap_identical_and_disjoint():
     p = DiscreteDistribution([[0.0], [1.0]], [0.3, 0.7])
     assert overlap(p, p) == 1.0
