@@ -33,7 +33,7 @@ from .core import (
     norm,
     norms,
 )
-from .metrics import LabeledScores, aupr, auroc, auroc_trapezoid, roc_curve, tpr_at_in_rate
+from .metrics import LabeledScores, aupr, auroc, roc_curve, tpr_at_in_rate
 from .oracle import (
     DiscreteDistribution,
     JointSupport,
@@ -78,7 +78,6 @@ __all__ = [
     "as_vector",
     "aupr",
     "auroc",
-    "auroc_trapezoid",
     "backdoor_ceiling",
     "classify",
     "compose_mixture",

@@ -8,7 +8,7 @@ pooled ball. High values mean the two sets are hard to tell apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (
     RadiusFamily,
     RadiusIndicator,
     SampleSet,
+    ball_stats,
     clamp_unit,
     condition_parameter,
     norms,
@@ -38,14 +39,7 @@ class ConditionStat:
     separation: float  # (1 - region_radius/pool_radius) * |pos_rate - neg_rate|
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "parameter": self.parameter,
-            "region_radius": self.region_radius,
-            "pos_rate": self.pos_rate,
-            "neg_rate": self.neg_rate,
-            "separation": self.separation,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,17 @@ class BoundReport:
         }
 
 
+def _acceptance(side: SampleSet, g: ConditionFunction) -> tuple[int, float]:
+    """How many samples of ``side`` a condition accepts, and the largest accepted
+    norm (0 if none). A radius indicator in the side's own norm reads both off
+    the sorted norms; any other condition is evaluated on the samples."""
+    if isinstance(g, RadiusIndicator) and g.norm is side.norm:
+        count, region = ball_stats(side.sorted_norms, g.radius)
+        return int(count), float(region)
+    accepted = np.asarray(g.evaluate_many(side.samples), dtype=bool)
+    return int(np.count_nonzero(accepted)), float(side.norms[accepted].max(initial=0.0))
+
+
 def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> BoundReport:
     """Upper-bound the overlap between the distributions behind two sample sets.
 
@@ -87,10 +92,8 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
 
-    pooled = np.vstack([pos.samples, neg.samples])
-    pooled_norms = np.concatenate([pos.norms, neg.norms])
-    pool_radius = float(pooled_norms.max())
-    n_pos = len(pos)
+    pool_radius = max(pos.max_norm, neg.max_norm)
+    n_pos, n_neg = len(pos), len(neg)
 
     gap_vec = pos.mean - neg.mean
     mean_gap = float(norms(gap_vec.reshape(1, -1), pos.norm)[0])
@@ -99,17 +102,13 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     best_index = 0
     best_sep = -1.0
     for g in conditions:
-        # Radius indicators matching the pool's norm reuse the cached norms.
-        if isinstance(g, RadiusIndicator) and g.norm is pos.norm:
-            accepted = pooled_norms <= g.radius
-        else:
-            accepted = np.asarray(g.evaluate_many(pooled), dtype=bool)
-        if accepted.any():
-            region_radius = float(pooled_norms[accepted].max())
-        else:
-            region_radius = 0.0  # empty region: both rates are 0, separation is 0
-        pos_rate = int(np.count_nonzero(accepted[:n_pos])) / n_pos
-        neg_rate = int(np.count_nonzero(accepted[n_pos:])) / (len(accepted) - n_pos)
+        pos_count, pos_region = _acceptance(pos, g)
+        neg_count, neg_region = _acceptance(neg, g)
+        # the largest accepted pooled norm; an empty region has both rates 0,
+        # so its separation is 0
+        region_radius = max(pos_region, neg_region)
+        pos_rate = pos_count / n_pos
+        neg_rate = neg_count / n_neg
         if pool_radius > 0.0:
             separation = (1.0 - region_radius / pool_radius) * abs(pos_rate - neg_rate)
         else:
@@ -151,12 +150,8 @@ def rate_gap_lower_bound(pos: SampleSet, neg: SampleSet, g: ConditionFunction) -
     variation distance.
     """
     require_compatible(pos, neg)
-    if isinstance(g, RadiusIndicator) and g.norm is pos.norm:
-        pos_rate = int(np.count_nonzero(pos.norms <= g.radius)) / len(pos)
-        neg_rate = int(np.count_nonzero(neg.norms <= g.radius)) / len(neg)
-    else:
-        pos_rate = int(np.count_nonzero(np.asarray(g.evaluate_many(pos.samples), dtype=bool))) / len(pos)
-        neg_rate = int(np.count_nonzero(np.asarray(g.evaluate_many(neg.samples), dtype=bool))) / len(neg)
+    pos_rate = _acceptance(pos, g)[0] / len(pos)
+    neg_rate = _acceptance(neg, g)[0] / len(neg)
     return 0.5 * abs(pos_rate - neg_rate)
 
 

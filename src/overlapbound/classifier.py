@@ -5,7 +5,8 @@ in-class acceptance rate and in-ball max norm. That is the whole model:
 its size does not depend on how many samples were fitted, and scoring a
 query costs one mean-gap norm plus k scalar updates. The cached path is an
 exact refactoring of running the pooled bound against the query singleton,
-not an approximation, and tests pin the two paths together.
+not an approximation, and tests pin the two paths together. The iterative
+second pass is a second fitted scorer, over first-pass scores.
 """
 
 from __future__ import annotations
@@ -16,22 +17,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import compute_bound
 from .core import (
     DimensionMismatchError,
     InputError,
     NormKind,
     RadiusFamily,
     RadiusIndicator,
-    SampleSet,
     as_vector,
+    ball_stats,
     clamp_unit,
     make_sample_set,
     norms,
 )
 
 MODEL_FORMAT_VERSION = 1
-_BATCH_ROWS = 8192
+# Query values per scoring block: each temporary is about 512 KB, small enough
+# to stay in cache, so a large batch runs faster in blocks than in one piece.
+_BLOCK_VALUES = 1 << 16
+
+# The model file after "format_version", in file order: (JSON key, attribute,
+# what from_json_dict accepts). "radii" is optional: it is written only when
+# it differs from the default family j/k * rFit, j = 1..k.
+_MODEL_FIELDS = (
+    ("norm", "norm", "a norm name"),
+    ("k", "k", "an integer >= 1"),
+    ("dimension", "dimension", "an integer >= 1"),
+    ("mean", "mean", "a list of `dimension` finite numbers"),
+    ("rFit", "fit_radius", "a finite number >= 0"),
+    ("gMeans", "accept_rates", "a list of k numbers in [0, 1]"),
+    ("gMaxNorms", "region_radii", "a list of k finite numbers >= 0"),
+    ("degenerate", "degenerate", "true or false"),
+    ("radii", "radii", "a list of k strictly increasing finite numbers >= 0"),
+)
+
+
+def _model_value(attr: str, value, fields: dict):
+    """A model field's value if it is what ``_MODEL_FIELDS`` accepts, else None.
+
+    ``fields`` holds the fields read so far; k and dimension fix list lengths.
+    """
+    if attr == "norm":
+        return NormKind.from_string(value) if isinstance(value, str) else None
+    if attr == "degenerate":
+        return value if isinstance(value, bool) else None
+    if attr in ("k", "dimension"):
+        return value if type(value) is int and value >= 1 else None
+    items = [value] if attr == "fit_radius" else value
+    if not isinstance(items, list) or not all(type(v) in (int, float) for v in items):
+        return None
+    try:
+        values = tuple(float(v) for v in items)
+    except OverflowError:  # an integer beyond float64
+        return None
+    size = {"fit_radius": 1, "mean": fields["dimension"]}.get(attr, fields["k"])
+    if len(values) != size or not all(map(math.isfinite, values)):
+        return None
+    if attr != "mean" and min(values) < 0.0 or attr == "accept_rates" and max(values) > 1.0:
+        return None
+    if attr == "radii" and any(b <= a for a, b in zip(values, values[1:])):
+        return None
+    return values[0] if attr == "fit_radius" else values
 
 
 @dataclass(frozen=True)
@@ -62,11 +107,25 @@ class FittedScorer:
     region_radii: tuple[float, ...]
     degenerate: bool
 
+    def __post_init__(self) -> None:
+        # The mean and the k-vectors as read-only arrays, built once so that
+        # raw_scores converts nothing per call.
+        for name, values in (("mean", self.mean), ("_radii", self.radii),
+                             ("_rates", self.accept_rates), ("_region", self.region_radii)):
+            arr = np.array(values, dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     def conditions(self) -> tuple[RadiusIndicator, ...]:
         return tuple(RadiusIndicator(r, self.norm) for r in self.radii)
 
     def raw_scores(self, points) -> np.ndarray:
-        """Vectorized raw confidence scores for a (l, d) query block."""
+        """Vectorized raw confidence scores for a (l, d) query block.
+
+        The one copy of the scorer's formula: ``score``, ``classify`` and the
+        iterative pass all call it. Raises InputError when a query's norm or
+        its gap to the mean overflows float64.
+        """
         queries = np.asarray(points, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries.reshape(-1, 1) if self.dimension == 1 else queries.reshape(1, -1)
@@ -74,48 +133,51 @@ class FittedScorer:
             raise DimensionMismatchError(
                 f"queries have shape {queries.shape}, scorer expects dimension {self.dimension}"
             )
-        if not np.isfinite(queries).all():
-            raise InputError("query block has non-finite entries")
         out = np.empty(queries.shape[0], dtype=np.float64)
-        radii = np.asarray(self.radii)
-        rates = np.asarray(self.accept_rates)
-        region = np.asarray(self.region_radii)
-        for lo in range(0, queries.shape[0], _BATCH_ROWS):
-            block = queries[lo : lo + _BATCH_ROWS]
-            qn = norms(block, self.norm)
-            gaps = norms(block - self.mean, self.norm)
-            pool = np.maximum(self.fit_radius, qn)
-            inside = qn[:, None] <= radii[None, :]
-            # Pooled in-ball max norm: the cached value, or the query norm if
-            # the query joined the ball.
-            reg = np.where(inside, np.maximum(region[None, :], qn[:, None]), region[None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sep = (1.0 - reg / pool[:, None]) * np.abs(
-                    inside.astype(np.float64) - rates[None, :]
-                )
-                raw = 1.0 - gaps / (2.0 * pool) - 0.5 * sep.max(axis=1)
-            # An all-origin pool means both sides are the same point mass.
-            out[lo : lo + _BATCH_ROWS] = np.where(pool == 0.0, 1.0, raw)
+        rows = max(1, _BLOCK_VALUES // self.dimension)
+        for lo in range(0, queries.shape[0], rows):
+            block = queries[lo : lo + rows]
+            # A non-finite entry or an overflowing norm leaves a non-finite
+            # score, which is caught below.
+            with np.errstate(all="ignore"):
+                qn = norms(block, self.norm)
+                gaps = norms(block - self.mean, self.norm)
+                pool = np.maximum(qn, self.fit_radius)
+                col = qn[:, None]
+                inside = col <= self._radii
+                # Pooled in-ball max norm: the cached value, or the query norm
+                # if the query joined the ball.
+                sep = col * inside
+                np.maximum(sep, self._region, out=sep)
+                sep /= pool[:, None]
+                np.subtract(1.0, sep, out=sep)
+                sep *= np.abs(inside - self._rates)
+                # 0.5 * (gaps / pool) equals gaps / (2 * pool) but cannot overflow
+                raw = 1.0 - 0.5 * (gaps / pool) - 0.5 * sep.max(axis=1)
+            if self.fit_radius == 0.0:
+                # An all-origin pool means both sides are the same point mass.
+                raw[pool == 0.0] = 1.0
+            if not np.isfinite(raw).all():
+                if not np.isfinite(block).all():
+                    raise InputError("query block has non-finite entries")
+                raise InputError(f"query {self.norm.value} norms overflow float64")
+            out[lo : lo + rows] = raw
         return out
 
     def clamped_scores(self, points) -> np.ndarray:
         return np.clip(self.raw_scores(points), 0.0, 1.0)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "norm": self.norm.value,
-            "k": self.k,
-            "dimension": self.dimension,
-            "mean": self.mean.tolist(),
-            "rFit": self.fit_radius,
-            "gMeans": list(self.accept_rates),
-            "gMaxNorms": list(self.region_radii),
-            "degenerate": self.degenerate,
-        }
-        uniform = tuple(self.fit_radius * j / self.k for j in range(1, self.k + 1))
-        if self.radii != uniform:
-            doc["radii"] = list(self.radii)
+        doc = {"format_version": MODEL_FORMAT_VERSION}
+        for key, attr, _ in _MODEL_FIELDS:
+            value = getattr(self, attr)
+            if isinstance(value, NormKind):
+                value = value.value
+            elif isinstance(value, (tuple, np.ndarray)):
+                value = np.asarray(value, dtype=np.float64).tolist()
+            doc[key] = value
+        if self.radii == RadiusFamily(k=self.k, top=self.fit_radius).radii:
+            del doc["radii"]
         return doc
 
     def to_json_text(self) -> str:
@@ -126,27 +188,12 @@ class FittedScorer:
         to sign characters), which pins the constant-space contract.
         """
 
-        def num(x: float) -> str:
-            return format(float(x), ".17e")
+        def text(value) -> str:
+            if isinstance(value, list):
+                return "[" + ", ".join(format(v, ".17e") for v in value) + "]"
+            return format(value, ".17e") if isinstance(value, float) else json.dumps(value)
 
-        def arr(values) -> str:
-            return "[" + ", ".join(num(v) for v in values) + "]"
-
-        doc = self.to_json_dict()
-        fields = [
-            f'"format_version": {MODEL_FORMAT_VERSION}',
-            f'"norm": "{self.norm.value}"',
-            f'"k": {self.k}',
-            f'"dimension": {self.dimension}',
-            f'"mean": {arr(self.mean.tolist())}',
-            f'"rFit": {num(self.fit_radius)}',
-            f'"gMeans": {arr(self.accept_rates)}',
-            f'"gMaxNorms": {arr(self.region_radii)}',
-            f'"degenerate": {"true" if self.degenerate else "false"}',
-        ]
-        if "radii" in doc:
-            fields.append(f'"radii": {arr(self.radii)}')
-        return "{" + ", ".join(fields) + "}"
+        return "{" + ", ".join(f'"{key}": {text(v)}' for key, v in self.to_json_dict().items()) + "}"
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -155,8 +202,11 @@ class FittedScorer:
 
     @classmethod
     def from_json_dict(cls, doc: dict, source: str = "<memory>") -> "FittedScorer":
+        """Rebuild a scorer, checking every field against its kind in ``_MODEL_FIELDS``."""
+        if not isinstance(doc, dict):
+            raise InputError(f"{source}: model JSON must be an object")
         version = doc.get("format_version")
-        for key in ("norm", "k", "dimension", "mean", "rFit", "gMeans", "gMaxNorms", "degenerate"):
+        for key, _, _ in _MODEL_FIELDS[:-1]:
             if key not in doc:
                 raise InputError(
                     f"{source}: model file (format_version={version!r}) is missing field {key!r}"
@@ -166,25 +216,16 @@ class FittedScorer:
                 f"{source}: unsupported model format_version {version!r}, "
                 f"expected {MODEL_FORMAT_VERSION}"
             )
-        k = int(doc["k"])
-        fit_radius = float(doc["rFit"])
-        if "radii" in doc:
-            radii = tuple(float(r) for r in doc["radii"])
-        else:
-            radii = tuple(fit_radius * j / k for j in range(1, k + 1))
-        mean = np.asarray(doc["mean"], dtype=np.float64)
-        mean.flags.writeable = False
-        return cls(
-            norm=NormKind.from_string(doc["norm"]),
-            dimension=int(doc["dimension"]),
-            k=k,
-            mean=mean,
-            fit_radius=fit_radius,
-            radii=radii,
-            accept_rates=tuple(float(v) for v in doc["gMeans"]),
-            region_radii=tuple(float(v) for v in doc["gMaxNorms"]),
-            degenerate=bool(doc["degenerate"]),
-        )
+        fields = {}
+        for key, attr, accepted in _MODEL_FIELDS:
+            if key in doc:
+                value = _model_value(attr, doc[key], fields)
+                if value is None:
+                    raise InputError(f"{source}: model field {key!r} must be {accepted}")
+                fields[attr] = value
+        if "radii" not in fields:
+            fields["radii"] = RadiusFamily(k=fields["k"], top=fields["fit_radius"]).radii
+        return cls(**fields)
 
     @classmethod
     def load(cls, path) -> "FittedScorer":
@@ -219,17 +260,8 @@ def fit(
             raise InputError("custom radii must be strictly increasing")
         k = len(family)
     else:
-        if k < 1:
-            raise InputError(f"k must be >= 1, got {k}")
         family = RadiusFamily(k=k, top=samples.max_norm, norm=samples.norm).radii
-
-    n = len(samples)
-    accept_rates = []
-    region_radii = []
-    for r in family:
-        mask = samples.norms <= r
-        accept_rates.append(int(np.count_nonzero(mask)) / n)
-        region_radii.append(float(samples.norms[mask].max()) if mask.any() else 0.0)
+    counts, region = ball_stats(samples.sorted_norms, family)
     return FittedScorer(
         norm=samples.norm,
         dimension=samples.dimension,
@@ -237,37 +269,28 @@ def fit(
         mean=samples.mean,
         fit_radius=samples.max_norm,
         radii=family,
-        accept_rates=tuple(accept_rates),
-        region_radii=tuple(region_radii),
+        accept_rates=tuple((counts / len(samples)).tolist()),
+        region_radii=tuple(region.tolist()),
         degenerate=samples.max_norm == 0.0,
     )
+
+
+def _record(raw: float, threshold: float | None) -> ScoreRecord:
+    verdict = None if threshold is None else ("in" if raw >= threshold else "out")
+    return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
 
 
 def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecord:
     """Confidence that x came from the fitted in-class distribution.
 
     Equal to running the pooled-bound computation between the singleton {x}
-    and the full fit set, evaluated from the cached statistics alone.
+    and the full fit set, evaluated from the cached statistics alone: a
+    one-row ``raw_scores`` call.
     """
-    vec = as_vector(x, dim=scorer.dimension)
-    qn = float(norms(vec.reshape(1, -1), scorer.norm)[0])
-    pool = max(scorer.fit_radius, qn)
-    if pool == 0.0:
-        raw = 1.0
-    else:
-        gap = float(norms((vec - scorer.mean).reshape(1, -1), scorer.norm)[0])
-        best = 0.0
-        for r, rate, reg in zip(scorer.radii, scorer.accept_rates, scorer.region_radii):
-            if qn <= r:
-                region = max(reg, qn)
-                sep = (1.0 - region / pool) * abs(1.0 - rate)
-            else:
-                sep = (1.0 - reg / pool) * abs(0.0 - rate)
-            if sep > best:
-                best = sep
-        raw = 1.0 - gap / (2.0 * pool) - 0.5 * best
-    verdict = None if threshold is None else ("in" if raw >= threshold else "out")
-    return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
+    vec = np.asarray(x, dtype=np.float64)
+    if vec.shape != (scorer.dimension,):
+        as_vector(x, dim=scorer.dimension)  # raises the error that fits the shape
+    return _record(float(scorer.raw_scores(vec[None])[0]), threshold)
 
 
 def classify(scorer: FittedScorer, x, threshold: float) -> bool:
@@ -282,53 +305,31 @@ def iterative_score(
     k2: int | None = None,
     threshold: float | None = None,
 ) -> ScoreRecord:
-    """Second-pass confidence computed in the space of first-pass scores.
+    """Second-pass confidence for one query: ``iterative_scores_batch`` on one row."""
+    vec = as_vector(x, dim=scorer.dimension)
+    return _record(float(iterative_scores_batch(scorer, in_class, vec[None], k2)[0]), threshold)
 
-    Every fitted sample and the query are mapped to their clamped first-pass
-    score, then the pooled bound is rerun on those one-dimensional values
-    with k2 evenly spaced threshold predicates (accept iff score <= j/k2).
-    In score space the predicates are plain closed balls under the absolute
-    value, since clamped scores are nonnegative.
+
+def iterative_scores_batch(
+    scorer: FittedScorer, in_class, queries, k2: int | None = None
+) -> np.ndarray:
+    """Second-pass confidences computed in the space of first-pass scores.
+
+    Every fitted sample and query is mapped to its clamped first-pass score.
+    A second scorer, fitted on the samples' scores with the k2 balls
+    |s| <= j/k2, then scores the queries' scores. Clamped scores are
+    nonnegative, so those balls are the predicates score <= j/k2, and the
+    result equals the pooled bound between each query's score and the
+    samples' scores.
     """
     samples = make_sample_set(in_class, scorer.norm)
     if samples.dimension != scorer.dimension:
         raise DimensionMismatchError(
             f"fit set has dimension {samples.dimension}, scorer expects {scorer.dimension}"
         )
-    if k2 is None:
-        k2 = scorer.k
+    k2 = scorer.k if k2 is None else k2
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
-    query_first = clamp_unit(score(scorer, x).score)
-    class_first = scorer.clamped_scores(samples.samples)
-    pos = SampleSet(np.array([[query_first]]), NormKind.L2)
-    neg = SampleSet(class_first.reshape(-1, 1), NormKind.L2)
-    predicates = [RadiusIndicator(j / k2, NormKind.L2) for j in range(1, k2 + 1)]
-    report = compute_bound(pos, neg, predicates)
-    raw = report.raw_bound
-    verdict = None if threshold is None else ("in" if raw >= threshold else "out")
-    return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
-
-
-def iterative_scores_batch(
-    scorer: FittedScorer, in_class, queries, k2: int | None = None
-) -> np.ndarray:
-    """Second-pass scores for a query block, reusing one first-pass sweep."""
-    samples = make_sample_set(in_class, scorer.norm)
-    if samples.dimension != scorer.dimension:
-        raise DimensionMismatchError(
-            f"fit set has dimension {samples.dimension}, scorer expects {scorer.dimension}"
-        )
-    if k2 is None:
-        k2 = scorer.k
-    if k2 < 1:
-        raise InputError(f"k2 must be >= 1, got {k2}")
-    class_first = scorer.clamped_scores(samples.samples)
-    neg = SampleSet(class_first.reshape(-1, 1), NormKind.L2)
-    predicates = [RadiusIndicator(j / k2, NormKind.L2) for j in range(1, k2 + 1)]
-    query_first = scorer.clamped_scores(queries)
-    out = np.empty(query_first.shape[0], dtype=np.float64)
-    for i, s in enumerate(query_first):
-        pos = SampleSet(np.array([[s]]), NormKind.L2)
-        out[i] = compute_bound(pos, neg, predicates).raw_bound
-    return out
+    second = fit(scorer.clamped_scores(samples.samples), norm=NormKind.L2,
+                 radii=[j / k2 for j in range(1, k2 + 1)])
+    return second.raw_scores(scorer.clamped_scores(queries))

@@ -21,6 +21,7 @@ from .core import (
     InputError,
     MetricUndefinedError,
     NormKind,
+    RadiusFamily,
     RadiusIndicator,
     norms,
 )
@@ -59,14 +60,19 @@ def _positive_k(value: str) -> int:
     return k
 
 
+def _read_pair(path_a, path_b, norm: NormKind):
+    """Two sample files that one computation pools: they must agree on d."""
+    a, b = dataio.read_samples(path_a, norm), dataio.read_samples(path_b, norm)
+    if a.dimension != b.dimension:
+        raise DimensionMismatchError(
+            f"{path_a} has dimension {a.dimension} but {path_b} has {b.dimension}"
+        )
+    return a, b
+
+
 def cmd_bound(args) -> None:
     norm = NormKind.from_string(args.norm)
-    pos = dataio.read_samples(args.pos, norm)
-    neg = dataio.read_samples(args.neg, norm)
-    if pos.dimension != neg.dimension:
-        raise DimensionMismatchError(
-            f"{args.pos} has dimension {pos.dimension} but {args.neg} has {neg.dimension}"
-        )
+    pos, neg = _read_pair(args.pos, args.neg, norm)
     conditions = pooled_radius_family(pos, neg, args.k).indicators()
     report = compute_bound(pos, neg, conditions)
     doc = report.to_dict()
@@ -172,13 +178,7 @@ def cmd_classify(args) -> None:
 
 def cmd_shift(args) -> None:
     norm = NormKind.from_string(args.norm)
-    clean = dataio.read_samples(args.clean, norm)
-    poisoned = dataio.read_samples(args.poisoned, norm)
-    if clean.dimension != poisoned.dimension:
-        raise DimensionMismatchError(
-            f"{args.clean} has dimension {clean.dimension} but "
-            f"{args.poisoned} has {poisoned.dimension}"
-        )
+    clean, poisoned = _read_pair(args.clean, args.poisoned, norm)
     sigmas = _parse_sigma_list(args.sigma)
     conditions = pooled_radius_family(clean, poisoned, args.k).indicators()
     table = shift.sweep_sigma(clean, poisoned, args.p, sigmas, conditions, q=args.q)
@@ -223,13 +223,11 @@ def cmd_oracle(args) -> None:
     joint = oracle.JointSupport.of(p, q)
     if args.radius:
         try:
-            radii = [float(r) for r in args.radius]
+            conditions = [RadiusIndicator(float(r), norm) for r in args.radius]
         except ValueError as exc:
             raise InputError(f"bad --radius: {exc}") from None
     else:
-        top = float(norms(joint.points, norm).max())
-        radii = [top * j / args.k for j in range(1, args.k + 1)]
-    conditions = [RadiusIndicator(r, norm) for r in radii]
+        conditions = RadiusFamily(args.k, float(norms(joint.points, norm).max()), norm).indicators()
     per_radius = []
     for g in conditions:
         entry = {

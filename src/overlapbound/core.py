@@ -190,17 +190,30 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
     return exact_column_sums(a) / a.shape[0]
 
 
+def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Per closed ball of radius r: how many norms are <= r, and the largest
+    of them (0 when there are none).
+
+    ``sorted_norms`` must be ascending. Both results are exact: a count is a
+    ``searchsorted`` position and a region radius is one of the norms.
+    """
+    counts = np.searchsorted(sorted_norms, radii, side="right")
+    region = np.where(counts > 0, sorted_norms[np.maximum(counts - 1, 0)], 0.0)
+    return counts, region
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """A nonempty batch of same-dimension vectors plus the norm that scores them.
 
-    Per-sample norms, the pooled max norm, and the empirical mean are computed
-    once at construction.
+    Per-sample norms (also kept sorted, for ``ball_stats``), the pooled max
+    norm, and the empirical mean are computed once at construction.
     """
 
     samples: np.ndarray
     norm: NormKind = NormKind.L2
     norms: np.ndarray = field(init=False, repr=False, compare=False)
+    sorted_norms: np.ndarray = field(init=False, repr=False, compare=False)
     max_norm: float = field(init=False, compare=False)
     mean: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -215,14 +228,17 @@ class SampleSet:
         a.flags.writeable = False
         with np.errstate(over="ignore"):
             per_sample = norms(a, self.norm)
-        max_norm = float(per_sample.max())
+        ordered = np.sort(per_sample)
+        max_norm = float(ordered[-1])
         if not math.isfinite(max_norm):
             raise InputError(f"sample {self.norm.value} norms overflow float64")
         per_sample.flags.writeable = False
+        ordered.flags.writeable = False
         mean = exact_mean(a)
         mean.flags.writeable = False
         object.__setattr__(self, "samples", a)
         object.__setattr__(self, "norms", per_sample)
+        object.__setattr__(self, "sorted_norms", ordered)
         object.__setattr__(self, "max_norm", max_norm)
         object.__setattr__(self, "mean", mean)
 
@@ -240,7 +256,8 @@ class ConditionFunction:
     label: str
 
     def evaluate(self, x) -> int:
-        raise NotImplementedError
+        """One vector: a one-row ``evaluate_many``."""
+        return int(self.evaluate_many(as_vector(x).reshape(1, -1))[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation: bool array over the rows of ``points``."""
@@ -261,9 +278,6 @@ class RadiusIndicator(ConditionFunction):
     @property
     def label(self) -> str:
         return f"{self.norm.value}-ball<={self.radius!r}"
-
-    def evaluate(self, x) -> int:
-        return int(norm(x, self.norm) <= self.radius)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return norms(points, self.norm) <= self.radius
@@ -287,9 +301,6 @@ class ScoreThreshold(ConditionFunction):
     @property
     def label(self) -> str:
         return f"score<={self.threshold!r}"
-
-    def evaluate(self, x) -> int:
-        return int(self.evaluate_many(as_vector(x).reshape(1, -1))[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.scorer.clamped_scores(points)) <= self.threshold

@@ -72,6 +72,16 @@ def auroc(ls: LabeledScores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def _descending_sweep(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thresholds, tps, predicted) at each distinct score, descending: the
+    positives and all samples scoring >= each threshold, as floats."""
+    order = np.argsort(-ls.scores, kind="mergesort")
+    sorted_scores = ls.scores[order]
+    boundary = np.r_[np.nonzero(np.diff(sorted_scores))[0], sorted_scores.size - 1]
+    tps = np.cumsum(ls.labels[order])[boundary].astype(np.float64)
+    return sorted_scores[boundary], tps, (boundary + 1).astype(np.float64)
+
+
 def roc_curve(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fpr, tpr, thresholds) swept over distinct scores, descending.
 
@@ -79,39 +89,20 @@ def roc_curve(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     groups produce a single curve point. The curve starts at (0, 0).
     """
     _require_both_classes(ls)
-    order = np.argsort(-ls.scores, kind="mergesort")
-    sorted_scores = ls.scores[order]
-    sorted_labels = ls.labels[order]
-    boundary = np.r_[np.nonzero(np.diff(sorted_scores))[0], sorted_scores.size - 1]
-    tps = np.cumsum(sorted_labels)[boundary].astype(np.float64)
-    fps = (boundary + 1) - tps
-    fpr = np.concatenate([[0.0], fps / ls.n_neg])
+    thresholds, tps, predicted = _descending_sweep(ls)
+    fpr = np.concatenate([[0.0], (predicted - tps) / ls.n_neg])
     tpr = np.concatenate([[0.0], tps / ls.n_pos])
-    thresholds = np.concatenate([[np.inf], sorted_scores[boundary]])
-    return fpr, tpr, thresholds
-
-
-def auroc_trapezoid(ls: LabeledScores) -> float:
-    """Trapezoidal area under the ROC curve; agrees with the rank form."""
-    fpr, tpr, _ = roc_curve(ls)
-    terms = 0.5 * (tpr[1:] + tpr[:-1]) * np.diff(fpr)
-    return math.fsum(terms.tolist())
+    return fpr, tpr, np.concatenate([[np.inf], thresholds])
 
 
 def aupr(ls: LabeledScores) -> float:
     """Area under precision-recall via a step-wise descending sweep."""
     if np.count_nonzero(ls.labels) == 0:
         raise MetricUndefinedError("precision-recall area needs at least one positive")
-    order = np.argsort(-ls.scores, kind="mergesort")
-    sorted_scores = ls.scores[order]
-    sorted_labels = ls.labels[order]
-    boundary = np.r_[np.nonzero(np.diff(sorted_scores))[0], sorted_scores.size - 1]
-    tps = np.cumsum(sorted_labels)[boundary].astype(np.float64)
-    predicted = (boundary + 1).astype(np.float64)
-    precision = tps / predicted
+    _, tps, predicted = _descending_sweep(ls)
     recall = tps / np.count_nonzero(ls.labels)
     prev_recall = np.concatenate([[0.0], recall[:-1]])
-    terms = (recall - prev_recall) * precision
+    terms = (recall - prev_recall) * (tps / predicted)
     return math.fsum(terms.tolist())
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bound import compute_bound
+from .bound import BoundReport, compute_bound
 from .core import Conditions, InputError, SampleSet, require_compatible
 
 
@@ -59,7 +59,11 @@ def mixture_overlap_bound(
     """
     require_compatible(clean, poisoned)
     _check_unit("sigma", sigma)
-    report = compute_bound(clean, poisoned, conditions)
+    return _mixture_bound(compute_bound(clean, poisoned, conditions), sigma)
+
+
+def _mixture_bound(report: BoundReport, sigma: float) -> float:
+    """The mixture bound from one clean-vs-poisoned report: affine in sigma."""
     if report.pool_radius == 0.0:
         return 1.0
     mean_term = report.mean_gap / (2.0 * report.pool_radius)
@@ -98,11 +102,10 @@ def sweep_sigma(
     """
     _check_unit("p", p)
     _check_unit("q", q)
-    out = []
     for sigma in sigmas:
-        bound = mixture_overlap_bound(clean, poisoned, sigma, conditions)
-        out.append((float(sigma), (p - q) * bound + q))
-    return out
+        _check_unit("sigma", sigma)
+    report = compute_bound(clean, poisoned, conditions)
+    return [(float(sigma), (p - q) * _mixture_bound(report, sigma) + q) for sigma in sigmas]
 
 
 def compose_mixture(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -86,3 +87,24 @@ def gaussian_cloud(
     rng: np.random.Generator, n: int, dim: int, center=0.0, norm: NormKind = NormKind.L2
 ) -> SampleSet:
     return SampleSet(rng.normal(size=(n, dim)) + np.asarray(center), norm)
+
+
+@st.composite
+def repeated_rows(draw, d: int | None = None) -> np.ndarray:
+    """Up to 25 rows of dimension d (1 to 3 when not given) picked with
+    repeats from a few distinct ones, so norms repeat; often one of the
+    distinct rows is the origin."""
+    if d is None:
+        d = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 0.5, -0.5, 1.0, -2.0, 3.25]) | st.floats(-4.0, 4.0)
+    distinct = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        distinct.append([0.0] * d)
+    return np.array(draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=25)))
+
+
+def radii_on_norms(data, *sample_sets) -> list[float]:
+    """Strictly increasing radii, drawn mostly from the sets' exact norms."""
+    exact = sorted({v for ss in sample_sets for v in ss.norms.tolist()})
+    values = data.draw(st.lists(st.sampled_from(exact) | st.floats(0.0, 8.0), min_size=1, max_size=8))
+    return sorted(set(values))

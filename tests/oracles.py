@@ -1,12 +1,19 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here is deliberately naive pure Python (explicit loops over
-points, pairs, and thresholds) so it shares no code path with the package.
+Everything down to the retired-paths section is deliberately naive pure
+Python (explicit loops over points, pairs, and thresholds) so it shares no
+code path with the package. The retired-paths section keeps earlier package
+code paths, per-radius and per-query loops, which the vectorized code that
+replaced them must match bitwise.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from overlapbound import NormKind, RadiusIndicator, SampleSet, compute_bound
 
 
 def norm_of(row, kind: str) -> float:
@@ -73,6 +80,13 @@ def brute_auroc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def auroc_trapezoid(fpr, tpr) -> float:
+    """Trapezoidal area under an ROC curve given as point lists."""
+    return math.fsum(
+        0.5 * (tpr[i] + tpr[i - 1]) * (fpr[i] - fpr[i - 1]) for i in range(1, len(fpr))
+    )
+
+
 def brute_aupr(scores, labels) -> float:
     n_pos = sum(1 for y in labels if y)
     area = 0.0
@@ -105,3 +119,33 @@ def brute_scorer_score(in_class, query, radii, kind: str) -> float:
         (lambda x, r=r: 1 if norm_of(x, kind) <= r else 0) for r in radii
     ]
     return brute_bound([tuple(query)], [tuple(x) for x in in_class], conditions, kind)
+
+
+# Retired package paths.
+
+
+def mask_ball_stats(norms, radii) -> tuple[list[int], list[float]]:
+    """Per radius, a boolean mask over the norms: accepted count and the
+    largest accepted norm (0 if none)."""
+    norms = np.asarray(norms, dtype=np.float64)
+    counts, region = [], []
+    for r in radii:
+        mask = norms <= r
+        counts.append(int(np.count_nonzero(mask)))
+        region.append(float(norms[mask].max()) if mask.any() else 0.0)
+    return counts, region
+
+
+def iterative_scores_loop(scorer, in_class, queries, k2: int) -> np.ndarray:
+    """Second-pass scores as one pooled bound per query: the query's clamped
+    first-pass score against those of the fit samples, under the k2
+    predicates score <= j/k2."""
+    samples = SampleSet(np.asarray(in_class, dtype=np.float64), scorer.norm)
+    neg = SampleSet(scorer.clamped_scores(samples.samples).reshape(-1, 1), NormKind.L2)
+    predicates = [RadiusIndicator(j / k2, NormKind.L2) for j in range(1, k2 + 1)]
+    query_first = scorer.clamped_scores(queries)
+    out = np.empty(query_first.shape[0], dtype=np.float64)
+    for i, s in enumerate(query_first):
+        pos = SampleSet(np.array([[s]]), NormKind.L2)
+        out[i] = compute_bound(pos, neg, predicates).raw_bound
+    return out

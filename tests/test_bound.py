@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapbound import (
     DimensionMismatchError,
@@ -14,8 +16,8 @@ from overlapbound import (
     pooled_radius_family,
     rate_gap_lower_bound,
 )
-from conftest import ALL_NORMS, integer_count_pair, random_pair
-from oracles import brute_bound, norm_of
+from conftest import ALL_NORMS, integer_count_pair, radii_on_norms, random_pair, repeated_rows
+from oracles import brute_bound, mask_ball_stats, norm_of
 
 
 @pytest.fixture
@@ -236,3 +238,23 @@ def test_pooled_radius_family(worked_sets):
     pos, neg = worked_sets
     fam = pooled_radius_family(pos, neg, 4)
     assert fam.radii == (0.25, 0.5, 0.75, 1.0)
+
+
+@given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS))
+@settings(max_examples=150, deadline=None)
+def test_ball_statistics_equal_mask_loop(data, rows, kind):
+    # counts and region radii come from sorted norms; they must equal a
+    # per-radius mask over the pooled norms exactly, ties and zeros included
+    pos = SampleSet(rows, kind)
+    neg = SampleSet(data.draw(repeated_rows(rows.shape[1])), kind)
+    radii = radii_on_norms(data, pos, neg)
+    report = compute_bound(pos, neg, [RadiusIndicator(r, kind) for r in radii])
+    pos_counts, _ = mask_ball_stats(pos.norms, radii)
+    neg_counts, _ = mask_ball_stats(neg.norms, radii)
+    _, region = mask_ball_stats(np.concatenate([pos.norms, neg.norms]), radii)
+    for i, c in enumerate(report.conditions):
+        assert c.pos_rate == pos_counts[i] / len(pos)
+        assert c.neg_rate == neg_counts[i] / len(neg)
+        assert c.region_radius == region[i]
+        gap = rate_gap_lower_bound(pos, neg, RadiusIndicator(radii[i], kind))
+        assert gap == 0.5 * abs(pos_counts[i] / len(pos) - neg_counts[i] / len(neg))

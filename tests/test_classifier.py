@@ -1,13 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapbound import (
     DimensionMismatchError,
     FittedScorer,
     InputError,
     NormKind,
+    RadiusFamily,
     SampleSet,
     classify,
     compute_bound,
@@ -17,8 +21,8 @@ from overlapbound import (
     make_sample_set,
     score,
 )
-from conftest import ALL_NORMS
-from oracles import brute_bound, brute_scorer_score
+from conftest import ALL_NORMS, radii_on_norms, repeated_rows
+from oracles import brute_bound, brute_scorer_score, iterative_scores_loop, mask_ball_stats
 
 
 def test_fit_single_point():
@@ -270,3 +274,86 @@ def test_fit_norm_override():
     ss = SampleSet(np.array([[1.0, -1.0]]), NormKind.L2)
     s2 = fit(ss, k=2, norm=NormKind.L1)
     assert s2.fit_radius == 2.0
+
+
+@given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS))
+@settings(max_examples=150, deadline=None)
+def test_fit_ball_statistics_equal_mask_loop(data, rows, kind):
+    ss = SampleSet(rows, kind)
+    radii = radii_on_norms(data, ss)
+    counts, region = mask_ball_stats(ss.norms, radii)
+    s = fit(ss, radii=radii)
+    assert s.accept_rates == tuple(c / len(ss) for c in counts)
+    assert s.region_radii == tuple(region)
+    k = data.draw(st.integers(1, 12))
+    counts, region = mask_ball_stats(ss.norms, RadiusFamily(k, ss.max_norm).radii)
+    s = fit(ss, k=k)
+    assert s.accept_rates == tuple(c / len(ss) for c in counts)
+    assert s.region_radii == tuple(region)
+
+
+@given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_scalar_score_is_one_row_batch(data, rows, kind, k):
+    s = fit(SampleSet(rows, kind), k=k)
+    x = np.array(data.draw(repeated_rows(rows.shape[1]))[0]) * data.draw(st.floats(0.0, 3.0))
+    assert score(s, x).score == s.raw_scores(x[None])[0]
+
+
+@given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS), st.integers(1, 12), st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_iterative_batch_equals_per_query_bound_loop(data, rows, kind, k, k2):
+    # the second fitted scorer must reproduce one pooled bound per query bitwise
+    s = fit(SampleSet(rows, kind), k=k)
+    queries = data.draw(repeated_rows(rows.shape[1])) * data.draw(st.floats(0.0, 3.0))
+    got = iterative_scores_batch(s, rows, queries, k2=k2)
+    assert np.array_equal(got, iterative_scores_loop(s, rows, queries, k2))
+
+
+def _corruptions(doc: dict) -> list[tuple[str, object]]:
+    k, d = doc["k"], doc["dimension"]
+    return [
+        ("k", "abc"), ("k", 0), ("k", -3), ("k", 2.5), ("k", True), ("k", k + 1),
+        ("dimension", "3"), ("dimension", 0), ("dimension", d + 1), ("dimension", None),
+        ("mean", doc["mean"][:-1]), ("mean", doc["mean"] + [0.0]), ("mean", [float("nan")] * d),
+        ("mean", ["1"] * d), ("mean", [10**400] * d), ("mean", 1.0),
+        ("rFit", float("nan")), ("rFit", float("inf")), ("rFit", -1.0), ("rFit", "1"),
+        ("gMeans", doc["gMeans"][:-1]), ("gMeans", doc["gMeans"] + [1.0]),
+        ("gMeans", [1.5] * k), ("gMeans", [-0.25] * k), ("gMeans", [float("nan")] * k),
+        ("gMaxNorms", doc["gMaxNorms"][:-1]), ("gMaxNorms", [-1.0] * k),
+        ("gMaxNorms", [float("inf")] * k),
+        ("radii", list(range(k, 0, -1))), ("radii", [1.0] * k), ("radii", list(range(k + 1))),
+        ("radii", [float("nan")] * k), ("radii", [-1.0 + j for j in range(k)]),
+        ("norm", "l3"), ("norm", 2), ("degenerate", "no"), ("degenerate", 0),
+    ]
+
+
+@given(st.data(), st.integers(1, 6), st.integers(2, 4))
+@settings(max_examples=200, deadline=None)
+def test_corrupted_model_field_fails_to_load(tmp_path_factory, data, d, k):
+    rows = np.random.default_rng(d * 10 + k).normal(size=(9, d))
+    doc = fit(rows, k=k).to_json_dict()
+    key, bad = data.draw(st.sampled_from(_corruptions(doc)))
+    doc[key] = bad
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        FittedScorer.load(path)
+
+
+def test_query_norm_overflow_is_input_error():
+    s = fit([[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]], k=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm_kind, row in (("l2", [1e200, 1.0]), ("l1", [1.7e308, 1.7e308])):
+            scorer = fit([[1.0, 2.0], [3.0, 1.0]], k=3, norm=norm_kind)
+            with pytest.raises(InputError, match="norms overflow"):
+                scorer.raw_scores([row])
+            with pytest.raises(InputError, match="norms overflow"):
+                score(scorer, row)
+        with pytest.raises(InputError, match="non-finite"):
+            s.raw_scores([[np.inf, 1.0]])
+        # the norm of the gap to the mean can overflow on its own
+        far = fit([[-1e154, 0.0], [-1e154, 1.0]], k=2)
+        with pytest.raises(InputError, match="norms overflow"):
+            far.raw_scores([[1e154, 0.0]])

@@ -315,3 +315,30 @@ def test_oracle_bad_radius_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "oracle", str(dist), str(dist), "--radius", "abc")
     assert code == 2
     assert err.startswith("error: ") and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, query, message",
+    [
+        (None, "1e200,1\n", "query l2 norms overflow"),
+        (("k", "abc"), "1,1\n", "'k' must be an integer >= 1"),
+        (("mean", [0.5]), "1,1\n", "'mean' must be a list of `dimension` finite numbers"),
+        (("rFit", float("nan")), "1,1\n", "'rFit' must be a finite number >= 0"),
+    ],
+)
+def test_score_bad_query_or_model_exit_2_without_warning(tmp_path, edit, query, message):
+    data, model, queries = tmp_path / "fit.csv", tmp_path / "model.json", tmp_path / "q.csv"
+    write_csv(data, [[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]])
+    assert main(["fit", str(data), "--k", "3", "--out", str(model)]) == 0
+    if edit is not None:
+        doc = json.loads(model.read_text())
+        doc[edit[0]] = edit[1]
+        model.write_text(json.dumps(doc))
+    queries.write_text(query)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "overlapbound", "score", str(model), str(queries)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert message in proc.stderr

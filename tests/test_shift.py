@@ -68,6 +68,21 @@ def test_sweep_single_sigma(worked_mix):
     assert sweep_sigma(clean, poisoned, 0.8, [1.0], gs) == [(1.0, pytest.approx(0.8))]
 
 
+def test_sweep_evaluates_bound_once(rng, monkeypatch):
+    # one bound serves every sigma; each ceiling equals the per-sigma closed form bitwise
+    import overlapbound.shift as mod
+
+    clean = SampleSet(rng.normal(size=(40, 3)))
+    poisoned = SampleSet(rng.normal(size=(30, 3)) + 0.7)
+    gs = [RadiusIndicator(float(r)) for r in np.linspace(0.3, 4.0, 9)]
+    sigmas = np.linspace(0, 1, 11)
+    want = [(float(s), (0.9 - 0.1) * mixture_overlap_bound(clean, poisoned, s, gs) + 0.1) for s in sigmas]
+    calls = []
+    monkeypatch.setattr(mod, "compute_bound", lambda *a: calls.append(a) or compute_bound(*a))
+    assert sweep_sigma(clean, poisoned, 0.9, sigmas, gs, q=0.1) == want
+    assert len(calls) == 1
+
+
 def test_ceiling_affine_in_sigma(rng):
     for _ in range(20):
         clean = SampleSet(rng.normal(size=(15, 2)))
