@@ -8,6 +8,7 @@ pooled ball. High values mean the two sets are hard to tell apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,6 +70,29 @@ class BoundReport:
         }
 
 
+def _closed_form(mean_gap, pool_radius, best_separation, sigma=0.0):
+    """1 - (1-sigma)/2 * mean_gap/pool - (1-sigma)/2 * best separation, for
+    scalars or arrays and a nonzero pool radius; sigma = 0 is the plain bound.
+
+    ``0.5 * (gap / pool)`` cannot overflow where ``gap / (2 * pool)`` would,
+    and equals it bitwise otherwise.
+    """
+    half = 0.5 * (1.0 - sigma)
+    return 1.0 - half * (mean_gap / pool_radius) - half * best_separation
+
+
+def _separation(region_radius, rate_gap, pool_radius):
+    """Per condition: (1 - region_radius/pool_radius) * |rate gap|.
+
+    Works in place, as raw_scores calls it per block of queries: the result
+    overwrites the ``region_radius`` array, and ``rate_gap`` is overwritten too.
+    """
+    sep = np.divide(region_radius, pool_radius, out=region_radius)
+    np.subtract(1.0, sep, out=sep)
+    sep *= np.abs(rate_gap, out=rate_gap)
+    return sep
+
+
 def _acceptance(side: SampleSet, g: ConditionFunction) -> tuple[int, float]:
     """How many samples of ``side`` a condition accepts, and the largest accepted
     norm (0 if none). A radius indicator in the side's own norm reads both off
@@ -86,59 +110,39 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     Pools both sets to fix the reference ball, then combines the empirical
     mean gap with the best separation achieved by any condition function.
     Ties in the best separation go to the smallest index so reports are
-    deterministic across platforms and parallel schedules.
+    deterministic across platforms and parallel schedules. Raises InputError
+    when the norm of the gap between the two means overflows float64.
     """
     require_compatible(pos, neg)
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
 
     pool_radius = max(pos.max_norm, neg.max_norm)
-    n_pos, n_neg = len(pos), len(neg)
+    with np.errstate(over="ignore"):
+        mean_gap = float(norms((pos.mean - neg.mean).reshape(1, -1), pos.norm)[0])
+    if not math.isfinite(mean_gap):
+        raise InputError(f"the {pos.norm.value} gap between the sample means overflows float64")
 
-    gap_vec = pos.mean - neg.mean
-    mean_gap = float(norms(gap_vec.reshape(1, -1), pos.norm)[0])
-
-    stats: list[ConditionStat] = []
-    best_index = 0
-    best_sep = -1.0
-    for g in conditions:
-        pos_count, pos_region = _acceptance(pos, g)
-        neg_count, neg_region = _acceptance(neg, g)
-        # the largest accepted pooled norm; an empty region has both rates 0,
-        # so its separation is 0
-        region_radius = max(pos_region, neg_region)
-        pos_rate = pos_count / n_pos
-        neg_rate = neg_count / n_neg
-        if pool_radius > 0.0:
-            separation = (1.0 - region_radius / pool_radius) * abs(pos_rate - neg_rate)
-        else:
-            separation = 0.0
-        stats.append(
-            ConditionStat(
-                label=g.label,
-                parameter=condition_parameter(g),
-                region_radius=region_radius,
-                pos_rate=pos_rate,
-                neg_rate=neg_rate,
-                separation=separation,
-            )
-        )
-        if separation > best_sep:
-            best_sep = separation
-            best_index = len(stats) - 1
-
+    pos_count, pos_region = np.array([_acceptance(pos, g) for g in conditions]).T
+    neg_count, neg_region = np.array([_acceptance(neg, g) for g in conditions]).T
+    # the largest accepted pooled norm; an empty region has both rates 0
+    region = np.maximum(pos_region, neg_region)
+    pos_rate, neg_rate = pos_count / len(pos), neg_count / len(neg)
     if pool_radius == 0.0:
         # Every sample sits at the origin: both sets are the same point mass.
-        raw = 1.0
+        separation, raw = np.zeros(len(conditions)), 1.0
     else:
-        raw = 1.0 - mean_gap / (2.0 * pool_radius) - 0.5 * best_sep
+        separation = _separation(region.copy(), pos_rate - neg_rate, pool_radius)
+        raw = float(_closed_form(mean_gap, pool_radius, separation.max()))
+    columns = zip(region.tolist(), pos_rate.tolist(), neg_rate.tolist(), separation.tolist())
     return BoundReport(
         raw_bound=raw,
         clamped_bound=clamp_unit(raw),
         mean_gap=mean_gap,
         pool_radius=pool_radius,
-        conditions=tuple(stats),
-        best_index=best_index,
+        conditions=tuple(ConditionStat(g.label, condition_parameter(g), *c)
+                         for g, c in zip(conditions, columns)),
+        best_index=int(np.argmax(separation)),  # the first of tied maxima
     )
 
 

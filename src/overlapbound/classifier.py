@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bound import _closed_form, _separation
 from .core import (
     DimensionMismatchError,
     InputError,
@@ -147,13 +148,10 @@ class FittedScorer:
                 inside = col <= self._radii
                 # Pooled in-ball max norm: the cached value, or the query norm
                 # if the query joined the ball.
-                sep = col * inside
-                np.maximum(sep, self._region, out=sep)
-                sep /= pool[:, None]
-                np.subtract(1.0, sep, out=sep)
-                sep *= np.abs(inside - self._rates)
-                # 0.5 * (gaps / pool) equals gaps / (2 * pool) but cannot overflow
-                raw = 1.0 - 0.5 * (gaps / pool) - 0.5 * sep.max(axis=1)
+                region = col * inside
+                np.maximum(region, self._region, out=region)
+                sep = _separation(region, inside - self._rates, pool[:, None])
+                raw = _closed_form(gaps, pool, sep.max(axis=1))
             if self.fit_radius == 0.0:
                 # An all-origin pool means both sides are the same point mass.
                 raw[pool == 0.0] = 1.0
@@ -225,6 +223,17 @@ class FittedScorer:
                 fields[attr] = value
         if "radii" not in fields:
             fields["radii"] = RadiusFamily(k=fields["k"], top=fields["fit_radius"]).radii
+        # what every fitted model satisfies
+        rates, region, top = fields["accept_rates"], fields["region_radii"], fields["fit_radius"]
+        for holds, rule in (
+            (all(g <= min(r, top) for g, r in zip(region, fields["radii"])),
+             "each 'gMaxNorms' entry must be <= its radius and <= 'rFit'"),
+            (all(a <= b for v in (rates, region) for a, b in zip(v, v[1:])),
+             "'gMeans' and 'gMaxNorms' must be nondecreasing"),
+            (fields["degenerate"] == (top == 0.0), "'degenerate' must be true exactly when 'rFit' is 0"),
+        ):
+            if not holds:
+                raise InputError(f"{source}: model fields are inconsistent: {rule}")
         return cls(**fields)
 
     @classmethod

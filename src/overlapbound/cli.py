@@ -47,9 +47,6 @@ def _parse_sigma_list(text: str) -> list[float]:
         raise InputError(f"bad --sigma list {text!r}: {exc}") from None
     if not values:
         raise InputError("--sigma list is empty")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise InputError(f"sigma entries must lie in [0, 1], got {v}")
     return values
 
 

@@ -7,6 +7,7 @@ uint64 row and column counts, then row-major little-endian float64 data.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -37,9 +38,14 @@ def _read_samples_binary(path) -> np.ndarray:
             raise InputError(f"{path}: bad magic {magic!r}")
         if version != BINARY_VERSION:
             raise InputError(f"{path}: unsupported binary version {version}")
+        if n * d == 0:
+            raise InputError(f"{path}: no data values ({n} rows, {d} columns)")
+        # check the declared size before reading, so a corrupt header cannot
+        # ask numpy for more memory than the file holds
+        found = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
+        if found < n * d:
+            raise InputError(f"{path}: expected {n * d} float64 values, found {found}")
         data = np.fromfile(fh, dtype="<f8", count=n * d)
-    if data.size != n * d:
-        raise InputError(f"{path}: expected {n * d} float64 values, found {data.size}")
     return data.reshape(n, d).astype(np.float64)
 
 
@@ -55,7 +61,7 @@ def _parse_csv_rows(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
     rows: list[list[float]] = []
     width = None

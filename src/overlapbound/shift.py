@@ -10,11 +10,11 @@ and provide a simulator to check measured accuracy against the ceiling.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bound import BoundReport, compute_bound
+from .bound import BoundReport, _closed_form, compute_bound
 from .core import Conditions, InputError, SampleSet, require_compatible
 
 
@@ -66,9 +66,8 @@ def _mixture_bound(report: BoundReport, sigma: float) -> float:
     """The mixture bound from one clean-vs-poisoned report: affine in sigma."""
     if report.pool_radius == 0.0:
         return 1.0
-    mean_term = report.mean_gap / (2.0 * report.pool_radius)
-    best_term = 0.5 * report.conditions[report.best_index].separation
-    return 1.0 - (1.0 - sigma) * mean_term - (1.0 - sigma) * best_term
+    best = report.conditions[report.best_index].separation
+    return _closed_form(report.mean_gap, report.pool_radius, best, sigma)
 
 
 def backdoor_ceiling(
@@ -108,6 +107,19 @@ def sweep_sigma(
     return [(float(sigma), (p - q) * _mixture_bound(report, sigma) + q) for sigma in sigmas]
 
 
+def _mixture_rows(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: int, seed: int):
+    """Row indices of a deterministic proportional test mixture: floor(sigma*n)
+    clean rows, then the remainder poisoned, each drawn with replacement."""
+    require_compatible(clean, poisoned)
+    _check_unit("sigma", sigma)
+    if n_total < 1:
+        raise InputError(f"n_total must be >= 1, got {n_total}")
+    n_clean = math.floor(sigma * n_total)
+    rng = np.random.default_rng(seed)
+    clean_rows = rng.integers(0, len(clean), size=n_clean)
+    return clean_rows, rng.integers(0, len(poisoned), size=n_total - n_clean)
+
+
 def compose_mixture(
     clean: SampleSet,
     poisoned: SampleSet,
@@ -117,19 +129,8 @@ def compose_mixture(
 ) -> SampleSet:
     """Deterministic proportional test mixture: floor(sigma*n) clean rows plus
     the remainder poisoned, each drawn with replacement from its component."""
-    require_compatible(clean, poisoned)
-    _check_unit("sigma", sigma)
-    if n_total < 1:
-        raise InputError(f"n_total must be >= 1, got {n_total}")
-    n_clean = math.floor(sigma * n_total)
-    n_pois = n_total - n_clean
-    rng = np.random.default_rng(seed)
-    parts = []
-    if n_clean:
-        parts.append(clean.samples[rng.integers(0, len(clean), size=n_clean)])
-    if n_pois:
-        parts.append(poisoned.samples[rng.integers(0, len(poisoned), size=n_pois)])
-    return SampleSet(np.vstack(parts), clean.norm)
+    rows = _mixture_rows(clean, poisoned, sigma, n_total, seed)
+    return SampleSet(np.vstack([clean.samples[rows[0]], poisoned.samples[rows[1]]]), clean.norm)
 
 
 def fixed_accuracy_rule(
@@ -138,41 +139,40 @@ def fixed_accuracy_rule(
     p: float,
     q: float,
     seed: int = 0,
-) -> Callable[[np.ndarray], bool]:
-    """Deterministic classifier stand-in: correct on an exact p fraction of
-    the clean rows and an exact q fraction of the poisoned rows.
-
-    Rows are identified by value, so the two sets should not share samples.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic classifier stand-in: read-only boolean masks of the clean
+    rows and of the poisoned rows it gets right, an exact p and q fraction of
+    each, picked by index from a seeded permutation (so repeated rows are fine)."""
     _check_unit("p", p)
     _check_unit("q", q)
     rng = np.random.default_rng(seed)
-    tagged: set[bytes] = set()
-    for samples, frac in ((clean.samples, p), (poisoned.samples, q)):
-        n = samples.shape[0]
-        picked = rng.permutation(n)[: round(frac * n)]
-        for i in picked:
-            tagged.add(samples[i].tobytes())
-
-    def rule(x: np.ndarray) -> bool:
-        return np.ascontiguousarray(x, dtype=np.float64).tobytes() in tagged
-
-    return rule
+    masks = []
+    for n, frac in ((len(clean), p), (len(poisoned), q)):
+        right = np.zeros(n, dtype=bool)
+        right[rng.permutation(n)[: round(frac * n)]] = True
+        right.flags.writeable = False
+        masks.append(right)
+    return tuple(masks)
 
 
 def simulate_accuracy(
     clean: SampleSet,
     poisoned: SampleSet,
     sigma: float,
-    rule: Callable[[np.ndarray], bool],
+    rule: tuple[np.ndarray, np.ndarray],
     n_samples: int,
     seed: int = 0,
 ) -> float:
-    """Measured accuracy of a per-sample correctness rule on the sigma-mixture.
+    """Measured accuracy of a ``fixed_accuracy_rule`` on the sigma-mixture:
+    the fraction of drawn rows that the rule marks as right.
 
     The composition is deterministic (floor(sigma*n) clean + remainder
-    poisoned); the draws within each component are seeded resampling.
+    poisoned); the draws within each component are seeded resampling, the
+    same as ``compose_mixture``'s.
     """
-    mixture = compose_mixture(clean, poisoned, sigma, n_samples, seed=seed)
-    correct = sum(1 for row in mixture.samples if rule(row))
+    clean_right, poisoned_right = rule
+    if len(clean_right) != len(clean) or len(poisoned_right) != len(poisoned):
+        raise InputError("the rule's masks do not match the sizes of the sample sets")
+    clean_rows, poisoned_rows = _mixture_rows(clean, poisoned, sigma, n_samples, seed)
+    correct = int(clean_right[clean_rows].sum()) + int(poisoned_right[poisoned_rows].sum())
     return correct / n_samples

@@ -3,7 +3,8 @@
 Everything down to the retired-paths section is deliberately naive pure
 Python (explicit loops over points, pairs, and thresholds) so it shares no
 code path with the package. The retired-paths section keeps earlier package
-code paths, per-radius and per-query loops, which the vectorized code that
+code paths (per-radius and per-query loops, the former closed forms, and the
+by-value accuracy rule with its per-row simulator), which the code that
 replaced them must match bitwise.
 """
 
@@ -149,3 +150,59 @@ def iterative_scores_loop(scorer, in_class, queries, k2: int) -> np.ndarray:
         pos = SampleSet(np.array([[s]]), NormKind.L2)
         out[i] = compute_bound(pos, neg, predicates).raw_bound
     return out
+
+
+def retired_bound_terms(report) -> tuple[list[float], int, float]:
+    """Per-condition separations, best index and raw bound recomputed from a
+    report's fields by the former per-condition loop and closed form."""
+    pool = report.pool_radius
+    separations, best_index, best = [], 0, -1.0
+    for i, c in enumerate(report.conditions):
+        s = (1.0 - c.region_radius / pool) * abs(c.pos_rate - c.neg_rate) if pool > 0.0 else 0.0
+        separations.append(s)
+        if s > best:
+            best, best_index = s, i
+    raw = 1.0 if pool == 0.0 else 1.0 - report.mean_gap / (2.0 * pool) - 0.5 * best
+    return separations, best_index, raw
+
+
+def retired_mixture_bound(report, sigma: float) -> float:
+    """The mixture bound from one clean-vs-poisoned report: affine in sigma."""
+    if report.pool_radius == 0.0:
+        return 1.0
+    mean_term = report.mean_gap / (2.0 * report.pool_radius)
+    best_term = 0.5 * report.conditions[report.best_index].separation
+    return 1.0 - (1.0 - sigma) * mean_term - (1.0 - sigma) * best_term
+
+
+def mixture_row_indices(n_clean_rows: int, n_poisoned_rows: int, sigma: float,
+                        n_total: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a seeded mixture draws: floor(sigma*n) clean, then the rest
+    poisoned, with an RNG call only for a nonempty part."""
+    n_clean = math.floor(sigma * n_total)
+    rng = np.random.default_rng(seed)
+    empty = np.zeros(0, dtype=np.int64)
+    clean_rows = rng.integers(0, n_clean_rows, size=n_clean) if n_clean else empty
+    n_pois = n_total - n_clean
+    poisoned_rows = rng.integers(0, n_poisoned_rows, size=n_pois) if n_pois else empty
+    return clean_rows, poisoned_rows
+
+
+def value_rule(clean: SampleSet, poisoned: SampleSet, p: float, q: float, seed: int = 0):
+    """The former fixed-accuracy rule: a callable that is right on rows whose
+    values were picked, an exact p and q fraction of each set's rows."""
+    rng = np.random.default_rng(seed)
+    tagged: set[bytes] = set()
+    for samples, frac in ((clean.samples, p), (poisoned.samples, q)):
+        n = samples.shape[0]
+        for i in rng.permutation(n)[: round(frac * n)]:
+            tagged.add(samples[i].tobytes())
+    return lambda x: np.ascontiguousarray(x, dtype=np.float64).tobytes() in tagged
+
+
+def simulate_by_value(clean: SampleSet, poisoned: SampleSet, sigma: float, rule,
+                      n_samples: int, seed: int = 0) -> float:
+    """The former simulator: the rule applied to each drawn row in turn."""
+    clean_rows, poisoned_rows = mixture_row_indices(len(clean), len(poisoned), sigma, n_samples, seed)
+    rows = list(clean.samples[clean_rows]) + list(poisoned.samples[poisoned_rows])
+    return sum(1 for row in rows if rule(row)) / n_samples

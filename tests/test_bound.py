@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,22 @@ def test_input_errors():
         compute_bound(a, c, [RadiusIndicator(1.0)])
     with pytest.raises(InputError):
         compute_bound(a, a, [])
+
+
+def test_pool_near_float64_max_keeps_the_mean_term():
+    # 2 * pool overflows here; the bound must not lose its mean term
+    ball = [RadiusIndicator(1.5e308, NormKind.LINF)]
+    pos, neg = SampleSet([[1.7e308]], NormKind.LINF), SampleSet([[1e308]], NormKind.LINF)
+    assert compute_bound(pos, neg, ball).raw_bound == 0.5882352941176472
+
+
+@pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+def test_mean_gap_overflow_is_input_error(kind):
+    pos, neg = SampleSet([[1.7e308]], kind), SampleSet([[-1.7e308]], kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"the {kind.value} gap between the sample means overflows"):
+            compute_bound(pos, neg, [RadiusIndicator(1.0, kind)])
 
 
 def test_pooled_radius_family(worked_sets):

@@ -311,7 +311,7 @@ def test_iterative_batch_equals_per_query_bound_loop(data, rows, kind, k, k2):
 
 
 def _corruptions(doc: dict) -> list[tuple[str, object]]:
-    k, d = doc["k"], doc["dimension"]
+    k, d, top = doc["k"], doc["dimension"], doc["rFit"]
     return [
         ("k", "abc"), ("k", 0), ("k", -3), ("k", 2.5), ("k", True), ("k", k + 1),
         ("dimension", "3"), ("dimension", 0), ("dimension", d + 1), ("dimension", None),
@@ -325,6 +325,11 @@ def _corruptions(doc: dict) -> list[tuple[str, object]]:
         ("radii", list(range(k, 0, -1))), ("radii", [1.0] * k), ("radii", list(range(k + 1))),
         ("radii", [float("nan")] * k), ("radii", [-1.0 + j for j in range(k)]),
         ("norm", "l3"), ("norm", 2), ("degenerate", "no"), ("degenerate", 0),
+        # each field well formed, the model inconsistent
+        ("gMaxNorms", [2.0 * top] * k), ("gMaxNorms", [top] * k),
+        ("gMaxNorms", [top / k] + [0.0] * (k - 1)), ("gMeans", [1.0] + [0.0] * (k - 1)),
+        ("radii", [0.5 * top * j / k for j in range(1, k + 1)]),
+        ("degenerate", True), ("rFit", 0.0),
     ]
 
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from overlapbound.cli import main
 from overlapbound.dataio import write_samples_binary
@@ -342,3 +348,94 @@ def test_score_bad_query_or_model_exit_2_without_warning(tmp_path, edit, query, 
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert message in proc.stderr
+
+
+def _ovlb(n: int, d: int, payload: bytes, magic: bytes = b"OVLB", version: int = 1) -> bytes:
+    return struct.pack("<4sIQQ", magic, version, n, d) + payload
+
+
+@pytest.mark.parametrize(
+    "n, d, payload, message",
+    [
+        (2**62, 1, 8, "expected 4611686018427387904 float64 values, found 1"),
+        (1, 2**37, 12, "expected 137438953472 float64 values, found 1"),
+        (2**63, 0, 0, "no data values"),
+    ],
+)
+def test_ovlb_header_beyond_file_size_exit_2(tmp_path, capsys, n, d, payload, message):
+    data = tmp_path / "big.ovlb"
+    data.write_bytes(_ovlb(n, d, bytes(payload)))
+    code, _, err = run_cli(capsys, "fit", str(data), "--out", str(tmp_path / "model.json"))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def _mostly(common, *rare):
+    """``common`` three times in four, else one of ``rare``."""
+    return st.integers(0, 3).flatmap(lambda i: common if i else st.one_of(*rare))
+
+
+_NUMBERS = _mostly(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e308, -1.7e308, 1e200, 1e154, 1e-200, 1e-320, 5e-324]),
+    st.floats(),
+)
+_CELLS = _mostly(_NUMBERS.map(repr), st.sampled_from(["", " 3 ", "x", "1_0", "0x10", "-nan", "1e999"]))
+
+
+@st.composite
+def csv_files(draw, width: int) -> bytes:
+    """CSV text: rows of ``width`` cells (mostly numbers, sometimes ragged), an
+    optional header and blank lines; or any text; or any bytes."""
+    row = _mostly(st.lists(_CELLS, min_size=width, max_size=width), st.lists(_CELLS, max_size=4))
+    lines = [",".join(cells) for cells in draw(st.lists(row, min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(["a"] * width))
+    text = "\n".join(lines + draw(st.sampled_from([[], [""], ["", "  "]])))
+    return draw(_mostly(st.just(text.encode()), st.text(max_size=30).map(str.encode),
+                        st.binary(max_size=30)))
+
+
+@st.composite
+def ovlb_files(draw, width: int) -> bytes:
+    """OVLB bytes: a header, mostly with the right magic and version, whose
+    counts are mostly n <= 3 rows of ``width`` values, else zero or huge, and
+    float64 values mostly matching the counts."""
+    huge = st.sampled_from([0, 2**37, 2**62, 2**63, 2**64 - 1])
+    n, d = draw(_mostly(st.integers(1, 3), huge)), draw(_mostly(st.just(width), huge))
+    off = draw(_mostly(st.just(0), st.sampled_from([-1, 1])))
+    count = draw(st.integers(0, 20)) if n * d > 20 else max(0, n * d + off)
+    payload = np.array(draw(st.lists(_NUMBERS, min_size=count, max_size=count)), dtype="<f8")
+    magic = draw(_mostly(st.just(b"OVLB"), st.just(b"OVLA")))
+    return _ovlb(n, d, payload.tobytes(), magic, draw(_mostly(st.just(1), st.just(2))))
+
+
+def _file_pairs(width: int):
+    files = csv_files(width) | ovlb_files(width)
+    return st.tuples(files, files)
+
+
+@given(st.integers(1, 3).flatmap(_file_pairs), st.sampled_from(["l1", "l2", "linf"]),
+       st.integers(1, 4))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_on_any_sample_file_answers_or_prints_one_error(tmp_path_factory, files, norm, k):
+    first, second = files
+    folder = tmp_path_factory.getbasetemp() / "fuzz"
+    folder.mkdir(exist_ok=True)
+    a, b, model = folder / "a", folder / "b", folder / "model.json"
+    a.write_bytes(first)
+    b.write_bytes(second)
+    common = ["--norm", norm, "--k", str(k)]
+    for argv in (
+        ["fit", str(a), "--out", str(model)] + common,
+        ["bound", str(a), str(b)] + common,
+        ["shift", "--clean", str(a), "--poisoned", str(b), "--p", "0.9", "--q", "0.1",
+         "--sigma", "0,0.5,1", "--simulate", "50"] + common,
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3), (argv[0], code, err.getvalue())
+        text = err.getvalue()
+        assert text == "" or (text.count("\n") == 1 and text.startswith("error: ")), (argv[0], text)

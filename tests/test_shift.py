@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapbound import (
     InputError,
@@ -14,6 +16,15 @@ from overlapbound import (
     mixture_overlap_bound,
     simulate_accuracy,
     sweep_sigma,
+)
+
+from conftest import ALL_NORMS, radii_on_norms, repeated_rows
+from oracles import (
+    mixture_row_indices,
+    retired_bound_terms,
+    retired_mixture_bound,
+    simulate_by_value,
+    value_rule,
 )
 
 
@@ -95,7 +106,6 @@ def test_ceiling_affine_in_sigma(rng):
 
 
 def test_simulate_pure_clean_and_pure_poisoned():
-    # the tagged rule tells samples apart by value, so the sets are disjoint
     clean = make_sample_set([[0.2], [1.0]])
     poisoned = make_sample_set([[2.0], [3.0]])
     rule = fixed_accuracy_rule(clean, poisoned, p=1.0, q=0.0)
@@ -152,9 +162,9 @@ def test_compose_mixture_counts(worked_mix):
 def test_fixed_accuracy_rule_exact_fractions(rng):
     clean = SampleSet(rng.normal(size=(40, 2)))
     poisoned = SampleSet(rng.normal(size=(60, 2)) + 5.0)
-    rule = fixed_accuracy_rule(clean, poisoned, p=0.75, q=0.25, seed=4)
-    assert sum(rule(x) for x in clean.samples) == 30
-    assert sum(rule(x) for x in poisoned.samples) == 15
+    clean_right, poisoned_right = fixed_accuracy_rule(clean, poisoned, p=0.75, q=0.25, seed=4)
+    assert np.count_nonzero(clean_right) == 30
+    assert np.count_nonzero(poisoned_right) == 15
 
 
 def test_validation(worked_mix):
@@ -165,3 +175,77 @@ def test_validation(worked_mix):
         backdoor_ceiling(clean, poisoned, -0.1, 0.9, gs)
     with pytest.raises(InputError):
         compose_mixture(clean, poisoned, 0.5, 0)
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(ALL_NORMS))
+@settings(max_examples=150, deadline=None)
+def test_ceilings_and_raw_bound_equal_retired_forms(data, d, kind):
+    clean = SampleSet(data.draw(repeated_rows(d)), kind)
+    poisoned = SampleSet(data.draw(repeated_rows(d)), kind)
+    gs = [RadiusIndicator(r, kind) for r in radii_on_norms(data, clean, poisoned)]
+    sigmas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)) + [0.0, 1.0]
+    p, q = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    report = compute_bound(clean, poisoned, gs)
+    separations, best_index, raw = retired_bound_terms(report)
+    assert [c.separation for c in report.conditions] == separations
+    assert (report.best_index, report.raw_bound) == (best_index, raw)
+    assert accuracy_ceiling(clean, poisoned, p, q, gs) == (p - q) * raw + q
+    for sigma in sigmas:
+        want = retired_mixture_bound(report, sigma)
+        assert mixture_overlap_bound(clean, poisoned, sigma, gs) == want
+        assert backdoor_ceiling(clean, poisoned, sigma, p, gs) == p * want
+    assert sweep_sigma(clean, poisoned, p, sigmas, gs, q=q) == [
+        (s, (p - q) * retired_mixture_bound(report, s) + q) for s in sigmas
+    ]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40), st.integers(1, 3),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_simulator_equals_by_value_simulator_on_distinct_rows(seed, n_clean, n_pois, d, p, q,
+                                                              sigma, n_samples):
+    rng = np.random.default_rng(seed)
+    clean = SampleSet(rng.normal(size=(n_clean, d)))
+    poisoned = SampleSet(rng.normal(size=(n_pois, d)) + 3.0)
+    assert len({r.tobytes() for r in np.vstack([clean.samples, poisoned.samples])}) == n_clean + n_pois
+    rule = fixed_accuracy_rule(clean, poisoned, p, q, seed=seed)
+    by_value = value_rule(clean, poisoned, p, q, seed=seed)
+    assert rule[0].tolist() == [by_value(x) for x in clean.samples]
+    assert rule[1].tolist() == [by_value(x) for x in poisoned.samples]
+    measured = simulate_accuracy(clean, poisoned, sigma, rule, n_samples, seed=seed + 1)
+    assert measured == simulate_by_value(clean, poisoned, sigma, by_value, n_samples, seed=seed + 1)
+    rows = mixture_row_indices(n_clean, n_pois, sigma, n_samples, seed)
+    composed = np.vstack([clean.samples[rows[0]], poisoned.samples[rows[1]]])
+    assert np.array_equal(compose_mixture(clean, poisoned, sigma, n_samples, seed=seed).samples, composed)
+
+
+@given(st.data(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_rule_marks_row_indices_on_repeated_rows(data, p, q, sigma, n_samples, seed):
+    d = data.draw(st.integers(1, 3))
+    clean = SampleSet(data.draw(repeated_rows(d)))
+    poisoned = SampleSet(data.draw(repeated_rows(d)))
+    clean_right, poisoned_right = fixed_accuracy_rule(clean, poisoned, p, q, seed=seed)
+    assert np.count_nonzero(clean_right) == round(p * len(clean))
+    assert np.count_nonzero(poisoned_right) == round(q * len(poisoned))
+    assert not clean_right.flags.writeable and not poisoned_right.flags.writeable
+    clean_rows, poisoned_rows = mixture_row_indices(len(clean), len(poisoned), sigma, n_samples, seed)
+    marked = np.count_nonzero(clean_right[clean_rows]) + np.count_nonzero(poisoned_right[poisoned_rows])
+    rule = (clean_right, poisoned_right)
+    assert simulate_accuracy(clean, poisoned, sigma, rule, n_samples, seed=seed) == marked / n_samples
+
+
+def test_repeated_rows_measure_the_marked_fraction():
+    # ten distinct rows, each repeated ten times: half the row indices are right
+    rows = np.repeat(np.arange(10.0).reshape(-1, 1), 10, axis=0)
+    clean, poisoned = SampleSet(rows), SampleSet(rows + 100.0)
+    rule = fixed_accuracy_rule(clean, poisoned, p=0.5, q=0.0, seed=0)
+    assert simulate_accuracy(clean, poisoned, 1.0, rule, 20_000, seed=1) == pytest.approx(0.5, abs=0.02)
+
+
+def test_simulator_rejects_masks_of_other_sets(worked_mix):
+    clean, poisoned, _ = worked_mix
+    rule = fixed_accuracy_rule(poisoned, clean, p=1.0, q=0.0)
+    with pytest.raises(InputError, match="masks"):
+        simulate_accuracy(clean, poisoned, 0.5, rule, 10)
