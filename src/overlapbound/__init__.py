@@ -8,15 +8,7 @@ An exact discrete-distribution oracle backs every numerical claim.
 """
 
 from .bound import BoundReport, ConditionStat, compute_bound, pooled_radius_family, rate_gap_lower_bound
-from .classifier import (
-    FittedScorer,
-    ScoreRecord,
-    classify,
-    fit,
-    iterative_score,
-    iterative_scores_batch,
-    score,
-)
+from .classifier import FittedScorer, ScoreRecord, fit, iterative_scores_batch, score
 from .core import (
     ConditionFunction,
     DegenerateDomainError,
@@ -27,10 +19,7 @@ from .core import (
     RadiusFamily,
     RadiusIndicator,
     SampleSet,
-    ScoreThreshold,
-    as_vector,
     make_sample_set,
-    norm,
     norms,
 )
 from .metrics import LabeledScores, aupr, auroc, roc_curve, tpr_at_in_rate
@@ -73,24 +62,19 @@ __all__ = [
     "RadiusIndicator",
     "SampleSet",
     "ScoreRecord",
-    "ScoreThreshold",
     "accuracy_ceiling",
-    "as_vector",
     "aupr",
     "auroc",
     "backdoor_ceiling",
-    "classify",
     "compose_mixture",
     "compute_bound",
     "expectation",
     "fit",
     "fixed_accuracy_rule",
     "indicator_bound",
-    "iterative_score",
     "iterative_scores_batch",
     "make_sample_set",
     "mixture_overlap_bound",
-    "norm",
     "norms",
     "overlap",
     "pooled_radius_family",

@@ -22,7 +22,6 @@ from .core import (
     SampleSet,
     ball_stats,
     clamp_unit,
-    condition_parameter,
     norms,
     require_compatible,
 )
@@ -33,7 +32,7 @@ class ConditionStat:
     """Per-condition breakdown of the bound computation."""
 
     label: str
-    parameter: float
+    parameter: float  # the radius of a radius indicator, else NaN
     region_radius: float  # max norm over accepted pooled samples (0 if none)
     pos_rate: float
     neg_rate: float
@@ -134,14 +133,14 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     else:
         separation = _separation(region.copy(), pos_rate - neg_rate, pool_radius)
         raw = float(_closed_form(mean_gap, pool_radius, separation.max()))
-    columns = zip(region.tolist(), pos_rate.tolist(), neg_rate.tolist(), separation.tolist())
+    params = [g.radius if isinstance(g, RadiusIndicator) else math.nan for g in conditions]
+    columns = zip(params, region.tolist(), pos_rate.tolist(), neg_rate.tolist(), separation.tolist())
     return BoundReport(
         raw_bound=raw,
         clamped_bound=clamp_unit(raw),
         mean_gap=mean_gap,
         pool_radius=pool_radius,
-        conditions=tuple(ConditionStat(g.label, condition_parameter(g), *c)
-                         for g, c in zip(conditions, columns)),
+        conditions=tuple(ConditionStat(g.label, *c) for g, c in zip(conditions, columns)),
         best_index=int(np.argmax(separation)),  # the first of tied maxima
     )
 

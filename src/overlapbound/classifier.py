@@ -24,7 +24,6 @@ from .core import (
     NormKind,
     RadiusFamily,
     RadiusIndicator,
-    as_vector,
     ball_stats,
     clamp_unit,
     make_sample_set,
@@ -123,8 +122,8 @@ class FittedScorer:
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.
 
-        The one copy of the scorer's formula: ``score``, ``classify`` and the
-        iterative pass all call it. Raises InputError when a query's norm or
+        The one copy of the scorer's formula: ``score`` and the iterative
+        pass both call it. Raises InputError when a query's norm or
         its gap to the mean overflows float64.
         """
         queries = np.asarray(points, dtype=np.float64)
@@ -241,7 +240,7 @@ class FittedScorer:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
             raise InputError(f"{path}: cannot read model JSON: {exc}") from exc
         return cls.from_json_dict(doc, source=str(path))
 
@@ -284,39 +283,22 @@ def fit(
     )
 
 
-def _record(raw: float, threshold: float | None) -> ScoreRecord:
-    verdict = None if threshold is None else ("in" if raw >= threshold else "out")
-    return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
-
-
 def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecord:
     """Confidence that x came from the fitted in-class distribution.
 
     Equal to running the pooled-bound computation between the singleton {x}
     and the full fit set, evaluated from the cached statistics alone: a
-    one-row ``raw_scores`` call.
+    one-row ``raw_scores`` call. With a threshold, the verdict is "in" iff
+    the score reaches it (the boundary counts as in).
     """
     vec = np.asarray(x, dtype=np.float64)
-    if vec.shape != (scorer.dimension,):
-        as_vector(x, dim=scorer.dimension)  # raises the error that fits the shape
-    return _record(float(scorer.raw_scores(vec[None])[0]), threshold)
-
-
-def classify(scorer: FittedScorer, x, threshold: float) -> bool:
-    """True iff the confidence score reaches the threshold (boundary counts as in)."""
-    return score(scorer, x).score >= threshold
-
-
-def iterative_score(
-    scorer: FittedScorer,
-    in_class,
-    x,
-    k2: int | None = None,
-    threshold: float | None = None,
-) -> ScoreRecord:
-    """Second-pass confidence for one query: ``iterative_scores_batch`` on one row."""
-    vec = as_vector(x, dim=scorer.dimension)
-    return _record(float(iterative_scores_batch(scorer, in_class, vec[None], k2)[0]), threshold)
+    if vec.ndim != 1 or vec.size == 0:
+        raise InputError(f"expected a nonempty 1-D vector, got shape {vec.shape}")
+    if vec.size != scorer.dimension:
+        raise DimensionMismatchError(f"expected dimension {scorer.dimension}, got {vec.size}")
+    raw = float(scorer.raw_scores(vec[None])[0])
+    verdict = None if threshold is None else ("in" if raw >= threshold else "out")
+    return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
 
 
 def iterative_scores_batch(

@@ -23,7 +23,6 @@ from .core import (
     NormKind,
     RadiusFamily,
     RadiusIndicator,
-    norms,
 )
 
 EXIT_INPUT = 2
@@ -119,7 +118,7 @@ def _write_scores_csv(path, raw, clamped, iterative=None, verdicts=None) -> None
         sys.stdout.write(text)
 
 
-def _score_command(args, require_threshold: bool) -> None:
+def _score_command(args) -> None:
     scorer = classifier.FittedScorer.load(args.model)
     queries = dataio.read_sample_array(args.queries)
     if queries.shape[1] != scorer.dimension:
@@ -128,8 +127,6 @@ def _score_command(args, require_threshold: bool) -> None:
             f"model {args.model} expects {scorer.dimension}"
         )
     threshold = args.threshold
-    if require_threshold and threshold is None:
-        raise InputError("classify requires --threshold")
     raw = scorer.raw_scores(queries)
     clamped = np.clip(raw, 0.0, 1.0)
     iterative = None
@@ -166,11 +163,11 @@ def _score_command(args, require_threshold: bool) -> None:
 
 
 def cmd_score(args) -> None:
-    _score_command(args, require_threshold=False)
+    _score_command(args)
 
 
-def cmd_classify(args) -> None:
-    _score_command(args, require_threshold=True)
+def cmd_classify(args) -> None:  # argparse makes --threshold required here
+    _score_command(args)
 
 
 def cmd_shift(args) -> None:
@@ -224,7 +221,8 @@ def cmd_oracle(args) -> None:
         except ValueError as exc:
             raise InputError(f"bad --radius: {exc}") from None
     else:
-        conditions = RadiusFamily(args.k, float(norms(joint.points, norm).max()), norm).indicators()
+        top = float(oracle._support_norms(joint, norm).max())
+        conditions = RadiusFamily(args.k, top, norm).indicators()
     per_radius = []
     for g in conditions:
         entry = {

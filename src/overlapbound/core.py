@@ -45,23 +45,6 @@ class NormKind(enum.Enum):
             raise InputError(f"unknown norm {text!r}; expected l1, l2, or linf") from None
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return a read-only 1-D float64 vector.
-
-    Rejects non-finite coordinates and, when ``dim`` is given, any length
-    mismatch.
-    """
-    v = np.array(x, dtype=np.float64, copy=True)
-    if v.ndim != 1 or v.size == 0:
-        raise InputError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InputError("vector has non-finite coordinates")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
-    v.flags.writeable = False
-    return v
-
-
 def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
     """Per-row norms of a (n, d) array."""
     a = np.asarray(points, dtype=np.float64)
@@ -72,12 +55,6 @@ def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
     if kind is NormKind.L2:
         return np.sqrt((a * a).sum(axis=1))
     return np.abs(a).max(axis=1)
-
-
-def norm(v, kind: NormKind = NormKind.L2) -> float:
-    """Norm of a single vector; shares the row-wise code path exactly."""
-    vec = as_vector(v)
-    return float(norms(vec.reshape(1, -1), kind)[0])
 
 
 # Values per block of rows: caps scratch memory at a few MB whatever n is.
@@ -255,10 +232,6 @@ class ConditionFunction:
 
     label: str
 
-    def evaluate(self, x) -> int:
-        """One vector: a one-row ``evaluate_many``."""
-        return int(self.evaluate_many(as_vector(x).reshape(1, -1))[0])
-
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation: bool array over the rows of ``points``."""
         raise NotImplementedError
@@ -280,30 +253,8 @@ class RadiusIndicator(ConditionFunction):
         return f"{self.norm.value}-ball<={self.radius!r}"
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return norms(points, self.norm) <= self.radius
-
-
-@dataclass(frozen=True)
-class ScoreThreshold(ConditionFunction):
-    """1 iff a fitted scorer's clamped confidence for x is <= threshold.
-
-    The scorer must expose ``clamped_scores(points) -> array in [0, 1]``;
-    any fitted one-class scorer from this package qualifies.
-    """
-
-    threshold: float
-    scorer: object
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InputError(f"threshold must lie in [0, 1], got {self.threshold}")
-
-    @property
-    def label(self) -> str:
-        return f"score<={self.threshold!r}"
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.scorer.clamped_scores(points)) <= self.threshold
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: outside the ball
+            return norms(points, self.norm) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -312,7 +263,8 @@ class RadiusFamily:
 
     j starts at 1 because a zero radius is a degenerate predicate. When
     ``top`` is 0 the family collapses to k copies of the zero ball, which is
-    tolerated so that scorers fitted on all-origin data still work.
+    tolerated so that scorers fitted on all-origin data still work. Where
+    ``top * j`` overflows, the radius is ``top * (j / k)``, which is <= top.
     """
 
     k: int
@@ -325,7 +277,8 @@ class RadiusFamily:
             raise InputError(f"k must be >= 1, got {self.k}")
         if not math.isfinite(self.top) or self.top < 0:
             raise InputError(f"top radius must be finite and >= 0, got {self.top}")
-        radii = tuple(self.top * j / self.k for j in range(1, self.k + 1))
+        radii = tuple(r if math.isfinite(r := self.top * j / self.k) else self.top * (j / self.k)
+                      for j in range(1, self.k + 1))
         object.__setattr__(self, "radii", radii)
 
     def indicators(self) -> tuple[RadiusIndicator, ...]:
@@ -364,15 +317,6 @@ def require_compatible(a: SampleSet, b: SampleSet) -> None:
         raise DimensionMismatchError(
             f"sample sets carry different norms: {a.norm.value} vs {b.norm.value}"
         )
-
-
-def condition_parameter(g: ConditionFunction) -> float:
-    """The scalar knob of a condition function (radius or threshold)."""
-    if isinstance(g, RadiusIndicator):
-        return g.radius
-    if isinstance(g, ScoreThreshold):
-        return g.threshold
-    return float("nan")
 
 
 Conditions = Sequence[ConditionFunction]

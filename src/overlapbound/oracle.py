@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .core import (
 
 MASS_TOLERANCE = 1e-12
 
-# Membership of a subset of the joint support: a condition function, a boolean
-# mask, an index collection, or a per-point callable.
-SubsetSpec = ConditionFunction | np.ndarray | Sequence[int] | Callable[[np.ndarray], bool]
+# A subset of the joint support: a condition function or a boolean mask.
+SubsetSpec = ConditionFunction | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +70,11 @@ class DiscreteDistribution:
 
     def mean(self) -> np.ndarray:
         """Mass-weighted mean, accumulated exactly per coordinate."""
-        return exact_column_sums(self.points * self.masses[:, None])
+        with np.errstate(over="ignore"):  # a mass may exceed 1 by MASS_TOLERANCE
+            weighted = self.points * self.masses[:, None]
+        if not np.isfinite(weighted).all():
+            raise InputError("mass-weighted support points overflow float64")
+        return exact_column_sums(weighted)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n i.i.d. support points according to the masses."""
@@ -81,15 +84,17 @@ class DiscreteDistribution:
     @classmethod
     def from_json_dict(cls, doc: dict, source: str = "<memory>") -> "DiscreteDistribution":
         try:
-            dim = int(doc["dimension"])
+            dim = doc["dimension"]
             points = np.asarray(doc["points"], dtype=np.float64)
             masses = np.asarray(doc["masses"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{source}: expected keys dimension/points/masses: {exc}") from exc
+        if type(dim) is not int or dim < 1:
+            raise InputError(f"{source}: 'dimension' must be an integer >= 1, got {dim!r}")
         if points.ndim == 1:
             points = points.reshape(-1, 1)
-        if points.shape[1] != dim:
-            raise InputError(f"{source}: points have {points.shape[1]} columns, dimension says {dim}")
+        if points.shape[1:] != (dim,):
+            raise InputError(f"{source}: points have shape {points.shape}, dimension says {dim}")
         return cls(points, masses)
 
     @classmethod
@@ -97,7 +102,7 @@ class DiscreteDistribution:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
             raise InputError(f"{path}: cannot read distribution JSON: {exc}") from exc
         return cls.from_json_dict(doc, source=str(path))
 
@@ -139,22 +144,19 @@ class JointSupport:
         return cls(np.asarray(rows, dtype=np.float64), p_mass, q_mass)
 
     def membership(self, subset: SubsetSpec) -> np.ndarray:
-        """Boolean mask over the joint points for any accepted subset spec."""
+        """Boolean mask over the joint points: a condition function's
+        acceptances, or a boolean mask with one entry per joint point."""
         if isinstance(subset, ConditionFunction):
             return np.asarray(subset.evaluate_many(self.points), dtype=bool)
-        if isinstance(subset, np.ndarray) and subset.dtype == bool:
-            if subset.shape != (self.points.shape[0],):
-                raise InputError(
-                    f"boolean subset mask has shape {subset.shape}, "
-                    f"expected ({self.points.shape[0]},)"
-                )
-            return subset
-        if callable(subset):
-            return np.array([bool(subset(pt)) for pt in self.points], dtype=bool)
-        mask = np.zeros(self.points.shape[0], dtype=bool)
-        for i in subset:  # index collection
-            mask[int(i)] = True
-        return mask
+        if not (isinstance(subset, np.ndarray) and subset.dtype == bool):
+            raise InputError(
+                f"a subset must be a condition function or a boolean mask, got {type(subset).__name__}"
+            )
+        if subset.shape != (self.points.shape[0],):
+            raise InputError(
+                f"boolean subset mask has shape {subset.shape}, expected ({self.points.shape[0]},)"
+            )
+        return subset
 
 
 def overlap(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -185,11 +187,22 @@ def expectation(dist: DiscreteDistribution, g: ConditionFunction) -> float:
     return math.fsum(dist.masses[accepted].tolist())
 
 
-def _region_max_norm(joint: JointSupport, mask: np.ndarray, kind: NormKind) -> float:
-    sub = joint.points[mask]
-    if sub.shape[0] == 0:
-        return 0.0
-    return float(norms(sub, kind).max())
+def _support_norms(joint: JointSupport, kind: NormKind) -> np.ndarray:
+    """Norms of the joint support points; InputError if one overflows float64."""
+    with np.errstate(over="ignore"):
+        out = norms(joint.points, kind)
+    if not np.isfinite(out).all():
+        raise InputError(f"support {kind.value} norms overflow float64")
+    return out
+
+
+def _mean_gap(p: DiscreteDistribution, q: DiscreteDistribution, kind: NormKind) -> float:
+    """Norm of the gap between the two means; InputError if it overflows float64."""
+    with np.errstate(over="ignore"):
+        gap = float(norms((p.mean() - q.mean()).reshape(1, -1), kind)[0])
+    if not math.isfinite(gap):
+        raise InputError(f"the {kind.value} gap between the distribution means overflows float64")
+    return gap
 
 
 def subset_bound(
@@ -208,21 +221,19 @@ def subset_bound(
     """
     joint = JointSupport.of(p, q)
     mask = joint.membership(subset)
-    r_region = _region_max_norm(joint, mask, norm)
-    if use_domain_radius:
-        r_denom = _region_max_norm(joint, np.ones(len(mask), dtype=bool), norm)
-        what = "joint support"
-    else:
-        r_denom = _region_max_norm(joint, ~mask, norm)
-        what = "subset complement"
+    support_norms = _support_norms(joint, norm)
+    r_region = float(support_norms[mask].max(initial=0.0))
+    denom_norms = support_norms if use_domain_radius else support_norms[~mask]
+    r_denom = float(denom_norms.max(initial=0.0))
     if r_denom == 0.0:
+        what = "joint support" if use_domain_radius else "subset complement"
         raise DegenerateDomainError(
             f"max norm over the {what} is 0; the bound is undefined (overlap is 1 "
             "whenever both distributions are the same point mass at the origin)"
         )
-    mean_gap = float(norms((p.mean() - q.mean()).reshape(1, -1), norm)[0])
+    mean_gap = _mean_gap(p, q, norm)
     dv = subset_variation(p, q, mask)
-    return 1.0 - mean_gap / (2.0 * r_denom) - ((r_denom - r_region) / r_denom) * dv
+    return 1.0 - 0.5 * (mean_gap / r_denom) - ((r_denom - r_region) / r_denom) * dv
 
 
 def indicator_bound(
@@ -239,23 +250,23 @@ def indicator_bound(
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
     joint = JointSupport.of(p, q)
-    all_mask = np.ones(joint.points.shape[0], dtype=bool)
-    r_domain = _region_max_norm(joint, all_mask, norm)
+    support_norms = _support_norms(joint, norm)
+    r_domain = float(support_norms.max())
     if r_domain == 0.0:
         raise DegenerateDomainError(
             "max norm over the joint support is 0; both distributions are a "
             "point mass at the origin and the overlap is exactly 1"
         )
-    mean_gap = float(norms((p.mean() - q.mean()).reshape(1, -1), norm)[0])
+    mean_gap = _mean_gap(p, q, norm)
     best = 0.0
     for g in conditions:
         mask = joint.membership(g)
-        r_region = _region_max_norm(joint, mask, norm)
+        r_region = float(support_norms[mask].max(initial=0.0))
         rate_gap = abs(
             math.fsum(joint.p_masses[mask].tolist())
             - math.fsum(joint.q_masses[mask].tolist())
         )
-        term = ((r_domain - r_region) / (2.0 * r_domain)) * rate_gap
+        term = 0.5 * ((r_domain - r_region) / r_domain) * rate_gap
         if term > best:
             best = term
-    return 1.0 - mean_gap / (2.0 * r_domain) - best
+    return 1.0 - 0.5 * (mean_gap / r_domain) - best

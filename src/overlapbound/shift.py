@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bound import BoundReport, _closed_form, compute_bound
+from .bound import _closed_form, compute_bound
 from .core import Conditions, InputError, SampleSet, require_compatible
 
 
@@ -22,6 +22,12 @@ def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise InputError(f"{name} must lie in [0, 1], got {value}")
     return float(value)
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def accuracy_ceiling(
@@ -38,9 +44,7 @@ def accuracy_ceiling(
     The bound is used unclamped so the ceiling matches the closed form
     exactly.
     """
-    _check_unit("p", p)
-    _check_unit("q", q)
-    return (p - q) * compute_bound(train, test, conditions).raw_bound + q
+    return sweep_sigma(train, test, p, [0.0], conditions, q=q)[0][1]
 
 
 def mixture_overlap_bound(
@@ -57,17 +61,7 @@ def mixture_overlap_bound(
     pooled ball and per-condition region radii come from clean and poisoned
     samples pooled exactly as in the plain bound.
     """
-    require_compatible(clean, poisoned)
-    _check_unit("sigma", sigma)
-    return _mixture_bound(compute_bound(clean, poisoned, conditions), sigma)
-
-
-def _mixture_bound(report: BoundReport, sigma: float) -> float:
-    """The mixture bound from one clean-vs-poisoned report: affine in sigma."""
-    if report.pool_radius == 0.0:
-        return 1.0
-    best = report.conditions[report.best_index].separation
-    return _closed_form(report.mean_gap, report.pool_radius, best, sigma)
+    return sweep_sigma(clean, poisoned, 1.0, [sigma], conditions)[0][1]
 
 
 def backdoor_ceiling(
@@ -82,8 +76,7 @@ def backdoor_ceiling(
     At sigma = 1 the ceiling is p; at sigma = 0 it collapses to p times the
     raw clean-vs-poisoned bound. Affine in sigma in between.
     """
-    _check_unit("p", p)
-    return p * mixture_overlap_bound(clean, poisoned, sigma, conditions)
+    return sweep_sigma(clean, poisoned, p, [sigma], conditions)[0][1]
 
 
 def sweep_sigma(
@@ -97,14 +90,18 @@ def sweep_sigma(
     """Ceiling per mixture fraction, ordered as given; plot-ready.
 
     With q = 0 each entry is the zero-accuracy-off-distribution ceiling;
-    a nonzero q adds the off-distribution floor: (p - q) * bound + q.
+    a nonzero q adds the off-distribution floor: (p - q) * bound + q. The
+    mixture bound is affine in sigma, so one clean-vs-poisoned bound serves
+    every sigma; an all-origin pool makes it 1.
     """
     _check_unit("p", p)
     _check_unit("q", q)
-    for sigma in sigmas:
-        _check_unit("sigma", sigma)
+    sigmas = [_check_unit("sigma", sigma) for sigma in sigmas]
     report = compute_bound(clean, poisoned, conditions)
-    return [(float(sigma), (p - q) * _mixture_bound(report, sigma) + q) for sigma in sigmas]
+    gap, pool = report.mean_gap, report.pool_radius
+    best = report.conditions[report.best_index].separation
+    return [(sigma, (p - q) * (_closed_form(gap, pool, best, sigma) if pool else 1.0) + q)
+            for sigma in sigmas]
 
 
 def _mixture_rows(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: int, seed: int):
@@ -115,7 +112,7 @@ def _mixture_rows(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: 
     if n_total < 1:
         raise InputError(f"n_total must be >= 1, got {n_total}")
     n_clean = math.floor(sigma * n_total)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     clean_rows = rng.integers(0, len(clean), size=n_clean)
     return clean_rows, rng.integers(0, len(poisoned), size=n_total - n_clean)
 
@@ -145,7 +142,7 @@ def fixed_accuracy_rule(
     each, picked by index from a seeded permutation (so repeated rows are fine)."""
     _check_unit("p", p)
     _check_unit("q", q)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     masks = []
     for n, frac in ((len(clean), p), (len(poisoned), q)):
         right = np.zeros(n, dtype=bool)

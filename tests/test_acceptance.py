@@ -22,7 +22,6 @@ from overlapbound import (
     aupr,
     auroc,
     backdoor_ceiling,
-    classify,
     compose_mixture,
     compute_bound,
     fit,
@@ -128,11 +127,11 @@ def test_criterion_4_monotonicity():
     # nested balls accept nested sample sets
     for _ in range(50):
         kind = ALL_NORMS[int(rng.integers(0, 3))]
-        x = rng.normal(size=int(rng.integers(1, 5)))
+        x = rng.normal(size=(1, int(rng.integers(1, 5))))
         r_small, r_big = sorted(rng.uniform(0, 3, size=2))
         assert (
-            RadiusIndicator(float(r_small), kind).evaluate(x)
-            <= RadiusIndicator(float(r_big), kind).evaluate(x)
+            RadiusIndicator(float(r_small), kind).evaluate_many(x)[0]
+            <= RadiusIndicator(float(r_big), kind).evaluate_many(x)[0]
         )
 
     # raising the verdict threshold never flips out to in
@@ -140,7 +139,8 @@ def test_criterion_4_monotonicity():
     for _ in range(50):
         x = rng.normal(size=3) * rng.uniform(0, 3)
         t_low, t_high = sorted(rng.uniform(-0.5, 1.1, size=2))
-        assert classify(scorer, x, float(t_high)) <= classify(scorer, x, float(t_low))
+        verdicts = [score(scorer, x, float(t)).verdict == "in" for t in (t_high, t_low)]
+        assert verdicts[0] <= verdicts[1]
     report(4, "family, radius, and threshold monotonicity over randomized suites")
 
 

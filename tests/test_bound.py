@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapbound import (
+    ConditionFunction,
     DimensionMismatchError,
     InputError,
     NormKind,
     RadiusIndicator,
     SampleSet,
     compute_bound,
+    fit,
     indicator_bound,
     make_sample_set,
     overlap,
@@ -102,18 +104,26 @@ def test_mixed_norm_conditions_match_brute_force(rng):
 
 
 def test_score_threshold_condition_in_bound(rng):
-    from overlapbound import ScoreThreshold, fit
-
+    # a condition defined outside the package takes compute_bound's general path
     reference = fit(rng.normal(size=(30, 2)), k=5)
+
+    class ScoreAtMostHalf(ConditionFunction):
+        label = "score<=0.5"
+
+        def evaluate_many(self, points):
+            return reference.clamped_scores(points) <= 0.5
+
     pos = SampleSet(rng.normal(size=(12, 2)))
     neg = SampleSet(rng.normal(size=(10, 2)) + 2.0)
-    g = ScoreThreshold(0.5, reference)
+    g = ScoreAtMostHalf()
     report = compute_bound(pos, neg, [g])
     accepted = g.evaluate_many(np.vstack([pos.samples, neg.samples]))
     pooled_norms = np.concatenate([pos.norms, neg.norms])
     want_region = float(pooled_norms[accepted].max()) if accepted.any() else 0.0
-    assert report.conditions[0].region_radius == want_region
-    assert report.conditions[0].label.startswith("score<=")
+    stat = report.conditions[0]
+    assert stat.region_radius == want_region
+    assert (stat.pos_rate, stat.neg_rate) == (accepted[:12].mean(), accepted[12:].mean())
+    assert stat.label == "score<=0.5" and np.isnan(stat.parameter)
     assert -1.0 <= report.raw_bound <= 1.0
 
 

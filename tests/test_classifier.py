@@ -13,10 +13,8 @@ from overlapbound import (
     NormKind,
     RadiusFamily,
     SampleSet,
-    classify,
     compute_bound,
     fit,
-    iterative_score,
     iterative_scores_batch,
     make_sample_set,
     score,
@@ -102,9 +100,7 @@ def test_batch_matches_scalar(rng):
 def test_classify_boundary_is_in():
     s = fit([[0.2], [1.0]], radii=[0.5])
     value = score(s, [1.0]).score
-    assert classify(s, [1.0], value) is True  # boundary counts as in
-    assert classify(s, [1.0], value + 1e-9) is False
-    assert score(s, [1.0], threshold=value).verdict == "in"
+    assert score(s, [1.0], threshold=value).verdict == "in"  # boundary counts as in
     assert score(s, [1.0], threshold=value + 1e-9).verdict == "out"
 
 
@@ -113,7 +109,7 @@ def test_threshold_monotonicity(rng):
     queries = rng.normal(size=(30, 3)) * 2
     thresholds = sorted(rng.uniform(-0.5, 1.1, size=6))
     for x in queries:
-        verdicts = [classify(s, x, t) for t in thresholds]
+        verdicts = [score(s, x, t).verdict == "in" for t in thresholds]
         # once out, stays out as the threshold rises
         assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
 
@@ -134,7 +130,7 @@ def test_degenerate_fit_all_origin():
 
 def test_iterative_score_identical_sample():
     s = fit([[1.0, 0.0]], k=3)
-    assert iterative_score(s, [[1.0, 0.0]], [1.0, 0.0]).score == 1.0
+    assert iterative_scores_batch(s, [[1.0, 0.0]], [[1.0, 0.0]])[0] == 1.0
 
 
 def test_iterative_score_k2_one_keeps_only_mean_term():
@@ -142,13 +138,13 @@ def test_iterative_score_k2_one_keeps_only_mean_term():
     X = rng.normal(size=(10, 2))
     s = fit(X, k=5)
     x = np.array([3.0, 3.0])
-    rec = iterative_score(s, X, x, k2=1)
+    got = iterative_scores_batch(s, X, x[None], k2=1)[0]
     # the single predicate accepts every clamped score, so separation is zero
     first_q = min(1.0, max(0.0, score(s, x).score))
     firsts = s.clamped_scores(X)
     pool = max(first_q, float(firsts.max()))
     gap = abs(first_q - float(np.mean(firsts)))
-    assert rec.score == pytest.approx(1.0 - gap / (2 * pool), abs=1e-12)
+    assert got == pytest.approx(1.0 - gap / (2 * pool), abs=1e-12)
 
 
 def test_iterative_far_query_brute_forced():
@@ -158,7 +154,7 @@ def test_iterative_far_query_brute_forced():
     s = fit(X, k=5)
     x = np.array([8.0, -7.0])
     k2 = 20
-    got = iterative_score(s, X, x, k2=k2).score
+    got = iterative_scores_batch(s, X, x[None], k2=k2)[0]
 
     first_q = min(1.0, max(0.0, brute_scorer_score(X.tolist(), x.tolist(), s.radii, "l2")))
     firsts = [
@@ -179,7 +175,7 @@ def test_iterative_batch_matches_scalar(rng):
     queries = rng.normal(size=(6, 3)) * 2
     batch = iterative_scores_batch(s, X, queries, k2=7)
     for i, row in enumerate(queries):
-        assert batch[i] == pytest.approx(iterative_score(s, X, row, k2=7).score, abs=1e-15)
+        assert batch[i] == iterative_scores_batch(s, X, row[None], k2=7)[0]
 
 
 def test_model_json_round_trip(tmp_path, rng):
@@ -263,6 +259,12 @@ def test_fit_and_score_validation(rng):
     s = fit(rng.normal(size=(5, 2)), k=3)
     with pytest.raises(DimensionMismatchError):
         score(s, [1.0, 2.0, 3.0])
+    for not_a_vector in ([[1.0, 2.0]], [], 1.0):
+        with pytest.raises(InputError, match="nonempty 1-D vector"):
+            score(s, not_a_vector)
+    for non_finite in ([1.0, float("nan")], [float("inf"), 0.0]):
+        with pytest.raises(InputError, match="non-finite"):
+            score(s, non_finite)
     with pytest.raises(DimensionMismatchError):
         s.raw_scores(rng.normal(size=(4, 3)))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from overlapbound import fit
 from overlapbound.cli import main
 from overlapbound.dataio import write_samples_binary
 
@@ -285,6 +286,16 @@ def test_missing_inputs_exit_2(tmp_path, capsys, worked_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["score", "oracle"])
+def test_unreadable_json_exit_2(tmp_path, capsys, worked_files, command):
+    for content in (b"[" * 100_000, b"\x80{}"):  # nested past the recursion limit; not UTF-8
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        second = worked_files[0] if command == "score" else doc
+        code, _, err = run_cli(capsys, command, str(doc), str(second))
+        assert code == 2 and err.count("\n") == 1 and "cannot read" in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "overlapbound", "--help"],
@@ -348,6 +359,15 @@ def test_score_bad_query_or_model_exit_2_without_warning(tmp_path, edit, query, 
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert message in proc.stderr
+
+
+def _main_with_warnings_as_errors(argv) -> tuple[int, str, str]:
+    """``main`` in process with every warning raised; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _ovlb(n: int, d: int, payload: bytes, magic: bytes = b"OVLB", version: int = 1) -> bytes:
@@ -432,10 +452,156 @@ def test_cli_on_any_sample_file_answers_or_prints_one_error(tmp_path_factory, fi
         ["shift", "--clean", str(a), "--poisoned", str(b), "--p", "0.9", "--q", "0.1",
          "--sigma", "0,0.5,1", "--simulate", "50"] + common,
     ):
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(argv)
-        assert code in (0, 2, 3), (argv[0], code, err.getvalue())
-        text = err.getvalue()
+        code, _, text = _main_with_warnings_as_errors(argv)
+        assert code in (0, 2, 3), (argv[0], code, text)
         assert text == "" or (text.count("\n") == 1 and text.startswith("error: ")), (argv[0], text)
+
+
+def test_fit_score_and_bound_near_float64_max(tmp_path):
+    # top * j overflows in the linf radius family; the data * 1e-308 scores 0.48529411764705876
+    data, model, query = tmp_path / "big.csv", tmp_path / "model.json", tmp_path / "q.csv"
+    data.write_text("1.7e308\n-0.5e308\n")
+    query.write_text("-0.6e308\n")
+    common = ["--norm", "linf", "--k", "4"]
+    assert _main_with_warnings_as_errors(["fit", str(data), "--out", str(model)] + common)[0] == 0
+    assert "radii" not in json.loads(model.read_text())
+    code, out, _ = _main_with_warnings_as_errors(["score", str(model), str(query)])
+    assert code == 0 and out.splitlines()[1].split(",")[1] == "0.4852941176470589"
+    code, out, _ = _main_with_warnings_as_errors(["bound", str(data), str(data)] + common)
+    assert code == 0 and json.loads(out)["raw_bound"] == 1.0
+
+
+def test_oracle_near_float64_max(tmp_path):
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text('{"dimension": 1, "points": [[1.7e308], [0]], "masses": [0.5, 0.5]}')
+    q.write_text('{"dimension": 1, "points": [[1e308], [0]], "masses": [0.5, 0.5]}')
+    code, out, _ = _main_with_warnings_as_errors(
+        ["oracle", str(p), str(q), "--radius", "1.5e308", "--norm", "linf"])
+    assert code == 0
+    doc = json.loads(out)
+    entry = doc["per_radius"][0]
+    assert doc["indicator_bound"] == 0.7941176470588236
+    assert entry["bound_domain_radius"] == entry["bound_complement_radius"] == 0.7941176470588236
+
+
+def test_negative_seed_exit_2(worked_files):
+    clean, poisoned = worked_files
+    code, _, err = _main_with_warnings_as_errors(
+        ["shift", "--clean", str(clean), "--poisoned", str(poisoned), "--p", "0.9",
+         "--simulate", "10", "--seed", "-1"])
+    assert (code, err) == (2, "error: seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("p_doc, q_doc, norm, message", [
+    ('{"dimension": 1e400, "points": [[1, 2]], "masses": [1]}', None, "l2",
+     "'dimension' must be an integer >= 1, got inf"),
+    ('{"dimension": 2.5, "points": [[1, 2]], "masses": [1]}', None, "l2",
+     "'dimension' must be an integer >= 1, got 2.5"),
+    ('{"dimension": true, "points": [[1]], "masses": [1]}', None, "l2",
+     "'dimension' must be an integer >= 1, got True"),
+    ('{"dimension": 2, "points": [[1.7e308, 1e300]], "masses": [1]}',
+     '{"dimension": 2, "points": [[-1.7e308, 0]], "masses": [1]}', "l2",
+     "support l2 norms overflow float64"),
+    ('{"dimension": 2, "points": [[1.7e308, 1e300]], "masses": [1]}',
+     '{"dimension": 2, "points": [[-1.7e308, 0]], "masses": [1]}', "linf",
+     "the linf gap between the distribution means overflows float64"),
+])
+def test_oracle_bad_dimension_or_overflow_exit_2(tmp_path, p_doc, q_doc, norm, message):
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(p_doc)
+    q.write_text(q_doc or p_doc)
+    code, _, err = _main_with_warnings_as_errors(["oracle", str(p), str(q), "--norm", norm])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+# Fuzzed inputs of oracle, score, eval and shift: JSON documents, CSV text and
+# numeric flag values that argparse accepts.
+_TOKENS = st.sampled_from(["null", "true", "0", "-1", "2.5", "1e400", "NaN", "-Infinity", '"1"',
+                           "[]", "{}", "[[1]]", "[1e308, -1e308]", "[0.5, 0.5]", '"l3"'])
+_FLAG_VALUES = _mostly(
+    st.floats(0.0, 1.0),
+    st.sampled_from([-0.0, -1e-300, 1.0000000000000002, 2.0, -1.0, 1e308]),
+    st.floats(),
+).map(repr)
+
+
+def _json_text(draw, fields: dict) -> bytes:
+    """A JSON object of ``fields`` (key -> JSON text), at times with one value
+    replaced by an odd token or one key left out; else any text or bytes."""
+    keys = list(fields)
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(keys))
+        token = draw(_TOKENS | st.none())
+        if token is None:
+            del fields[key]
+        else:
+            fields[key] = token
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    return draw(_mostly(st.just(text.encode()), st.text(max_size=30).map(str.encode),
+                        st.binary(max_size=30)))
+
+
+@st.composite
+def distribution_files(draw) -> bytes:
+    """Oracle distribution JSON: mostly 1-4 points of dimension 1-2 with
+    masses summing to 1, with odd coordinates, masses and dimensions mixed in."""
+    d, n = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    coord = _mostly(st.sampled_from([-1.5, 0.0, 0.5, 2.0]), _NUMBERS,
+                    st.sampled_from([1.7976931348623157e308, -1.7e308, 1e200]))
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    masses = draw(_mostly(st.just([1.0 / n] * n),
+                          st.just([1.0000000000000002] + [0.0] * (n - 1)),
+                          st.lists(_NUMBERS, min_size=n, max_size=n)))
+    dimension = draw(_mostly(st.just(str(d)), st.integers(-1, 3).map(str),
+                             st.sampled_from(["1e400", "2.5", "1.0", "true"])))
+    return _json_text(draw, {"dimension": dimension, "points": json.dumps(points),
+                             "masses": json.dumps(masses)})
+
+
+_FIT_ROWS = [[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]]
+_MODEL = {key: json.dumps(value) for key, value in fit(_FIT_ROWS, k=3).to_json_dict().items()}
+
+
+@st.composite
+def model_files(draw) -> bytes:
+    """Model JSON text: the model fitted on fit.csv with k=3, mostly edited."""
+    return _json_text(draw, dict(_MODEL))
+
+
+@given(
+    st.tuples(distribution_files(), distribution_files(), model_files(), csv_files(2)),
+    st.lists(_mostly(st.floats(0.0, 3.0).map(repr), _FLAG_VALUES), max_size=2),
+    st.tuples(_FLAG_VALUES, _FLAG_VALUES, _FLAG_VALUES, _FLAG_VALUES),
+    st.lists(_FLAG_VALUES, min_size=1, max_size=3),
+    st.integers(-1, 1000), _mostly(st.integers(0, 2**32), st.integers(-3, -1), st.just(2**70)),
+    st.sampled_from(["l1", "l2", "linf"]), st.integers(1, 64), st.booleans(),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_on_any_json_csv_or_flag_answers_or_prints_one_error(
+    tmp_path_factory, files, radii, values, sigmas, simulate, seed, norm, k, iterative
+):
+    folder = tmp_path_factory.getbasetemp() / "fuzz-flags"
+    folder.mkdir(exist_ok=True)
+    paths = [folder / name for name in ("p.json", "q.json", "model.json", "scores.csv")]
+    for path, content in zip(paths, files):
+        path.write_bytes(content)
+    p, q, model, scores = map(str, paths)
+    fit_data, queries = folder / "fit.csv", folder / "queries.csv"
+    write_csv(fit_data, _FIT_ROWS)
+    write_csv(queries, [[1.0, 1.0], [0.0, 0.0], [9.0, -4.0]])
+    threshold, p_acc, q_acc, in_rate = values
+    score_argv = ["score", model, str(queries), f"--threshold={threshold}"]
+    if iterative:
+        score_argv += ["--iterative", "--fit-data", str(fit_data), "--k2", str(k)]
+    for argv in (
+        ["oracle", p, q, "--norm", norm, "--k", str(k)] + [f"--radius={r}" for r in radii],
+        score_argv,
+        ["eval", scores, f"--in-rate={in_rate}"],
+        ["shift", "--clean", str(fit_data), "--poisoned", str(queries), f"--p={p_acc}",
+         f"--q={q_acc}", f"--sigma={','.join(sigmas)}", f"--simulate={simulate}", f"--seed={seed}",
+         "--norm", norm, "--k", str(k)],
+    ):
+        code, _, err = _main_with_warnings_as_errors(argv)
+        assert code in (0, 2, 3, 4), (argv[0], code, err)
+        assert err == "" or (err.count("\n") == 1 and err.startswith("error: ")), (argv[0], err)

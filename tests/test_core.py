@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from overlapbound import core
 from overlapbound import (
-    DimensionMismatchError,
     InputError,
     NormKind,
     RadiusFamily,
     RadiusIndicator,
     SampleSet,
-    ScoreThreshold,
-    fit,
     make_sample_set,
-    norm,
+    norms,
 )
 from conftest import ALL_NORMS
 
@@ -35,19 +32,12 @@ vectors = st.lists(finite_coord, min_size=1, max_size=8)
     [(NormKind.L2, 5.0), (NormKind.L1, 7.0), (NormKind.LINF, 4.0)],
 )
 def test_norm_on_3_4(kind, expected):
-    assert norm([3.0, 4.0], kind) == expected
-
-
-def test_norm_rejects_nonfinite():
-    with pytest.raises(InputError):
-        norm([1.0, float("nan")])
-    with pytest.raises(InputError):
-        norm([float("inf")])
+    assert norms(np.array([[3.0, 4.0]]), kind)[0] == expected
 
 
 @given(vectors, st.sampled_from(ALL_NORMS))
 def test_norm_nonnegative_and_zero_iff_zero(coords, kind):
-    value = norm(coords, kind)
+    value = norms(np.array([coords]), kind)[0]
     assert value >= 0.0
     assert (value == 0.0) == all(c == 0.0 for c in coords)
 
@@ -58,8 +48,8 @@ def test_norm_triangle_inequality(data, kind):
     size = data.draw(st.integers(1, 8))
     u = data.draw(st.lists(finite_coord, min_size=size, max_size=size))
     v = data.draw(st.lists(finite_coord, min_size=size, max_size=size))
-    lhs = norm([a + b for a, b in zip(u, v)], kind)
-    rhs = norm(u, kind) + norm(v, kind)
+    lhs = norms(np.array([[a + b for a, b in zip(u, v)]]), kind)[0]
+    rhs = norms(np.array([u]), kind)[0] + norms(np.array([v]), kind)[0]
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
 
@@ -74,31 +64,21 @@ scales = st.one_of(
 @given(vectors, scales, st.sampled_from(ALL_NORMS))
 @settings(max_examples=200)
 def test_norm_absolute_homogeneity(coords, c, kind):
-    scaled = norm([c * v for v in coords], kind)
-    direct = abs(c) * norm(coords, kind)
+    scaled = norms(np.array([[c * v for v in coords]]), kind)[0]
+    direct = abs(c) * norms(np.array([coords]), kind)[0]
     assert scaled == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
 
 def test_radius_indicator_boundary_is_closed():
     ball = RadiusIndicator(1.0, NormKind.L2)
-    assert ball.evaluate([0.6, 0.8]) == 1  # norm exactly 1
-    assert RadiusIndicator(0.5, NormKind.L2).evaluate([0.6, 0.8]) == 0
-
-
-def test_score_threshold_uses_clamped_score():
-    scorer = fit([[1.0, 0.0]], k=2)
-    # query scores below/above the cut
-    g = ScoreThreshold(0.5, scorer)
-    self_score = scorer.clamped_scores([[1.0, 0.0]])[0]
-    assert self_score == 1.0
-    assert g.evaluate([1.0, 0.0]) == 0  # 1.0 > 0.5
-    loose = ScoreThreshold(1.0, scorer)
-    assert loose.evaluate([1.0, 0.0]) == 1
+    assert ball.evaluate_many(np.array([[0.6, 0.8]]))[0]  # norm exactly 1
+    assert not RadiusIndicator(0.5, NormKind.L2).evaluate_many(np.array([[0.6, 0.8]]))[0]
 
 
 @given(vectors, st.floats(min_value=0, max_value=10), st.sampled_from(ALL_NORMS))
 def test_indicator_always_zero_or_one(coords, radius, kind):
-    assert RadiusIndicator(radius, kind).evaluate(coords) in (0, 1)
+    verdicts = RadiusIndicator(radius, kind).evaluate_many(np.array([coords]))
+    assert verdicts.dtype == bool and verdicts.shape == (1,)
 
 
 @given(
@@ -109,7 +89,8 @@ def test_indicator_always_zero_or_one(coords, radius, kind):
 )
 def test_indicator_monotone_in_radius(coords, r1, r2, kind):
     small, big = sorted([r1, r2])
-    assert RadiusIndicator(small, kind).evaluate(coords) <= RadiusIndicator(big, kind).evaluate(coords)
+    point = np.array([coords])
+    assert RadiusIndicator(small, kind).evaluate_many(point) <= RadiusIndicator(big, kind).evaluate_many(point)
 
 
 def test_radius_family_spacing_and_top():
@@ -127,6 +108,25 @@ def test_radius_family_degenerate_top_zero():
 def test_radius_family_rejects_bad_k():
     with pytest.raises(InputError):
         RadiusFamily(k=0, top=1.0)
+
+
+def test_radius_family_finite_near_float64_max():
+    # top * j overflows for j >= 2, but every radius top * j / k fits
+    top = 1.7e308
+    assert RadiusFamily(k=4, top=top).radii == (top / 4, top * 0.5, top * 0.75, top)
+    radii = RadiusFamily(k=50, top=np.finfo(np.float64).max).radii
+    assert all(math.isfinite(r) for r in radii) and radii[-1] == np.finfo(np.float64).max
+    assert all(b > a for a, b in zip(radii, radii[1:]))
+
+
+@given(st.floats(0.0, 1.7976931348623157e308), st.integers(1, 64))
+def test_radius_family_keeps_top_times_j_over_k_where_it_is_finite(top, k):
+    radii = RadiusFamily(k=k, top=top).radii
+    for j, r in enumerate(radii, start=1):
+        if math.isfinite(top * j):
+            assert r == top * j / k
+        else:
+            assert r == top * (j / k) and r <= top
 
 
 def test_sample_set_caches_and_validates():
@@ -152,13 +152,8 @@ def test_indicator_vectorized_matches_scalar(rng):
         g = RadiusIndicator(1.2, kind)
         batch = g.evaluate_many(X)
         assert batch.dtype == bool
-        assert [int(b) for b in batch] == [g.evaluate(row) for row in X]
-
-
-def test_score_threshold_dimension_mismatch():
-    scorer = fit([[1.0, 0.0]], k=1)
-    with pytest.raises(DimensionMismatchError):
-        ScoreThreshold(0.5, scorer).evaluate([1.0, 0.0, 0.0])
+        assert batch.tolist() == [g.evaluate_many(row[None])[0] for row in X]
+        assert batch.tolist() == [norms(row[None], kind)[0] <= 1.2 for row in X]
 
 
 def fsum_columns(a):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from overlapbound import (
     DiscreteDistribution,
     InputError,
     JointSupport,
+    NormKind,
     RadiusIndicator,
     expectation,
     indicator_bound,
@@ -53,7 +55,7 @@ def test_worked_pair_values(worked_pair):
     assert total_variation(p, q) == 0.5
     assert subset_variation(p, q, RadiusIndicator(0.5)) == 0.25
     # empty and full subsets
-    assert subset_variation(p, q, []) == 0.0
+    assert subset_variation(p, q, np.zeros(2, dtype=bool)) == 0.0
     assert subset_variation(p, q, np.ones(2, dtype=bool)) == total_variation(p, q)
 
 
@@ -149,6 +151,48 @@ def test_degenerate_origin_point_mass():
         indicator_bound(p, p, [RadiusIndicator(1.0)])
 
 
+def test_bounds_near_float64_max_equal_the_scaled_ones():
+    # 2 * r overflows here; the bounds must equal those of the data * 1e-308
+    p = DiscreteDistribution([[1.7e308], [0.0]], [0.5, 0.5])
+    q = DiscreteDistribution([[1e308], [0.0]], [0.5, 0.5])
+    ball = [RadiusIndicator(1.5e308, NormKind.LINF)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (indicator_bound(p, q, ball, NormKind.LINF),
+               subset_bound(p, q, ball[0], NormKind.LINF, use_domain_radius=True),
+               subset_bound(p, q, ball[0], NormKind.LINF, use_domain_radius=False))
+    assert got == (0.7941176470588236,) * 3
+    p = DiscreteDistribution([[1.7], [0.0]], [0.5, 0.5])
+    q = DiscreteDistribution([[1.0], [0.0]], [0.5, 0.5])
+    assert indicator_bound(p, q, [RadiusIndicator(1.5, NormKind.LINF)], NormKind.LINF) == got[0]
+
+
+@pytest.mark.parametrize("p_points, p_mass, q_points, kind, message", [
+    ([[1.7e308]], 1.0, [[-1.7e308]], NormKind.LINF, "gap between the distribution means overflows"),
+    ([[1e200, 1e200]], 1.0, [[0.0, 0.0]], NormKind.L2, "support l2 norms overflow"),
+    ([[1.7e308, 1.7e308]], 1.0, [[0.0, 0.0]], NormKind.L1, "support l1 norms overflow"),
+    # a mass within MASS_TOLERANCE above 1 times the largest float64
+    ([[1.7976931348623157e308]], 1.0000000000000002, [[0.0]], NormKind.LINF,
+     "mass-weighted support points overflow"),
+])
+def test_oracle_overflow_is_input_error(p_points, p_mass, q_points, kind, message):
+    p = DiscreteDistribution(p_points, [p_mass])
+    q = DiscreteDistribution(q_points, [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: indicator_bound(p, q, [RadiusIndicator(1.0, kind)], kind),
+                     lambda: subset_bound(p, q, RadiusIndicator(1.0, kind), kind)):
+            with pytest.raises(InputError, match=message):
+                call()
+
+
+@pytest.mark.parametrize("dimension", [float("inf"), 2.5, 1.0, True, 0, -1, "1", None])
+def test_distribution_dimension_must_be_a_positive_int(dimension):
+    doc = {"dimension": dimension, "points": [[1.0]], "masses": [1.0]}
+    with pytest.raises(InputError, match="'dimension' must be an integer >= 1"):
+        DiscreteDistribution.from_json_dict(doc)
+
+
 def test_validation_errors():
     with pytest.raises(InputError):
         DiscreteDistribution([[0.0], [1.0]], [0.5, 0.6])  # masses sum to 1.1
@@ -164,11 +208,17 @@ def test_validation_errors():
         indicator_bound(p, p, [])
 
 
-def test_membership_accepts_indices_and_callables(worked_pair):
+def test_membership_takes_a_condition_or_a_boolean_mask(worked_pair):
     p, q = worked_pair
+    joint = JointSupport.of(p, q)
     # joint support order: p's points first
-    assert subset_variation(p, q, [0]) == 0.25
-    assert subset_variation(p, q, lambda pt: abs(pt[0]) <= 0.5) == 0.25
+    assert joint.membership(RadiusIndicator(0.5)).tolist() == [True, False]
+    assert subset_variation(p, q, np.array([True, False])) == 0.25
+    for other in ([0], (0,), lambda pt: abs(pt[0]) <= 0.5, np.array([1, 0]), "0"):
+        with pytest.raises(InputError, match="condition function or a boolean mask"):
+            joint.membership(other)
+    with pytest.raises(InputError, match="mask has shape"):
+        joint.membership(np.ones(3, dtype=bool))
 
 
 # hypothesis strategies: small distributions over a shared coordinate grid so

@@ -177,6 +177,16 @@ def test_validation(worked_mix):
         compose_mixture(clean, poisoned, 0.5, 0)
 
 
+def test_negative_seed_is_input_error(worked_mix):
+    clean, poisoned, _ = worked_mix
+    rule = fixed_accuracy_rule(clean, poisoned, 0.9, 0.1)
+    for call in (lambda: fixed_accuracy_rule(clean, poisoned, 0.9, 0.1, seed=-1),
+                 lambda: compose_mixture(clean, poisoned, 0.5, 10, seed=-1),
+                 lambda: simulate_accuracy(clean, poisoned, 0.5, rule, 10, seed=-1)):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            call()
+
+
 @given(st.data(), st.integers(1, 3), st.sampled_from(ALL_NORMS))
 @settings(max_examples=150, deadline=None)
 def test_ceilings_and_raw_bound_equal_retired_forms(data, d, kind):
