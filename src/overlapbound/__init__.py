@@ -36,7 +36,6 @@ from .oracle import (
 from .shift import (
     accuracy_ceiling,
     backdoor_ceiling,
-    compose_mixture,
     fixed_accuracy_rule,
     mixture_overlap_bound,
     simulate_accuracy,
@@ -66,7 +65,6 @@ __all__ = [
     "aupr",
     "auroc",
     "backdoor_ceiling",
-    "compose_mixture",
     "compute_bound",
     "expectation",
     "fit",

@@ -23,7 +23,6 @@ from .core import (
     InputError,
     NormKind,
     RadiusFamily,
-    RadiusIndicator,
     ball_stats,
     clamp_unit,
     make_sample_set,
@@ -115,9 +114,6 @@ class FittedScorer:
             arr = np.array(values, dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def conditions(self) -> tuple[RadiusIndicator, ...]:
-        return tuple(RadiusIndicator(r, self.norm) for r in self.radii)
 
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.

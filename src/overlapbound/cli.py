@@ -119,6 +119,8 @@ def _write_scores_csv(path, raw, clamped, iterative=None, verdicts=None) -> None
 
 
 def _score_command(args) -> None:
+    if not args.iterative and (args.fit_data is not None or args.k2 is not None):
+        raise InputError("--fit-data and --k2 apply only with --iterative")
     scorer = classifier.FittedScorer.load(args.model)
     queries = dataio.read_sample_array(args.queries)
     if queries.shape[1] != scorer.dimension:
@@ -221,24 +223,17 @@ def cmd_oracle(args) -> None:
         except ValueError as exc:
             raise InputError(f"bad --radius: {exc}") from None
     else:
-        top = float(oracle._support_norms(joint, norm).max())
+        top = float(joint.support_norms(norm).max())
         conditions = RadiusFamily(args.k, top, norm).indicators()
     per_radius = []
     for g in conditions:
-        entry = {
-            "radius": g.radius,
-            "delta_a": oracle.subset_variation(p, q, g),
-        }
-        try:
-            entry["bound_domain_radius"] = oracle.subset_bound(p, q, g, norm, use_domain_radius=True)
-        except DegenerateDomainError:
-            entry["bound_domain_radius"] = None
-        try:
-            entry["bound_complement_radius"] = oracle.subset_bound(
-                p, q, g, norm, use_domain_radius=False
-            )
-        except DegenerateDomainError:
-            entry["bound_complement_radius"] = None
+        entry = {"radius": g.radius, "delta_a": oracle.subset_variation(joint, g)}
+        for key, use_domain_radius in (("bound_domain_radius", True),
+                                       ("bound_complement_radius", False)):
+            try:
+                entry[key] = oracle.subset_bound(joint, g, norm, use_domain_radius)
+            except DegenerateDomainError:
+                entry[key] = None
         per_radius.append(entry)
     try:
         family_bound = oracle.indicator_bound(p, q, conditions, norm)

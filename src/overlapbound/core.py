@@ -275,10 +275,12 @@ class RadiusFamily:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
-        if not math.isfinite(self.top) or self.top < 0:
-            raise InputError(f"top radius must be finite and >= 0, got {self.top}")
-        radii = tuple(r if math.isfinite(r := self.top * j / self.k) else self.top * (j / self.k)
+        top = float(self.top)  # a numpy scalar would warn where top * j overflows
+        if not math.isfinite(top) or top < 0:
+            raise InputError(f"top radius must be finite and >= 0, got {top}")
+        radii = tuple(r if math.isfinite(r := top * j / self.k) else top * (j / self.k)
                       for j in range(1, self.k + 1))
+        object.__setattr__(self, "top", top)
         object.__setattr__(self, "radii", radii)
 
     def indicators(self) -> tuple[RadiusIndicator, ...]:

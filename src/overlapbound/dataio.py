@@ -114,10 +114,18 @@ def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
     return SampleSet(array, norm)
 
 
+def _binary_labels(column: np.ndarray, path) -> np.ndarray:
+    bad = column[(column != 0.0) & (column != 1.0)]
+    if bad.size:
+        raise InputError(f"{path}: labels must be 0 or 1, got {float(bad[0])!r}")
+    return column == 1.0
+
+
 def read_scores_and_labels(scores_path, labels_path=None) -> tuple[np.ndarray, np.ndarray]:
     """Scores/labels from one two-column CSV or two one-column files.
 
-    Labels are numeric: nonzero marks an in-class (positive) sample.
+    Labels are 0 or 1, where 1 marks an in-class (positive) sample; any
+    other label value is an InputError naming the file.
     """
     if labels_path is None:
         table = read_sample_array(scores_path)
@@ -125,7 +133,7 @@ def read_scores_and_labels(scores_path, labels_path=None) -> tuple[np.ndarray, n
             raise InputError(
                 f"{scores_path}: expected two columns (score, label), got {table.shape[1]}"
             )
-        return table[:, 0], table[:, 1] != 0.0
+        return table[:, 0], _binary_labels(table[:, 1], scores_path)
     scores = read_sample_array(scores_path)
     labels = read_sample_array(labels_path)
     if scores.shape[1] != 1:
@@ -136,4 +144,4 @@ def read_scores_and_labels(scores_path, labels_path=None) -> tuple[np.ndarray, n
         raise InputError(
             f"{scores_path} has {scores.shape[0]} rows but {labels_path} has {labels.shape[0]}"
         )
-    return scores[:, 0], labels[:, 0] != 0.0
+    return scores[:, 0], _binary_labels(labels[:, 0], labels_path)

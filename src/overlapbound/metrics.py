@@ -10,7 +10,7 @@ requested fraction of positives, with ties at the threshold counting as in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +19,22 @@ from .core import InputError, MetricUndefinedError
 
 @dataclass(frozen=True)
 class LabeledScores:
-    """Parallel score and label arrays; True labels mark in-class samples."""
+    """Parallel score and label arrays; True labels mark in-class samples.
+
+    The descending sweep that every metric reads is built once, at
+    construction: per distinct score, highest first, the threshold, the
+    positives (``tps``) and all samples (``predicted``) scoring >= it.
+    """
 
     scores: np.ndarray
     labels: np.ndarray
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+    tps: np.ndarray = field(init=False, repr=False, compare=False)
+    predicted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.scores, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=bool)
+        s = np.array(self.scores, dtype=np.float64, copy=True)
+        y = np.array(self.labels, dtype=bool, copy=True)
         if s.ndim != 1 or y.ndim != 1 or s.shape != y.shape or s.size == 0:
             raise InputError(
                 f"scores and labels must be nonempty 1-D arrays of equal length, "
@@ -34,12 +42,18 @@ class LabeledScores:
             )
         if not np.isfinite(s).all():
             raise InputError("scores must be finite")
-        object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "labels", y)
+        order = np.argsort(-s, kind="mergesort")
+        sorted_scores = s[order]
+        boundary = np.r_[np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), s.size - 1]
+        sweep = {"scores": s, "labels": y, "thresholds": sorted_scores[boundary],
+                 "tps": np.cumsum(y[order])[boundary], "predicted": boundary + 1}
+        for name, arr in sweep.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_pos(self) -> int:
-        return int(np.count_nonzero(self.labels))
+        return int(self.tps[-1])
 
     @property
     def n_neg(self) -> int:
@@ -53,33 +67,20 @@ def _require_both_classes(ls: LabeledScores) -> None:
         )
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the mean of their rank block."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return (starts + (counts + 1) / 2.0)[inverse]
-
-
 def auroc(ls: LabeledScores) -> float:
     """Probability that a random positive outscores a random negative.
 
-    Rank-sum formulation; exact, ties counted one half.
+    The exact Mann-Whitney count over the sweep's tie groups, in integers:
+    each positive beats the negatives below its group and ties its own
+    group's negatives for one half.
     """
     _require_both_classes(ls)
-    ranks = _midranks(ls.scores)
-    pos_rank_sum = math.fsum(ranks[ls.labels].tolist())
     n_pos, n_neg = ls.n_pos, ls.n_neg
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _descending_sweep(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(thresholds, tps, predicted) at each distinct score, descending: the
-    positives and all samples scoring >= each threshold, as floats."""
-    order = np.argsort(-ls.scores, kind="mergesort")
-    sorted_scores = ls.scores[order]
-    boundary = np.r_[np.nonzero(np.diff(sorted_scores))[0], sorted_scores.size - 1]
-    tps = np.cumsum(ls.labels[order])[boundary].astype(np.float64)
-    return sorted_scores[boundary], tps, (boundary + 1).astype(np.float64)
+    fps = ls.predicted - ls.tps
+    pos_g = np.diff(ls.tps, prepend=0)
+    neg_g = np.diff(fps, prepend=0)
+    twice_u = int(np.dot(pos_g, 2 * (n_neg - fps) + neg_g))
+    return twice_u / (2 * n_pos * n_neg)
 
 
 def roc_curve(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,20 +90,18 @@ def roc_curve(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     groups produce a single curve point. The curve starts at (0, 0).
     """
     _require_both_classes(ls)
-    thresholds, tps, predicted = _descending_sweep(ls)
-    fpr = np.concatenate([[0.0], (predicted - tps) / ls.n_neg])
-    tpr = np.concatenate([[0.0], tps / ls.n_pos])
-    return fpr, tpr, np.concatenate([[np.inf], thresholds])
+    fpr = np.concatenate([[0.0], (ls.predicted - ls.tps) / ls.n_neg])
+    tpr = np.concatenate([[0.0], ls.tps / ls.n_pos])
+    return fpr, tpr, np.concatenate([[np.inf], ls.thresholds])
 
 
 def aupr(ls: LabeledScores) -> float:
     """Area under precision-recall via a step-wise descending sweep."""
-    if np.count_nonzero(ls.labels) == 0:
+    if ls.n_pos == 0:
         raise MetricUndefinedError("precision-recall area needs at least one positive")
-    _, tps, predicted = _descending_sweep(ls)
-    recall = tps / np.count_nonzero(ls.labels)
+    recall = ls.tps / ls.n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
-    terms = (recall - prev_recall) * (tps / predicted)
+    terms = (recall - prev_recall) * (ls.tps / ls.predicted)
     return math.fsum(terms.tolist())
 
 
@@ -117,10 +116,8 @@ def tpr_at_in_rate(ls: LabeledScores, in_rate: float = 0.95) -> float:
     _require_both_classes(ls)
     if not 0.0 < in_rate < 1.0:
         raise InputError(f"in_rate must lie strictly between 0 and 1, got {in_rate}")
-    pos_scores = np.sort(ls.scores[ls.labels])[::-1]
     # Smallest retained count whose fraction reaches in_rate; the epsilon
     # guards against 0.9 * 10 rounding up to 9.000000000000002.
-    keep = max(1, math.ceil(in_rate * pos_scores.size - 1e-9))
-    threshold = pos_scores[keep - 1]
-    neg_scores = ls.scores[~ls.labels]
-    return int(np.count_nonzero(neg_scores < threshold)) / neg_scores.size
+    keep = max(1, math.ceil(in_rate * ls.n_pos - 1e-9))
+    group = int(np.searchsorted(ls.tps, keep))  # the tie group of the keep-th positive
+    return (ls.n_neg - int(ls.predicted[group] - ls.tps[group])) / ls.n_neg

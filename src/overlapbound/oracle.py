@@ -76,11 +76,6 @@ class DiscreteDistribution:
             raise InputError("mass-weighted support points overflow float64")
         return exact_column_sums(weighted)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n i.i.d. support points according to the masses."""
-        idx = rng.choice(self.points.shape[0], size=n, p=self.masses)
-        return self.points[idx]
-
     @classmethod
     def from_json_dict(cls, doc: dict, source: str = "<memory>") -> "DiscreteDistribution":
         try:
@@ -109,15 +104,19 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True, eq=False)
 class JointSupport:
-    """Union of two supports with aligned mass vectors (0 where absent).
+    """Union of two supports with aligned mass vectors (0 where absent), plus
+    the two distributions' exact means.
 
     Points are matched by exact coordinate identity; nearby-but-unequal points
-    stay distinct so the oracle never does fuzzy merging.
+    stay distinct so the oracle never does fuzzy merging. Boolean subset
+    masks are expressed over ``points``.
     """
 
     points: np.ndarray
     p_masses: np.ndarray
     q_masses: np.ndarray
+    p_mean: np.ndarray
+    q_mean: np.ndarray
 
     @classmethod
     def of(cls, p: DiscreteDistribution, q: DiscreteDistribution) -> "JointSupport":
@@ -141,7 +140,23 @@ class JointSupport:
         p_mass[: p.points.shape[0]] = p.masses
         for row, w in zip(q.points.tolist(), q.masses.tolist()):
             q_mass[index[tuple(row)]] = w
-        return cls(np.asarray(rows, dtype=np.float64), p_mass, q_mass)
+        return cls(np.asarray(rows, dtype=np.float64), p_mass, q_mass, p.mean(), q.mean())
+
+    def support_norms(self, kind: NormKind) -> np.ndarray:
+        """Norms of the joint support points; InputError if one overflows float64."""
+        with np.errstate(over="ignore"):
+            out = norms(self.points, kind)
+        if not np.isfinite(out).all():
+            raise InputError(f"support {kind.value} norms overflow float64")
+        return out
+
+    def mean_gap(self, kind: NormKind) -> float:
+        """Norm of the gap between the two means; InputError if it overflows float64."""
+        with np.errstate(over="ignore"):
+            gap = float(norms((self.p_mean - self.q_mean).reshape(1, -1), kind)[0])
+        if not math.isfinite(gap):
+            raise InputError(f"the {kind.value} gap between the distribution means overflows float64")
+        return gap
 
     def membership(self, subset: SubsetSpec) -> np.ndarray:
         """Boolean mask over the joint points: a condition function's
@@ -171,11 +186,8 @@ def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return 0.5 * math.fsum(np.abs(joint.p_masses - joint.q_masses).tolist())
 
 
-def subset_variation(
-    p: DiscreteDistribution, q: DiscreteDistribution, subset: SubsetSpec
-) -> float:
+def subset_variation(joint: JointSupport, subset: SubsetSpec) -> float:
     """Total-variation mass restricted to a subset of the joint support."""
-    joint = JointSupport.of(p, q)
     mask = joint.membership(subset)
     gaps = np.abs(joint.p_masses - joint.q_masses)[mask]
     return 0.5 * math.fsum(gaps.tolist())
@@ -187,27 +199,8 @@ def expectation(dist: DiscreteDistribution, g: ConditionFunction) -> float:
     return math.fsum(dist.masses[accepted].tolist())
 
 
-def _support_norms(joint: JointSupport, kind: NormKind) -> np.ndarray:
-    """Norms of the joint support points; InputError if one overflows float64."""
-    with np.errstate(over="ignore"):
-        out = norms(joint.points, kind)
-    if not np.isfinite(out).all():
-        raise InputError(f"support {kind.value} norms overflow float64")
-    return out
-
-
-def _mean_gap(p: DiscreteDistribution, q: DiscreteDistribution, kind: NormKind) -> float:
-    """Norm of the gap between the two means; InputError if it overflows float64."""
-    with np.errstate(over="ignore"):
-        gap = float(norms((p.mean() - q.mean()).reshape(1, -1), kind)[0])
-    if not math.isfinite(gap):
-        raise InputError(f"the {kind.value} gap between the distribution means overflows float64")
-    return gap
-
-
 def subset_bound(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
+    joint: JointSupport,
     subset: SubsetSpec,
     norm: NormKind = NormKind.L2,
     use_domain_radius: bool = True,
@@ -219,9 +212,8 @@ def subset_bound(
     support. ``use_domain_radius`` selects the denominator: the max norm over
     the whole support (True) or over the subset's complement (False).
     """
-    joint = JointSupport.of(p, q)
     mask = joint.membership(subset)
-    support_norms = _support_norms(joint, norm)
+    support_norms = joint.support_norms(norm)
     r_region = float(support_norms[mask].max(initial=0.0))
     denom_norms = support_norms if use_domain_radius else support_norms[~mask]
     r_denom = float(denom_norms.max(initial=0.0))
@@ -231,8 +223,8 @@ def subset_bound(
             f"max norm over the {what} is 0; the bound is undefined (overlap is 1 "
             "whenever both distributions are the same point mass at the origin)"
         )
-    mean_gap = _mean_gap(p, q, norm)
-    dv = subset_variation(p, q, mask)
+    mean_gap = joint.mean_gap(norm)
+    dv = subset_variation(joint, mask)
     return 1.0 - 0.5 * (mean_gap / r_denom) - ((r_denom - r_region) / r_denom) * dv
 
 
@@ -250,14 +242,14 @@ def indicator_bound(
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
     joint = JointSupport.of(p, q)
-    support_norms = _support_norms(joint, norm)
+    support_norms = joint.support_norms(norm)
     r_domain = float(support_norms.max())
     if r_domain == 0.0:
         raise DegenerateDomainError(
             "max norm over the joint support is 0; both distributions are a "
             "point mass at the origin and the overlap is exactly 1"
         )
-    mean_gap = _mean_gap(p, q, norm)
+    mean_gap = joint.mean_gap(norm)
     best = 0.0
     for g in conditions:
         mask = joint.membership(g)

@@ -117,19 +117,6 @@ def _mixture_rows(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: 
     return clean_rows, rng.integers(0, len(poisoned), size=n_total - n_clean)
 
 
-def compose_mixture(
-    clean: SampleSet,
-    poisoned: SampleSet,
-    sigma: float,
-    n_total: int,
-    seed: int = 0,
-) -> SampleSet:
-    """Deterministic proportional test mixture: floor(sigma*n) clean rows plus
-    the remainder poisoned, each drawn with replacement from its component."""
-    rows = _mixture_rows(clean, poisoned, sigma, n_total, seed)
-    return SampleSet(np.vstack([clean.samples[rows[0]], poisoned.samples[rows[1]]]), clean.norm)
-
-
 def fixed_accuracy_rule(
     clean: SampleSet,
     poisoned: SampleSet,
@@ -164,8 +151,7 @@ def simulate_accuracy(
     the fraction of drawn rows that the rule marks as right.
 
     The composition is deterministic (floor(sigma*n) clean + remainder
-    poisoned); the draws within each component are seeded resampling, the
-    same as ``compose_mixture``'s.
+    poisoned); the draws within each component are seeded resampling.
     """
     clean_right, poisoned_right = rule
     if len(clean_right) != len(clean) or len(poisoned_right) != len(poisoned):

@@ -3,9 +3,10 @@
 Everything down to the retired-paths section is deliberately naive pure
 Python (explicit loops over points, pairs, and thresholds) so it shares no
 code path with the package. The retired-paths section keeps earlier package
-code paths (per-radius and per-query loops, the former closed forms, and the
-by-value accuracy rule with its per-row simulator), which the code that
-replaced them must match bitwise.
+code paths (per-radius and per-query loops, the former closed forms, the
+by-value accuracy rule with its per-row simulator, the per-call ranking sorts
+and the per-call joint support), which the code that replaced them must match
+bitwise, and the removed helpers that tests still use to build their data.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ import math
 
 import numpy as np
 
-from overlapbound import NormKind, RadiusIndicator, SampleSet, compute_bound
+from overlapbound import (
+    DegenerateDomainError,
+    JointSupport,
+    NormKind,
+    RadiusIndicator,
+    SampleSet,
+    compute_bound,
+    norms,
+)
 
 
 def norm_of(row, kind: str) -> float:
@@ -206,3 +215,79 @@ def simulate_by_value(clean: SampleSet, poisoned: SampleSet, sigma: float, rule,
     clean_rows, poisoned_rows = mixture_row_indices(len(clean), len(poisoned), sigma, n_samples, seed)
     rows = list(clean.samples[clean_rows]) + list(poisoned.samples[poisoned_rows])
     return sum(1 for row in rows if rule(row)) / n_samples
+
+
+def mixture_samples(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: int,
+                    seed: int) -> SampleSet:
+    """The former composed test mixture: the rows ``mixture_row_indices`` draws."""
+    clean_rows, poisoned_rows = mixture_row_indices(len(clean), len(poisoned), sigma, n_total, seed)
+    return SampleSet(np.vstack([clean.samples[clean_rows], poisoned.samples[poisoned_rows]]),
+                     clean.norm)
+
+
+def draw_points(dist, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. support points of a discrete distribution, drawn by mass."""
+    return dist.points[rng.choice(dist.points.shape[0], size=n, p=dist.masses)]
+
+
+def ball_conditions(scorer) -> tuple[RadiusIndicator, ...]:
+    """A fitted scorer's nested balls as condition functions."""
+    return tuple(RadiusIndicator(r, scorer.norm) for r in scorer.radii)
+
+
+def midrank_auroc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The former AUROC: the positives' sum of midranks from ``np.unique``."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    ranks = (starts + (counts + 1) / 2.0)[inverse]
+    n_pos = int(np.count_nonzero(labels))
+    n_neg = labels.size - n_pos
+    return (math.fsum(ranks[labels].tolist()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def float_sweep(scores: np.ndarray, labels: np.ndarray):
+    """The former per-call descending sweep: (thresholds, tps, predicted) as floats."""
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    boundary = np.r_[np.nonzero(np.diff(sorted_scores))[0], sorted_scores.size - 1]
+    tps = np.cumsum(labels[order])[boundary].astype(np.float64)
+    return sorted_scores[boundary], tps, (boundary + 1).astype(np.float64)
+
+
+def sweep_roc_curve(scores: np.ndarray, labels: np.ndarray):
+    thresholds, tps, predicted = float_sweep(scores, labels)
+    n_pos = int(np.count_nonzero(labels))
+    fpr = np.concatenate([[0.0], (predicted - tps) / (labels.size - n_pos)])
+    tpr = np.concatenate([[0.0], tps / n_pos])
+    return fpr, tpr, np.concatenate([[np.inf], thresholds])
+
+
+def sweep_aupr(scores: np.ndarray, labels: np.ndarray) -> float:
+    _, tps, predicted = float_sweep(scores, labels)
+    recall = tps / np.count_nonzero(labels)
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return math.fsum(((recall - prev_recall) * (tps / predicted)).tolist())
+
+
+def sorted_tpr_at_in_rate(scores: np.ndarray, labels: np.ndarray, in_rate: float) -> float:
+    """The former rejection rate: a separate descending sort of the positives."""
+    pos_scores = np.sort(scores[labels])[::-1]
+    keep = max(1, math.ceil(in_rate * pos_scores.size - 1e-9))
+    neg_scores = scores[~labels]
+    return int(np.count_nonzero(neg_scores < pos_scores[keep - 1])) / neg_scores.size
+
+
+def per_call_subset_bound(p, q, subset, norm: NormKind = NormKind.L2,
+                          use_domain_radius: bool = True) -> float:
+    """The former subset bound: its own joint support, norms and means per call."""
+    joint = JointSupport.of(p, q)
+    mask = joint.membership(subset)
+    support_norms = norms(joint.points, norm)
+    r_region = float(support_norms[mask].max(initial=0.0))
+    denom_norms = support_norms if use_domain_radius else support_norms[~mask]
+    r_denom = float(denom_norms.max(initial=0.0))
+    if r_denom == 0.0:
+        raise DegenerateDomainError("max norm is 0")
+    mean_gap = float(norms((p.mean() - q.mean()).reshape(1, -1), norm)[0])
+    dv = 0.5 * math.fsum(np.abs(joint.p_masses - joint.q_masses)[mask].tolist())
+    return 1.0 - 0.5 * (mean_gap / r_denom) - ((r_denom - r_region) / r_denom) * dv

@@ -22,7 +22,6 @@ from overlapbound import (
     aupr,
     auroc,
     backdoor_ceiling,
-    compose_mixture,
     compute_bound,
     fit,
     fixed_accuracy_rule,
@@ -36,7 +35,7 @@ from overlapbound import (
     tpr_at_in_rate,
 )
 from conftest import ALL_NORMS, random_pair
-from oracles import brute_aupr, brute_auroc, brute_tpr_at
+from oracles import ball_conditions, brute_aupr, brute_auroc, brute_tpr_at, draw_points, mixture_samples
 
 TOL_EXACT = 1e-12
 
@@ -68,16 +67,16 @@ def test_criterion_1_and_2_bound_validity_and_partition_identity():
 
         mask = random_subset_mask(rng, joint)
         # complement-radius form with a random subset
-        assert subset_bound(p, q, mask, kind, use_domain_radius=False) >= eta - TOL_EXACT
+        assert subset_bound(joint, mask, kind, use_domain_radius=False) >= eta - TOL_EXACT
         # domain-radius form
-        assert subset_bound(p, q, mask, kind, use_domain_radius=True) >= eta - TOL_EXACT
+        assert subset_bound(joint, mask, kind, use_domain_radius=True) >= eta - TOL_EXACT
         # indicator-family form with exact acceptance probabilities
         radii = sorted(float(r) for r in rng.uniform(0.0, 3.0, size=int(rng.integers(1, 7))))
         conditions = [RadiusIndicator(r, kind) for r in radii]
         assert indicator_bound(p, q, conditions, kind) >= eta - TOL_EXACT
 
         # criterion 2: overlap == 1 - variation(A) - variation(complement)
-        identity_gap = abs(eta - (1.0 - subset_variation(p, q, mask) - subset_variation(p, q, ~mask)))
+        identity_gap = abs(eta - (1.0 - subset_variation(joint, mask) - subset_variation(joint, ~mask)))
         assert identity_gap <= TOL_EXACT
         checked += 1
     elapsed = time.perf_counter() - start
@@ -99,8 +98,8 @@ def test_criterion_3_estimator_consistency():
         top = float(np.sqrt((joint.points ** 2).sum(axis=1)).max())
         conditions = [RadiusIndicator(top * j / 8, kind) for j in range(1, 9)]
         exact = indicator_bound(p, q, conditions, kind)
-        pos = SampleSet(p.sample(n_samples, rng), kind)
-        neg = SampleSet(q.sample(n_samples, rng), kind)
+        pos = SampleSet(draw_points(p, n_samples, rng), kind)
+        neg = SampleSet(draw_points(q, n_samples, rng), kind)
         estimated = compute_bound(pos, neg, conditions).raw_bound
         gap = abs(estimated - exact)
         worst = max(worst, gap)
@@ -155,7 +154,7 @@ def test_criterion_5_score_path_equivalence():
         x = rng.normal(size=d) * rng.uniform(0, 3)
         cached = score(scorer, x).score
         direct = compute_bound(
-            SampleSet(x.reshape(1, -1), kind), samples, scorer.conditions()
+            SampleSet(x.reshape(1, -1), kind), samples, ball_conditions(scorer)
         ).raw_bound
         worst = max(worst, abs(cached - direct))
         assert abs(cached - direct) <= TOL_EXACT
@@ -203,7 +202,7 @@ def test_criterion_7_shift_ceiling_and_affinity():
         measured = simulate_accuracy(clean, poisoned, sigma, rule, n_sim, seed=2)
         assert measured <= ceiling + tol, (sigma, measured, ceiling)
         # the general ceiling evaluated on a realized mixture also dominates
-        mixture = compose_mixture(clean, poisoned, sigma, 10_000, seed=3)
+        mixture = mixture_samples(clean, poisoned, sigma, 10_000, seed=3)
         assert measured <= accuracy_ceiling(clean, mixture, p, 0.0, conditions) + tol
 
     f = lambda s: backdoor_ceiling(clean, poisoned, s, p, conditions)

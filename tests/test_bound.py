@@ -21,7 +21,7 @@ from overlapbound import (
     rate_gap_lower_bound,
 )
 from conftest import ALL_NORMS, integer_count_pair, radii_on_norms, random_pair, repeated_rows
-from oracles import brute_bound, mask_ball_stats, norm_of
+from oracles import brute_bound, draw_points, mask_ball_stats, norm_of
 
 
 @pytest.fixture
@@ -170,8 +170,8 @@ def test_exact_replication_equals_exact_indicator_bound(rng):
 def test_sampling_consistency_single_trial():
     rng = np.random.default_rng(101)
     p, q = random_pair(rng)
-    pos = SampleSet(p.sample(50_000, rng))
-    neg = SampleSet(q.sample(50_000, rng))
+    pos = SampleSet(draw_points(p, 50_000, rng))
+    neg = SampleSet(draw_points(q, 50_000, rng))
     top = max(pos.max_norm, neg.max_norm)
     gs = [RadiusIndicator(top * j / 8) for j in range(1, 9)]
     estimated = compute_bound(pos, neg, gs).raw_bound

@@ -20,7 +20,13 @@ from overlapbound import (
     score,
 )
 from conftest import ALL_NORMS, radii_on_norms, repeated_rows
-from oracles import brute_bound, brute_scorer_score, iterative_scores_loop, mask_ball_stats
+from oracles import (
+    ball_conditions,
+    brute_bound,
+    brute_scorer_score,
+    iterative_scores_loop,
+    mask_ball_stats,
+)
 
 
 def test_fit_single_point():
@@ -74,7 +80,7 @@ def test_score_equals_direct_bound(rng):
         ss = SampleSet(X, kind)
         s = fit(ss, k=int(rng.integers(1, 9)))
         x = rng.normal(size=d) * rng.uniform(0, 3)
-        direct = compute_bound(SampleSet(x.reshape(1, -1), kind), ss, s.conditions()).raw_bound
+        direct = compute_bound(SampleSet(x.reshape(1, -1), kind), ss, ball_conditions(s)).raw_bound
         assert abs(score(s, x).score - direct) <= 1e-12
         assert abs(float(s.raw_scores(x.reshape(1, -1))[0]) - direct) <= 1e-12
 
@@ -122,7 +128,7 @@ def test_degenerate_fit_all_origin():
     direct = compute_bound(
         make_sample_set([[1.0, 0.0]]),
         make_sample_set([[0.0, 0.0], [0.0, 0.0]]),
-        s.conditions(),
+        ball_conditions(s),
     ).raw_bound
     assert score(s, [1.0, 0.0]).score == pytest.approx(direct, abs=1e-15)
     assert direct == pytest.approx(0.0, abs=1e-15)  # 0.5 mean term + all-in predicate

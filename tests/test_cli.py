@@ -276,6 +276,64 @@ def test_oracle_worked_pair(tmp_path, capsys):
     assert got["per_radius"][0]["bound_domain_radius"] == pytest.approx(0.6, abs=1e-12)
 
 
+def test_oracle_builds_one_joint_support_per_quantity(tmp_path, monkeypatch):
+    from overlapbound.oracle import DiscreteDistribution, JointSupport
+
+    rng = np.random.default_rng(5)
+    pool = rng.uniform(-2.0, 2.0, size=(16, 3))
+    paths = []
+    for name, rows in (("p.json", pool[:12]), ("q.json", pool[4:])):
+        path = tmp_path / name
+        path.write_text(json.dumps({"dimension": 3, "points": rows.tolist(),
+                                    "masses": [1.0 / 12] * 11 + [1.0 - 11.0 / 12]}))
+        paths.append(str(path))
+    counts = {"of": 0, "mean": 0}
+    real_of, real_mean = JointSupport.of.__func__, DiscreteDistribution.mean
+
+    def counting_of(cls, p, q):
+        counts["of"] += 1
+        return real_of(cls, p, q)
+
+    def counting_mean(self):
+        counts["mean"] += 1
+        return real_mean(self)
+
+    monkeypatch.setattr(JointSupport, "of", classmethod(counting_of))
+    monkeypatch.setattr(DiscreteDistribution, "mean", counting_mean)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["oracle", *paths, "--k", "50"]) == 0
+    assert len(json.loads(out.getvalue())["per_radius"]) == 50
+    # the command's joint, then overlap, total_variation and indicator_bound
+    assert counts["of"] <= 4 and counts["mean"] <= 8, counts
+
+
+@pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize("flags", [["--fit-data", "does-not-exist.csv"], ["--k2", "9"]])
+def test_fit_data_and_k2_need_iterative(tmp_path, capsys, command, flags):
+    train = tmp_path / "train.csv"
+    write_csv(train, [[0.2], [1.0]])
+    model = tmp_path / "model.json"
+    run_cli(capsys, "fit", str(train), "--out", str(model))
+    code, out, err = run_cli(capsys, command, str(model), str(train), "--threshold", "0.5", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: --fit-data and --k2 apply only with --iterative\n"
+
+
+@pytest.mark.parametrize("label", ["nan", "2", "-1", "0.5"])
+def test_eval_rejects_labels_other_than_0_or_1(tmp_path, capsys, label):
+    scored = tmp_path / "scored.csv"
+    scored.write_text(f"0.9,{label}\n0.1,0\n0.5,1\n")
+    code, out, err = run_cli(capsys, "eval", str(scored))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {scored}: labels must be 0 or 1")
+    scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+    scores.write_text("0.9\n0.1\n")
+    labels.write_text(f"{label}\n0\n")
+    code, out, err = run_cli(capsys, "eval", str(scores), "--labels", str(labels))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {labels}: labels must be 0 or 1")
+
+
 def test_missing_inputs_exit_2(tmp_path, capsys, worked_files):
     pos, _ = worked_files
     code, _, err = run_cli(capsys, "bound", str(pos), str(tmp_path / "nope.csv"))

@@ -119,6 +119,12 @@ def test_radius_family_finite_near_float64_max():
     assert all(b > a for a, b in zip(radii, radii[1:]))
 
 
+def test_radius_family_numpy_top_is_a_float():
+    family = RadiusFamily(k=4, top=np.float64(1.7e308))  # top * j would warn as a numpy scalar
+    assert type(family.top) is float
+    assert family.radii == RadiusFamily(k=4, top=1.7e308).radii
+
+
 @given(st.floats(0.0, 1.7976931348623157e308), st.integers(1, 64))
 def test_radius_family_keeps_top_times_j_over_k_where_it_is_finite(top, k):
     radii = RadiusFamily(k=k, top=top).radii

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapbound import (
     InputError,
@@ -10,7 +14,16 @@ from overlapbound import (
     roc_curve,
     tpr_at_in_rate,
 )
-from oracles import auroc_trapezoid, brute_aupr, brute_auroc, brute_tpr_at
+from oracles import (
+    auroc_trapezoid,
+    brute_aupr,
+    brute_auroc,
+    brute_tpr_at,
+    midrank_auroc,
+    sorted_tpr_at_in_rate,
+    sweep_aupr,
+    sweep_roc_curve,
+)
 
 
 def labeled(scores, labels):
@@ -149,3 +162,71 @@ def test_labeled_scores_validation():
         LabeledScores(np.array([np.nan]), np.array([True]))
     with pytest.raises(InputError):
         tpr_at_in_rate(labeled([0.5, 0.6], [1, 0]), in_rate=1.0)
+
+
+# Scores from a small grid (with both signed zeros) force ties; some come
+# from a continuous range so tie groups of size one mix in.
+_TIED_SCORE = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1e300, -1e300])
+
+
+@st.composite
+def tied_scores(draw):
+    n = draw(st.integers(1, 40))
+    scores = draw(st.lists(st.one_of(_TIED_SCORE, st.floats(-1e3, 1e3)), min_size=n, max_size=n))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=bool)
+
+
+@given(tied_scores(), st.sampled_from([0.01, 0.5, 0.8, 0.9, 0.95, 0.99]))
+@settings(max_examples=300, deadline=None)
+def test_one_sweep_equals_retired_per_call_forms(data, in_rate):
+    scores, labels = data
+    ls = LabeledScores(scores, labels)
+    assert (ls.n_pos, ls.n_neg) == (int(labels.sum()), int((~labels).sum()))
+    if labels.any():
+        assert aupr(ls) == sweep_aupr(scores, labels)
+    else:
+        with pytest.raises(MetricUndefinedError):
+            aupr(ls)
+    if not (labels.any() and not labels.all()):
+        for metric in (auroc, roc_curve, tpr_at_in_rate):
+            with pytest.raises(MetricUndefinedError):
+                metric(ls)
+        return
+    assert auroc(ls) == midrank_auroc(scores, labels)
+    assert tpr_at_in_rate(ls, in_rate) == sorted_tpr_at_in_rate(scores, labels, in_rate)
+    for got, want in zip(roc_curve(ls), sweep_roc_curve(scores, labels)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_labeled_scores_sorts_once(monkeypatch):
+    ls_args = (np.array([0.3, 0.1, 0.3, 0.9, 0.1]), np.array([1, 0, 0, 1, 1], dtype=bool))
+    calls = []
+    real_argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(args)
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    ls = LabeledScores(*ls_args)
+    auroc(ls), aupr(ls), tpr_at_in_rate(ls, 0.5), roc_curve(ls)
+    assert len(calls) == 1
+    assert ls.thresholds.tolist() == [0.9, 0.3, 0.1]
+    assert ls.tps.tolist() == [1, 2, 3] and ls.predicted.tolist() == [1, 3, 5]
+
+
+def test_labeled_scores_copies_its_inputs():
+    scores, labels = np.array([0.2, 0.8]), np.array([False, True])
+    ls = LabeledScores(scores, labels)
+    scores[0], labels[0] = 0.9, True
+    assert auroc(ls) == 1.0 and ls.n_pos == 1
+    with pytest.raises(ValueError):
+        ls.scores[0] = 0.0
+
+
+def test_extreme_scores_rank_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ls = labeled([1.7e308, -1.7e308, 0.0], [1, 0, 0])
+        assert (auroc(ls), aupr(ls), tpr_at_in_rate(ls, 0.5)) == (1.0, 1.0, 1.0)

@@ -22,7 +22,12 @@ from overlapbound import (
     total_variation,
 )
 from conftest import ALL_NORMS, as_mass_dict, random_pair
-from oracles import brute_overlap, brute_subset_variation, brute_total_variation
+from oracles import (
+    brute_overlap,
+    brute_subset_variation,
+    brute_total_variation,
+    per_call_subset_bound,
+)
 
 
 @pytest.fixture
@@ -53,22 +58,23 @@ def test_worked_pair_values(worked_pair):
     p, q = worked_pair
     assert overlap(p, q) == 0.5
     assert total_variation(p, q) == 0.5
-    assert subset_variation(p, q, RadiusIndicator(0.5)) == 0.25
+    joint = JointSupport.of(p, q)
+    assert subset_variation(joint, RadiusIndicator(0.5)) == 0.25
     # empty and full subsets
-    assert subset_variation(p, q, np.zeros(2, dtype=bool)) == 0.0
-    assert subset_variation(p, q, np.ones(2, dtype=bool)) == total_variation(p, q)
+    assert subset_variation(joint, np.zeros(2, dtype=bool)) == 0.0
+    assert subset_variation(joint, np.ones(2, dtype=bool)) == total_variation(p, q)
 
 
 def test_worked_pair_bounds(worked_pair):
     p, q = worked_pair
     ball = RadiusIndicator(0.5)
-    assert subset_bound(p, q, ball, use_domain_radius=True) == pytest.approx(0.6, abs=1e-12)
+    assert subset_bound(JointSupport.of(p, q), ball, use_domain_radius=True) == pytest.approx(0.6, abs=1e-12)
     assert indicator_bound(p, q, [ball]) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_bounds_are_one_for_identical():
     p = DiscreteDistribution([[0.5, 0.5], [1.0, 0.0]], [0.25, 0.75])
-    assert subset_bound(p, p, RadiusIndicator(0.7)) == pytest.approx(1.0, abs=1e-15)
+    assert subset_bound(JointSupport.of(p, p), RadiusIndicator(0.7)) == pytest.approx(1.0, abs=1e-15)
     assert indicator_bound(p, p, [RadiusIndicator(0.7)]) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -80,7 +86,7 @@ def test_matches_brute_force_on_random_pairs():
         assert overlap(p, q) == pytest.approx(brute_overlap(dp, dq), abs=1e-12)
         assert total_variation(p, q) == pytest.approx(brute_total_variation(dp, dq), abs=1e-12)
         r = float(rng.uniform(0, 2.5))
-        got = subset_variation(p, q, RadiusIndicator(r))
+        got = subset_variation(JointSupport.of(p, q), RadiusIndicator(r))
         want = brute_subset_variation(dp, dq, lambda k: math.sqrt(sum(v * v for v in k)) <= r)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -102,7 +108,7 @@ def test_partition_identity_on_random_pairs():
         m = joint.points.shape[0]
         mask = rng.random(m) < 0.5
         lhs = overlap(p, q)
-        rhs = 1.0 - subset_variation(p, q, mask) - subset_variation(p, q, ~mask)
+        rhs = 1.0 - subset_variation(joint, mask) - subset_variation(joint, ~mask)
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -115,11 +121,11 @@ def test_subset_bound_dominates_overlap_everywhere():
         joint = JointSupport.of(p, q)
         m = joint.points.shape[0]
         mask = rng.random(m) < rng.uniform(0.2, 0.8)
-        assert subset_bound(p, q, mask, kind, use_domain_radius=True) >= eta - 1e-12
+        assert subset_bound(joint, mask, kind, use_domain_radius=True) >= eta - 1e-12
         # the complement-radius form needs a nonempty complement off the origin
         comp = joint.points[~mask]
         if comp.shape[0] and np.abs(comp).max() > 0:
-            assert subset_bound(p, q, mask, kind, use_domain_radius=False) >= eta - 1e-12
+            assert subset_bound(joint, mask, kind, use_domain_radius=False) >= eta - 1e-12
 
 
 def test_indicator_bound_dominates_overlap_everywhere():
@@ -140,13 +146,13 @@ def test_rate_gap_never_exceeds_subset_variation():
         kind = ALL_NORMS[trial % 3]
         g = RadiusIndicator(float(rng.uniform(0, 2.5)), kind)
         rate_gap = abs(expectation(p, g) - expectation(q, g))
-        assert subset_variation(p, q, g) >= 0.5 * rate_gap - 1e-12
+        assert subset_variation(JointSupport.of(p, q), g) >= 0.5 * rate_gap - 1e-12
 
 
 def test_degenerate_origin_point_mass():
     p = DiscreteDistribution([[0.0, 0.0]], [1.0])
     with pytest.raises(DegenerateDomainError):
-        subset_bound(p, p, RadiusIndicator(1.0))
+        subset_bound(JointSupport.of(p, p), RadiusIndicator(1.0))
     with pytest.raises(DegenerateDomainError):
         indicator_bound(p, p, [RadiusIndicator(1.0)])
 
@@ -158,9 +164,10 @@ def test_bounds_near_float64_max_equal_the_scaled_ones():
     ball = [RadiusIndicator(1.5e308, NormKind.LINF)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        joint = JointSupport.of(p, q)
         got = (indicator_bound(p, q, ball, NormKind.LINF),
-               subset_bound(p, q, ball[0], NormKind.LINF, use_domain_radius=True),
-               subset_bound(p, q, ball[0], NormKind.LINF, use_domain_radius=False))
+               subset_bound(joint, ball[0], NormKind.LINF, use_domain_radius=True),
+               subset_bound(joint, ball[0], NormKind.LINF, use_domain_radius=False))
     assert got == (0.7941176470588236,) * 3
     p = DiscreteDistribution([[1.7], [0.0]], [0.5, 0.5])
     q = DiscreteDistribution([[1.0], [0.0]], [0.5, 0.5])
@@ -181,7 +188,7 @@ def test_oracle_overflow_is_input_error(p_points, p_mass, q_points, kind, messag
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: indicator_bound(p, q, [RadiusIndicator(1.0, kind)], kind),
-                     lambda: subset_bound(p, q, RadiusIndicator(1.0, kind), kind)):
+                     lambda: subset_bound(JointSupport.of(p, q), RadiusIndicator(1.0, kind), kind)):
             with pytest.raises(InputError, match=message):
                 call()
 
@@ -213,7 +220,7 @@ def test_membership_takes_a_condition_or_a_boolean_mask(worked_pair):
     joint = JointSupport.of(p, q)
     # joint support order: p's points first
     assert joint.membership(RadiusIndicator(0.5)).tolist() == [True, False]
-    assert subset_variation(p, q, np.array([True, False])) == 0.25
+    assert subset_variation(joint, np.array([True, False])) == 0.25
     for other in ([0], (0,), lambda pt: abs(pt[0]) <= 0.5, np.array([1, 0]), "0"):
         with pytest.raises(InputError, match="condition function or a boolean mask"):
             joint.membership(other)
@@ -255,10 +262,11 @@ def distribution_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_partition_identity_property(pair, data):
     p, q = pair
-    m = JointSupport.of(p, q).points.shape[0]
+    joint = JointSupport.of(p, q)
+    m = joint.points.shape[0]
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     lhs = overlap(p, q)
-    rhs = 1.0 - subset_variation(p, q, mask) - subset_variation(p, q, ~mask)
+    rhs = 1.0 - subset_variation(joint, mask) - subset_variation(joint, ~mask)
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -273,6 +281,25 @@ def test_indicator_bound_dominates_property(pair, radius, kind):
         assert overlap(p, q) == 1.0
         return
     assert bound >= overlap(p, q) - 1e-12
+
+
+@given(distribution_pairs(), st.data(), st.sampled_from(ALL_NORMS), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_subset_bound_on_a_shared_joint_equals_the_per_call_form(pair, data, kind, use_domain):
+    p, q = pair
+    joint = JointSupport.of(p, q)
+    assert joint.p_mean.tobytes() == p.mean().tobytes()
+    assert joint.q_mean.tobytes() == q.mean().tobytes()
+    m = joint.points.shape[0]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    for subset in (mask, RadiusIndicator(data.draw(st.floats(0.0, 3.0)), kind)):
+        try:
+            want = per_call_subset_bound(p, q, subset, kind, use_domain)
+        except DegenerateDomainError:
+            with pytest.raises(DegenerateDomainError):
+                subset_bound(joint, subset, kind, use_domain)
+            continue
+        assert subset_bound(joint, subset, kind, use_domain) == want
 
 
 def test_json_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from overlapbound import (
     SampleSet,
     accuracy_ceiling,
     backdoor_ceiling,
-    compose_mixture,
     compute_bound,
     fixed_accuracy_rule,
     make_sample_set,
@@ -21,6 +20,7 @@ from overlapbound import (
 from conftest import ALL_NORMS, radii_on_norms, repeated_rows
 from oracles import (
     mixture_row_indices,
+    mixture_samples,
     retired_bound_terms,
     retired_mixture_bound,
     simulate_by_value,
@@ -146,16 +146,17 @@ def test_component_vs_mixture_statistics_agree():
     gs = [RadiusIndicator(float(r)) for r in np.linspace(0.5, 6, 8)]
     p = 0.9
     for sigma in (0.0, 0.3, 0.7, 1.0):
-        mixture = compose_mixture(clean, poisoned, sigma, 50_000, seed=10)
+        mixture = mixture_samples(clean, poisoned, sigma, 50_000, seed=10)
         via_mixture = accuracy_ceiling(clean, mixture, p, 0.0, gs)
         via_components = backdoor_ceiling(clean, poisoned, sigma, p, gs)
         assert via_mixture == pytest.approx(via_components, abs=0.02)
 
 
-def test_compose_mixture_counts(worked_mix):
+def test_mixture_counts(worked_mix):
+    # floor(0.61 * 100) = 61 clean draws, all right; 39 poisoned draws, all wrong
     clean, poisoned, _ = worked_mix
-    mix = compose_mixture(clean, poisoned, 0.61, 100, seed=0)
-    assert len(mix) == 100
+    rule = fixed_accuracy_rule(clean, poisoned, 1.0, 0.0)
+    assert simulate_accuracy(clean, poisoned, 0.61, rule, 100, seed=0) == 0.61
     assert mixture_overlap_bound(clean, poisoned, 1.0, [RadiusIndicator(0.5)]) == 1.0
 
 
@@ -174,14 +175,13 @@ def test_validation(worked_mix):
     with pytest.raises(InputError):
         backdoor_ceiling(clean, poisoned, -0.1, 0.9, gs)
     with pytest.raises(InputError):
-        compose_mixture(clean, poisoned, 0.5, 0)
+        simulate_accuracy(clean, poisoned, 0.5, fixed_accuracy_rule(clean, poisoned, 0.9, 0.1), 0)
 
 
 def test_negative_seed_is_input_error(worked_mix):
     clean, poisoned, _ = worked_mix
     rule = fixed_accuracy_rule(clean, poisoned, 0.9, 0.1)
     for call in (lambda: fixed_accuracy_rule(clean, poisoned, 0.9, 0.1, seed=-1),
-                 lambda: compose_mixture(clean, poisoned, 0.5, 10, seed=-1),
                  lambda: simulate_accuracy(clean, poisoned, 0.5, rule, 10, seed=-1)):
         with pytest.raises(InputError, match="seed must be >= 0, got -1"):
             call()
@@ -224,9 +224,6 @@ def test_simulator_equals_by_value_simulator_on_distinct_rows(seed, n_clean, n_p
     assert rule[1].tolist() == [by_value(x) for x in poisoned.samples]
     measured = simulate_accuracy(clean, poisoned, sigma, rule, n_samples, seed=seed + 1)
     assert measured == simulate_by_value(clean, poisoned, sigma, by_value, n_samples, seed=seed + 1)
-    rows = mixture_row_indices(n_clean, n_pois, sigma, n_samples, seed)
-    composed = np.vstack([clean.samples[rows[0]], poisoned.samples[rows[1]]])
-    assert np.array_equal(compose_mixture(clean, poisoned, sigma, n_samples, seed=seed).samples, composed)
 
 
 @given(st.data(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
