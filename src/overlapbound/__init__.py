@@ -7,7 +7,7 @@ one-class confidence score and as an accuracy ceiling under domain shift.
 An exact discrete-distribution oracle backs every numerical claim.
 """
 
-from .bound import BoundReport, ConditionStat, compute_bound, pooled_radius_family, rate_gap_lower_bound
+from .bound import BoundReport, ConditionStat, compute_bound, pooled_radius_family
 from .classifier import FittedScorer, ScoreRecord, fit, iterative_scores_batch, score
 from .core import (
     ConditionFunction,
@@ -26,7 +26,6 @@ from .metrics import LabeledScores, aupr, auroc, roc_curve, tpr_at_in_rate
 from .oracle import (
     DiscreteDistribution,
     JointSupport,
-    expectation,
     indicator_bound,
     overlap,
     subset_bound,
@@ -66,7 +65,6 @@ __all__ = [
     "auroc",
     "backdoor_ceiling",
     "compute_bound",
-    "expectation",
     "fit",
     "fixed_accuracy_rule",
     "indicator_bound",
@@ -76,7 +74,6 @@ __all__ = [
     "norms",
     "overlap",
     "pooled_radius_family",
-    "rate_gap_lower_bound",
     "roc_curve",
     "score",
     "simulate_accuracy",

@@ -38,9 +38,6 @@ class ConditionStat:
     neg_rate: float
     separation: float  # (1 - region_radius/pool_radius) * |pos_rate - neg_rate|
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -55,18 +52,11 @@ class BoundReport:
     clamped_bound: float
     mean_gap: float
     pool_radius: float
+    best_index: int  # declared before conditions: the JSON key order follows the fields
     conditions: tuple[ConditionStat, ...]
-    best_index: int
 
     def to_dict(self) -> dict:
-        return {
-            "raw_bound": self.raw_bound,
-            "clamped_bound": self.clamped_bound,
-            "mean_gap": self.mean_gap,
-            "pool_radius": self.pool_radius,
-            "best_index": self.best_index,
-            "conditions": [c.to_dict() for c in self.conditions],
-        }
+        return asdict(self)
 
 
 def _closed_form(mean_gap, pool_radius, best_separation, sigma=0.0):
@@ -143,19 +133,6 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
         conditions=tuple(ConditionStat(g.label, *c) for g, c in zip(conditions, columns)),
         best_index=int(np.argmax(separation)),  # the first of tied maxima
     )
-
-
-def rate_gap_lower_bound(pos: SampleSet, neg: SampleSet, g: ConditionFunction) -> float:
-    """Lower bound on the variation mass of the region a condition accepts.
-
-    Half the absolute gap between the two empirical acceptance rates. Cheap,
-    needs only finite samples, and never exceeds the exact restricted
-    variation distance.
-    """
-    require_compatible(pos, neg)
-    pos_rate = _acceptance(pos, g)[0] / len(pos)
-    neg_rate = _acceptance(neg, g)[0] / len(neg)
-    return 0.5 * abs(pos_rate - neg_rate)
 
 
 def pooled_radius_family(pos: SampleSet, neg: SampleSet, k: int) -> RadiusFamily:

@@ -25,9 +25,11 @@ from .core import (
     RadiusFamily,
     ball_stats,
     clamp_unit,
+    freeze,
     make_sample_set,
     norms,
 )
+from .dataio import read_json
 
 MODEL_FORMAT_VERSION = 1
 # Query values per scoring block: each temporary is about 512 KB, small enough
@@ -109,11 +111,10 @@ class FittedScorer:
     def __post_init__(self) -> None:
         # The mean and the k-vectors as read-only arrays, built once so that
         # raw_scores converts nothing per call.
-        for name, values in (("mean", self.mean), ("_radii", self.radii),
-                             ("_rates", self.accept_rates), ("_region", self.region_radii)):
-            arr = np.array(values, dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, mean=np.array(self.mean, dtype=np.float64),
+               _radii=np.array(self.radii, dtype=np.float64),
+               _rates=np.array(self.accept_rates, dtype=np.float64),
+               _region=np.array(self.region_radii, dtype=np.float64))
 
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.
@@ -233,12 +234,7 @@ class FittedScorer:
 
     @classmethod
     def load(cls, path) -> "FittedScorer":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-            raise InputError(f"{path}: cannot read model JSON: {exc}") from exc
-        return cls.from_json_dict(doc, source=str(path))
+        return cls.from_json_dict(read_json(path, "model"), source=str(path))
 
 
 def fit(
@@ -285,8 +281,11 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
     Equal to running the pooled-bound computation between the singleton {x}
     and the full fit set, evaluated from the cached statistics alone: a
     one-row ``raw_scores`` call. With a threshold, the verdict is "in" iff
-    the score reaches it (the boundary counts as in).
+    the score reaches it (the boundary counts as in); a non-finite threshold
+    is an InputError.
     """
+    if threshold is not None and not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold!r}")
     vec = np.asarray(x, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise InputError(f"expected a nonempty 1-D vector, got shape {vec.shape}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,9 +26,9 @@ from .core import (
     RadiusIndicator,
 )
 
-EXIT_INPUT = 2
-EXIT_CONTRACT = 3
-EXIT_METRIC = 4
+# Exit code per error type, matched in order; any other exception propagates.
+EXIT_CODES = {InputError: 2, OSError: 2, DimensionMismatchError: 3, DegenerateDomainError: 3,
+              MetricUndefinedError: 4}
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -96,20 +97,11 @@ def cmd_fit(args) -> None:
     )
 
 
-def _write_scores_csv(path, raw, clamped, iterative=None, verdicts=None) -> None:
-    header = ["row_index", "score", "clamped"]
-    if iterative is not None:
-        header.append("iterative")
-    if verdicts is not None:
-        header.append("verdict")
-    lines = [",".join(header)]
-    for i in range(len(raw)):
-        cells = [str(i), repr(float(raw[i])), repr(float(clamped[i]))]
-        if iterative is not None:
-            cells.append(repr(float(iterative[i])))
-        if verdicts is not None:
-            cells.append(verdicts[i])
-        lines.append(",".join(cells))
+def _write_scores_csv(path, columns: dict) -> None:
+    """Per-query CSV: row_index, then each column (floats, or a list of str) in order."""
+    cells = [v if isinstance(v, list) else list(map(repr, v.tolist())) for v in columns.values()]
+    lines = [",".join(["row_index", *columns])]
+    lines += [",".join([str(i), *row]) for i, row in enumerate(zip(*cells))]
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -121,6 +113,9 @@ def _write_scores_csv(path, raw, clamped, iterative=None, verdicts=None) -> None
 def _score_command(args) -> None:
     if not args.iterative and (args.fit_data is not None or args.k2 is not None):
         raise InputError("--fit-data and --k2 apply only with --iterative")
+    threshold = args.threshold
+    if threshold is not None and not math.isfinite(threshold):
+        raise InputError(f"--threshold must be finite, got {threshold!r}")
     scorer = classifier.FittedScorer.load(args.model)
     queries = dataio.read_sample_array(args.queries)
     if queries.shape[1] != scorer.dimension:
@@ -128,21 +123,17 @@ def _score_command(args) -> None:
             f"{args.queries} has dimension {queries.shape[1]}, "
             f"model {args.model} expects {scorer.dimension}"
         )
-    threshold = args.threshold
     raw = scorer.raw_scores(queries)
-    clamped = np.clip(raw, 0.0, 1.0)
-    iterative = None
-    decide_on = raw
+    columns = {"score": raw, "clamped": np.clip(raw, 0.0, 1.0)}
     if args.iterative:
         if not args.fit_data:
             raise InputError("--iterative needs --fit-data (the model stores no samples)")
         fit_set = dataio.read_samples(args.fit_data, scorer.norm)
-        iterative = classifier.iterative_scores_batch(scorer, fit_set, queries, k2=args.k2)
-        decide_on = iterative
-    verdicts = None
+        columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_set, queries, k2=args.k2)
     if threshold is not None:
-        verdicts = ["in" if s >= threshold else "out" for s in decide_on]
-    _write_scores_csv(args.scores_out, raw, clamped, iterative, verdicts)
+        decide_on = columns.get("iterative", raw).tolist()
+        columns["verdict"] = ["in" if s >= threshold else "out" for s in decide_on]
+    _write_scores_csv(args.scores_out, columns)
     if args.scores_out is None and args.out is None:
         return  # the CSV already went to stdout; keep the stream parseable
     summary = {
@@ -154,13 +145,13 @@ def _score_command(args) -> None:
         "min_score": float(np.min(raw)),
         "max_score": float(np.max(raw)),
     }
-    if iterative is not None:
+    if args.iterative:
         summary["k2"] = args.k2 if args.k2 is not None else scorer.k
-        summary["mean_iterative_score"] = float(np.mean(iterative))
+        summary["mean_iterative_score"] = float(np.mean(columns["iterative"]))
     if threshold is not None:
         summary["threshold"] = threshold
-        summary["n_in"] = int(sum(v == "in" for v in verdicts))
-        summary["n_out"] = int(sum(v == "out" for v in verdicts))
+        summary["n_in"] = columns["verdict"].count("in")
+        summary["n_out"] = columns["verdict"].count("out")
     _emit(summary, args.out)
 
 
@@ -344,19 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (InputError, OSError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DimensionMismatchError, DegenerateDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except MetricUndefinedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METRIC
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     return 0
 
 

@@ -45,8 +45,12 @@ class NormKind(enum.Enum):
             raise InputError(f"unknown norm {text!r}; expected l1, l2, or linf") from None
 
 
+def _not_a_norm(norm) -> InputError:
+    return InputError(f"norm must be a NormKind, got {norm!r}; convert a name with NormKind.from_string")
+
+
 def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Per-row norms of a (n, d) array."""
+    """Per-row norms of a (n, d) array. ``kind`` must be a NormKind, not a name."""
     a = np.asarray(points, dtype=np.float64)
     if a.ndim != 2:
         raise InputError(f"expected a 2-D array of row vectors, got shape {a.shape}")
@@ -54,7 +58,17 @@ def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
         return np.abs(a).sum(axis=1)
     if kind is NormKind.L2:
         return np.sqrt((a * a).sum(axis=1))
-    return np.abs(a).max(axis=1)
+    if kind is NormKind.LINF:
+        return np.abs(a).max(axis=1)
+    raise _not_a_norm(kind)
+
+
+def freeze(obj, **fields) -> None:
+    """Set fields on a frozen dataclass, making each ndarray among them read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
 
 
 # Values per block of rows: caps scratch memory at a few MB whatever n is.
@@ -92,8 +106,6 @@ def exact_column_sums(points: np.ndarray) -> np.ndarray:
     n, d = a.shape
     if a.size == 0:
         return np.zeros(d)
-    if n == 1:  # one term is its own sum; + 0.0 turns -0.0 into 0.0 as fsum does
-        return a[0] + 0.0
     rows = min(_FOLD_ROWS, max(1, _BLOCK_ELEMENTS // d))
     cols = np.arange(d)
     totals = [0] * d  # exact column sums in units of 2**-_UNIT_BITS
@@ -184,7 +196,8 @@ class SampleSet:
     """A nonempty batch of same-dimension vectors plus the norm that scores them.
 
     Per-sample norms (also kept sorted, for ``ball_stats``), the pooled max
-    norm, and the empirical mean are computed once at construction.
+    norm, and the empirical mean are computed once at construction. ``norm``
+    must be a NormKind (``norms`` rejects anything else).
     """
 
     samples: np.ndarray
@@ -202,22 +215,14 @@ class SampleSet:
             raise InputError(f"expected a nonempty (n, d) sample array, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InputError("sample array has non-finite entries")
-        a.flags.writeable = False
         with np.errstate(over="ignore"):
             per_sample = norms(a, self.norm)
         ordered = np.sort(per_sample)
         max_norm = float(ordered[-1])
         if not math.isfinite(max_norm):
             raise InputError(f"sample {self.norm.value} norms overflow float64")
-        per_sample.flags.writeable = False
-        ordered.flags.writeable = False
-        mean = exact_mean(a)
-        mean.flags.writeable = False
-        object.__setattr__(self, "samples", a)
-        object.__setattr__(self, "norms", per_sample)
-        object.__setattr__(self, "sorted_norms", ordered)
-        object.__setattr__(self, "max_norm", max_norm)
-        object.__setattr__(self, "mean", mean)
+        freeze(self, samples=a, norms=per_sample, sorted_norms=ordered, max_norm=max_norm,
+               mean=exact_mean(a))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -245,6 +250,8 @@ class RadiusIndicator(ConditionFunction):
     norm: NormKind = NormKind.L2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.norm, NormKind):
+            raise _not_a_norm(self.norm)
         if not math.isfinite(self.radius) or self.radius < 0:
             raise InputError(f"radius must be finite and >= 0, got {self.radius}")
 
@@ -275,13 +282,14 @@ class RadiusFamily:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.norm, NormKind):
+            raise _not_a_norm(self.norm)
         top = float(self.top)  # a numpy scalar would warn where top * j overflows
         if not math.isfinite(top) or top < 0:
             raise InputError(f"top radius must be finite and >= 0, got {top}")
         radii = tuple(r if math.isfinite(r := top * j / self.k) else top * (j / self.k)
                       for j in range(1, self.k + 1))
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "radii", radii)
+        freeze(self, top=top, radii=radii)
 
     def indicators(self) -> tuple[RadiusIndicator, ...]:
         return tuple(RadiusIndicator(r, self.norm) for r in self.radii)

@@ -7,6 +7,7 @@ uint64 row and column counts, then row-major little-endian float64 data.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
@@ -45,8 +46,16 @@ def _read_samples_binary(path) -> np.ndarray:
         found = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
         if found < n * d:
             raise InputError(f"{path}: expected {n * d} float64 values, found {found}")
-        data = np.fromfile(fh, dtype="<f8", count=n * d)
-    return data.reshape(n, d).astype(np.float64)
+        return np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+
+
+def read_json(path, what: str):
+    """A file's parsed JSON; InputError "cannot read <what> JSON" if that fails."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+        raise InputError(f"{path}: cannot read {what} JSON: {exc}") from exc
 
 
 def _is_number(cell: str) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InputError, MetricUndefinedError
+from .core import InputError, MetricUndefinedError, freeze
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,8 @@ class LabeledScores:
         order = np.argsort(-s, kind="mergesort")
         sorted_scores = s[order]
         boundary = np.r_[np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), s.size - 1]
-        sweep = {"scores": s, "labels": y, "thresholds": sorted_scores[boundary],
-                 "tps": np.cumsum(y[order])[boundary], "predicted": boundary + 1}
-        for name, arr in sweep.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, scores=s, labels=y, thresholds=sorted_scores[boundary],
+               tps=np.cumsum(y[order])[boundary], predicted=boundary + 1)
 
     @property
     def n_pos(self) -> int:

@@ -7,9 +7,8 @@ is the ground truth the estimators are tested against.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +20,10 @@ from .core import (
     InputError,
     NormKind,
     exact_column_sums,
+    freeze,
     norms,
 )
+from .dataio import read_json
 
 MASS_TOLERANCE = 1e-12
 
@@ -59,10 +60,7 @@ class DiscreteDistribution:
         keys = {tuple(row) for row in pts.tolist()}
         if len(keys) != pts.shape[0]:
             raise InputError("support points must be pairwise distinct")
-        pts.flags.writeable = False
-        mass.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "masses", mass)
+        freeze(self, points=pts, masses=mass)
 
     @property
     def dimension(self) -> int:
@@ -94,12 +92,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json_file(cls, path) -> "DiscreteDistribution":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-            raise InputError(f"{path}: cannot read distribution JSON: {exc}") from exc
-        return cls.from_json_dict(doc, source=str(path))
+        return cls.from_json_dict(read_json(path, "distribution"), source=str(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +110,9 @@ class JointSupport:
     q_masses: np.ndarray
     p_mean: np.ndarray
     q_mean: np.ndarray
+
+    def __post_init__(self) -> None:
+        freeze(self, **{f.name: np.array(getattr(self, f.name), dtype=np.float64) for f in fields(self)})
 
     @classmethod
     def of(cls, p: DiscreteDistribution, q: DiscreteDistribution) -> "JointSupport":
@@ -191,12 +187,6 @@ def subset_variation(joint: JointSupport, subset: SubsetSpec) -> float:
     mask = joint.membership(subset)
     gaps = np.abs(joint.p_masses - joint.q_masses)[mask]
     return 0.5 * math.fsum(gaps.tolist())
-
-
-def expectation(dist: DiscreteDistribution, g: ConditionFunction) -> float:
-    """Exact acceptance probability of a condition function."""
-    accepted = np.asarray(g.evaluate_many(dist.points), dtype=bool)
-    return math.fsum(dist.masses[accepted].tolist())
 
 
 def subset_bound(

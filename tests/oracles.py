@@ -6,7 +6,8 @@ code path with the package. The retired-paths section keeps earlier package
 code paths (per-radius and per-query loops, the former closed forms, the
 by-value accuracy rule with its per-row simulator, the per-call ranking sorts
 and the per-call joint support), which the code that replaced them must match
-bitwise, and the removed helpers that tests still use to build their data.
+bitwise, and the removed helpers that tests still use to build their data or
+to state a property.
 """
 
 from __future__ import annotations
@@ -228,6 +229,18 @@ def mixture_samples(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total
 def draw_points(dist, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. support points of a discrete distribution, drawn by mass."""
     return dist.points[rng.choice(dist.points.shape[0], size=n, p=dist.masses)]
+
+
+def rate_gap_lower_bound(pos: SampleSet, neg: SampleSet, g) -> float:
+    """The removed package helper: half the gap between the two empirical
+    acceptance rates of one condition, as ``compute_bound`` reports them."""
+    s = compute_bound(pos, neg, [g]).conditions[0]
+    return 0.5 * abs(s.pos_rate - s.neg_rate)
+
+
+def expectation(dist, g) -> float:
+    """The removed package helper: the exact acceptance probability of a condition."""
+    return math.fsum(dist.masses[g.evaluate_many(dist.points)].tolist())
 
 
 def ball_conditions(scorer) -> tuple[RadiusIndicator, ...]:

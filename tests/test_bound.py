@@ -18,10 +18,9 @@ from overlapbound import (
     make_sample_set,
     overlap,
     pooled_radius_family,
-    rate_gap_lower_bound,
 )
 from conftest import ALL_NORMS, integer_count_pair, radii_on_norms, random_pair, repeated_rows
-from oracles import brute_bound, draw_points, mask_ball_stats, norm_of
+from oracles import brute_bound, draw_points, mask_ball_stats, norm_of, rate_gap_lower_bound
 
 
 @pytest.fixture

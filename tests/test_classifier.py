@@ -120,6 +120,12 @@ def test_threshold_monotonicity(rng):
         assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_threshold_is_input_error(threshold):
+    with pytest.raises(InputError, match="threshold must be finite"):
+        score(fit([[0.2], [1.0]], k=2), [0.5], threshold)
+
+
 def test_degenerate_fit_all_origin():
     s = fit([[0.0, 0.0], [0.0, 0.0]], k=3)
     assert s.degenerate

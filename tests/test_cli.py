@@ -134,6 +134,18 @@ def test_scoring_own_fit_points(tmp_path, capsys):
     assert max(values) <= 1.0 and len(values) == 3
 
 
+@pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_threshold_exit_2(tmp_path, capsys, command, threshold):
+    train, model, out = tmp_path / "train.csv", tmp_path / "model.json", tmp_path / "s.json"
+    write_csv(train, [[0.2], [1.0]])
+    run_cli(capsys, "fit", str(train), "--k", "2", "--out", str(model))
+    code, stdout, err = run_cli(capsys, command, str(model), str(train),
+                                f"--threshold={threshold}", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: --threshold must be finite") and err.count("\n") == 1
+
+
 def test_classify_requires_threshold(tmp_path, capsys):
     train = tmp_path / "train.csv"
     write_csv(train, [[0.2], [1.0]])
@@ -630,7 +642,8 @@ def model_files(draw) -> bytes:
 @given(
     st.tuples(distribution_files(), distribution_files(), model_files(), csv_files(2)),
     st.lists(_mostly(st.floats(0.0, 3.0).map(repr), _FLAG_VALUES), max_size=2),
-    st.tuples(_FLAG_VALUES, _FLAG_VALUES, _FLAG_VALUES, _FLAG_VALUES),
+    st.tuples(_mostly(_FLAG_VALUES, st.sampled_from(["nan", "inf", "-inf"])),
+              _FLAG_VALUES, _FLAG_VALUES, _FLAG_VALUES),
     st.lists(_FLAG_VALUES, min_size=1, max_size=3),
     st.integers(-1, 1000), _mostly(st.integers(0, 2**32), st.integers(-3, -1), st.just(2**70)),
     st.sampled_from(["l1", "l2", "linf"]), st.integers(1, 64), st.booleans(),
@@ -648,8 +661,10 @@ def test_cli_on_any_json_csv_or_flag_answers_or_prints_one_error(
     fit_data, queries = folder / "fit.csv", folder / "queries.csv"
     write_csv(fit_data, _FIT_ROWS)
     write_csv(queries, [[1.0, 1.0], [0.0, 0.0], [9.0, -4.0]])
+    summary = folder / "summary.json"
+    summary.unlink(missing_ok=True)
     threshold, p_acc, q_acc, in_rate = values
-    score_argv = ["score", model, str(queries), f"--threshold={threshold}"]
+    score_argv = ["score", model, str(queries), f"--threshold={threshold}", "--out", str(summary)]
     if iterative:
         score_argv += ["--iterative", "--fit-data", str(fit_data), "--k2", str(k)]
     for argv in (
@@ -660,6 +675,13 @@ def test_cli_on_any_json_csv_or_flag_answers_or_prints_one_error(
          f"--q={q_acc}", f"--sigma={','.join(sigmas)}", f"--simulate={simulate}", f"--seed={seed}",
          "--norm", norm, "--k", str(k)],
     ):
-        code, _, err = _main_with_warnings_as_errors(argv)
+        code, out, err = _main_with_warnings_as_errors(argv)
         assert code in (0, 2, 3, 4), (argv[0], code, err)
         assert err == "" or (err.count("\n") == 1 and err.startswith("error: ")), (argv[0], err)
+        if code == 0:  # every JSON output is valid JSON: no NaN or Infinity
+            text = summary.read_text() if argv[0] == "score" else out
+            json.loads(text, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"JSON output holds {name}")

@@ -8,15 +8,22 @@ from hypothesis import strategies as st
 
 from overlapbound import core
 from overlapbound import (
+    DiscreteDistribution,
     InputError,
+    JointSupport,
+    LabeledScores,
     NormKind,
     RadiusFamily,
     RadiusIndicator,
     SampleSet,
+    fit,
+    indicator_bound,
     make_sample_set,
     norms,
+    subset_bound,
 )
 from conftest import ALL_NORMS
+from oracles import norm_of
 
 # coordinate magnitudes stay above the range where squaring underflows to 0
 finite_coord = st.one_of(
@@ -238,3 +245,70 @@ def test_sample_set_rejects_overflowing_norms():
             SampleSet(np.array([[1e200, 1.0], [1e200, 2.0]]))
         with pytest.raises(InputError, match="column 0 overflows"):
             SampleSet(np.array([[1e308, 1.0], [1e308, 2.0]]), NormKind.L1)
+
+
+def _value_types():
+    """One instance of each frozen value type, built through its public constructor."""
+    p = DiscreteDistribution([[0.0, 1.0], [2.0, 0.5]], [0.25, 0.75])
+    q = DiscreteDistribution([[2.0, 0.5], [1.0, 1.0]], [0.5, 0.5])
+    return [
+        SampleSet([[0.2, 1.0], [1.0, -3.0]]),
+        RadiusFamily(k=3, top=2.0),
+        LabeledScores(np.array([0.3, 0.1, 0.3]), np.array([True, False, False])),
+        fit([[0.2, 1.0], [1.0, -3.0]], k=3),
+        p,
+        JointSupport.of(p, q),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_types(), ids=lambda v: type(v).__name__)
+def test_every_array_of_a_value_type_is_read_only(value):
+    arrays = {name: v for name, v in vars(value).items() if isinstance(v, np.ndarray)}
+    assert arrays or isinstance(value, RadiusFamily)  # a family holds tuples only
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_joint_support_copies_what_it_is_given():
+    arrays = [np.array([[1.0]]), np.array([1.0]), np.array([0.0]), np.array([1.0]), np.array([0.0])]
+    joint = JointSupport(*arrays)
+    assert all(a.flags.writeable for a in arrays)
+    arrays[1][0] = 0.0
+    assert joint.p_masses[0] == 1.0
+
+
+_NORM_ROWS = st.lists(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2), min_size=1, max_size=6)
+
+
+@given(_NORM_ROWS, st.sampled_from(["l1", "l2", "linf"]))
+@example([[3.0, 4.0], [1.0, 1.0]], "l1")
+@settings(max_examples=60, deadline=None)
+def test_a_norm_name_is_converted_or_refused_never_read_as_linf(rows, name):
+    kind = NormKind.from_string(name)
+    a = np.array(rows)
+    want = [norm_of(row, name) for row in rows]
+    assert norms(a, kind).tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert SampleSet(a, kind).max_norm == pytest.approx(max(want), rel=1e-12, abs=0.0)
+    # entry points documented to take names convert them
+    assert make_sample_set(a, name).norm is kind
+    assert make_sample_set(a, name).max_norm == SampleSet(a, kind).max_norm
+    named, typed = fit(a, k=3, norm=name), fit(a, k=3, norm=kind)
+    assert named.norm is kind and named.fit_radius == typed.fit_radius
+    assert named.raw_scores(a).tolist() == typed.raw_scores(a).tolist()
+    # every other entry point refuses a name instead of computing linf norms
+    dist = DiscreteDistribution([[3.0, 4.0], [1.0, 1.0]], [0.5, 0.5])
+    joint = JointSupport.of(dist, DiscreteDistribution([[1.0, 1.0]], [1.0]))
+    for call in (
+        lambda: norms(a, name),
+        lambda: SampleSet(a, name),
+        lambda: RadiusIndicator(1.0, name),
+        lambda: RadiusFamily(k=2, top=1.0, norm=name),
+        lambda: joint.support_norms(name),
+        lambda: joint.mean_gap(name),
+        lambda: subset_bound(joint, np.array([True, False]), name),
+        lambda: indicator_bound(dist, dist, [RadiusIndicator(1.0, kind)], name),
+    ):
+        with pytest.raises(InputError, match="NormKind.from_string"):
+            call()

@@ -14,7 +14,6 @@ from overlapbound import (
     JointSupport,
     NormKind,
     RadiusIndicator,
-    expectation,
     indicator_bound,
     overlap,
     subset_bound,
@@ -26,6 +25,7 @@ from oracles import (
     brute_overlap,
     brute_subset_variation,
     brute_total_variation,
+    expectation,
     per_call_subset_bound,
 )
 

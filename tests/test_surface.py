@@ -9,9 +9,9 @@ PUBLIC_NAMES = [
     "DimensionMismatchError", "DiscreteDistribution", "FittedScorer", "InputError",
     "JointSupport", "LabeledScores", "MetricUndefinedError", "NormKind", "RadiusFamily",
     "RadiusIndicator", "SampleSet", "ScoreRecord", "accuracy_ceiling", "aupr", "auroc",
-    "backdoor_ceiling", "compute_bound", "expectation", "fit",
+    "backdoor_ceiling", "compute_bound", "fit",
     "fixed_accuracy_rule", "indicator_bound", "iterative_scores_batch", "make_sample_set",
-    "mixture_overlap_bound", "norms", "overlap", "pooled_radius_family", "rate_gap_lower_bound",
+    "mixture_overlap_bound", "norms", "overlap", "pooled_radius_family",
     "roc_curve", "score", "simulate_accuracy", "subset_bound", "subset_variation", "sweep_sigma",
     "total_variation", "tpr_at_in_rate",
 ]
@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     names = overlapbound.__all__
-    assert names == PUBLIC_NAMES and len(names) == 40
+    assert names == PUBLIC_NAMES and len(names) == 38
     assert names == sorted(names) and len(set(names)) == len(names)
     for name in names:
         assert getattr(overlapbound, name) is not None
