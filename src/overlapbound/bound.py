@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    ConditionFunction,
     Conditions,
     InputError,
     RadiusFamily,
@@ -82,15 +81,19 @@ def _separation(region_radius, rate_gap, pool_radius):
     return sep
 
 
-def _acceptance(side: SampleSet, g: ConditionFunction) -> tuple[int, float]:
-    """How many samples of ``side`` a condition accepts, and the largest accepted
-    norm (0 if none). A radius indicator in the side's own norm reads both off
-    the sorted norms; any other condition is evaluated on the samples."""
-    if isinstance(g, RadiusIndicator) and g.norm is side.norm:
-        count, region = ball_stats(side.sorted_norms, g.radius)
-        return int(count), float(region)
-    accepted = np.asarray(g.evaluate_many(side.samples), dtype=bool)
-    return int(np.count_nonzero(accepted)), float(side.norms[accepted].max(initial=0.0))
+def _acceptance(side: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np.ndarray]:
+    """Per condition: how many samples of ``side`` it accepts, and the largest
+    accepted norm (0 if none). The radius indicators in the side's own norm
+    are read off the sorted norms in one ``ball_stats`` call; any other
+    condition is evaluated on the samples."""
+    counts, region = np.empty(len(conditions)), np.empty(len(conditions))
+    balls = np.array([isinstance(g, RadiusIndicator) and g.norm is side.norm for g in conditions])
+    radii = [g.radius for g, ball in zip(conditions, balls) if ball]
+    counts[balls], region[balls] = ball_stats(side.sorted_norms, radii)
+    for i in np.flatnonzero(~balls):
+        accepted = np.asarray(conditions[i].evaluate_many(side.samples), dtype=bool)
+        counts[i], region[i] = np.count_nonzero(accepted), side.norms[accepted].max(initial=0.0)
+    return counts, region
 
 
 def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> BoundReport:
@@ -112,8 +115,8 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     if not math.isfinite(mean_gap):
         raise InputError(f"the {pos.norm.value} gap between the sample means overflows float64")
 
-    pos_count, pos_region = np.array([_acceptance(pos, g) for g in conditions]).T
-    neg_count, neg_region = np.array([_acceptance(neg, g) for g in conditions]).T
+    pos_count, pos_region = _acceptance(pos, conditions)
+    neg_count, neg_region = _acceptance(neg, conditions)
     # the largest accepted pooled norm; an empty region has both rates 0
     region = np.maximum(pos_region, neg_region)
     pos_rate, neg_rate = pos_count / len(pos), neg_count / len(neg)

@@ -23,10 +23,14 @@ from .core import (
     InputError,
     NormKind,
     RadiusFamily,
+    SampleSet,
+    _requested_norm,
+    _require_finite,
+    _sample_rows,
+    _sample_statistics,
     ball_stats,
     clamp_unit,
     freeze,
-    make_sample_set,
     norms,
 )
 from .dataio import read_json
@@ -245,11 +249,17 @@ def fit(
 ) -> FittedScorer:
     """Cache the in-class statistics needed for constant-space scoring.
 
-    One pass over the data. ``radii`` overrides the default evenly spaced
-    family (j/k of the in-class max norm, j = 1..k); when given, k is its
-    length.
+    One pass over the data. A float64 array is read in place, not copied; a
+    SampleSet in the requested norm (``norm=None`` keeps its own) supplies its
+    cached statistics. ``radii`` overrides the default evenly spaced family
+    (j/k of the in-class max norm, j = 1..k); when given, k is its length.
     """
-    samples = make_sample_set(in_class, norm)
+    kind = _requested_norm(in_class, norm)
+    rows = _sample_rows(in_class)
+    if isinstance(in_class, SampleSet) and in_class.norm is kind:
+        ordered, max_norm, mean = in_class.sorted_norms, in_class.max_norm, in_class.mean
+    else:
+        _, ordered, max_norm, mean = _sample_statistics(rows, kind)
     if radii is not None:
         family = tuple(float(r) for r in radii)
         if len(family) == 0:
@@ -260,18 +270,18 @@ def fit(
             raise InputError("custom radii must be strictly increasing")
         k = len(family)
     else:
-        family = RadiusFamily(k=k, top=samples.max_norm, norm=samples.norm).radii
-    counts, region = ball_stats(samples.sorted_norms, family)
+        family = RadiusFamily(k=k, top=max_norm, norm=kind).radii
+    counts, region = ball_stats(ordered, family)
     return FittedScorer(
-        norm=samples.norm,
-        dimension=samples.dimension,
+        norm=kind,
+        dimension=rows.shape[1],
         k=k,
-        mean=samples.mean,
-        fit_radius=samples.max_norm,
+        mean=mean,
+        fit_radius=max_norm,
         radii=family,
-        accept_rates=tuple((counts / len(samples)).tolist()),
+        accept_rates=tuple((counts / rows.shape[0]).tolist()),
         region_radii=tuple(region.tolist()),
-        degenerate=samples.max_norm == 0.0,
+        degenerate=max_norm == 0.0,
     )
 
 
@@ -308,14 +318,15 @@ def iterative_scores_batch(
     result equals the pooled bound between each query's score and the
     samples' scores.
     """
-    samples = make_sample_set(in_class, scorer.norm)
-    if samples.dimension != scorer.dimension:
+    rows = _sample_rows(in_class)
+    _require_finite(rows)
+    if rows.shape[1] != scorer.dimension:
         raise DimensionMismatchError(
-            f"fit set has dimension {samples.dimension}, scorer expects {scorer.dimension}"
+            f"fit set has dimension {rows.shape[1]}, scorer expects {scorer.dimension}"
         )
     k2 = scorer.k if k2 is None else k2
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
-    second = fit(scorer.clamped_scores(samples.samples), norm=NormKind.L2,
+    second = fit(scorer.clamped_scores(rows), norm=NormKind.L2,
                  radii=[j / k2 for j in range(1, k2 + 1)])
     return second.raw_scores(scorer.clamped_scores(queries))

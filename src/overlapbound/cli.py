@@ -80,14 +80,14 @@ def cmd_bound(args) -> None:
 
 def cmd_fit(args) -> None:
     norm = NormKind.from_string(args.norm)
-    samples = dataio.read_samples(args.data, norm)
-    scorer = classifier.fit(samples, k=args.k)
+    samples = dataio._read_finite_samples(args.data)
+    scorer = classifier.fit(samples, k=args.k, norm=norm)
     scorer.save(args.out)
     _emit(
         {
             "model": args.out,
-            "n_samples": len(samples),
-            "dimension": samples.dimension,
+            "n_samples": samples.shape[0],
+            "dimension": scorer.dimension,
             "k": scorer.k,
             "norm": scorer.norm.value,
             "fit_radius": scorer.fit_radius,

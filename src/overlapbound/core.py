@@ -179,6 +179,61 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
     return exact_column_sums(a) / a.shape[0]
 
 
+def _sample_rows(samples) -> np.ndarray:
+    """A SampleSet's samples, or array-like data as a nonempty (n, d) float64
+    array with 1-D data as one column.
+
+    A float64 array is used in place, except a view with a zero stride (as
+    ``np.broadcast_to`` makes): numpy sums its rows in another order than those
+    of an array holding the same values, so such a view is copied.
+    """
+    if isinstance(samples, SampleSet):
+        return samples.samples
+    a = np.asarray(samples, dtype=np.float64)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
+        raise InputError(f"expected a nonempty (n, d) sample array, got shape {a.shape}")
+    return np.array(a) if 0 in a.strides else a
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise InputError("sample array has non-finite entries")
+
+
+def _sample_statistics(a: np.ndarray, kind: NormKind):
+    """Per-row norms, sorted norms, max norm and exact mean of a ``_sample_rows`` array.
+
+    One pass over blocks of about ``_BLOCK_ELEMENTS`` values checks that the
+    entries are finite and fills the norms, and ``exact_mean`` walks the rows
+    in blocks too, so no temporary grows with the array: the extra memory is
+    two n-vectors plus fixed block scratch. Raises InputError for non-finite
+    entries, then for a norm that overflows float64.
+    """
+    if not isinstance(kind, NormKind):  # non-finite entries are reported first
+        _require_finite(a)
+        raise _not_a_norm(kind)
+    n, d = a.shape
+    rows = max(2, _BLOCK_ELEMENTS // d)
+    per_row = np.empty(n)
+    lo = 0
+    with np.errstate(over="ignore"):
+        while lo < n:
+            # No one-row blocks: numpy can sum a lone row of a column-major
+            # array in another order than it sums that row among others.
+            hi = n if n - lo <= rows + 1 else lo + rows
+            block = a[lo:hi]
+            _require_finite(block)
+            per_row[lo:hi] = norms(block, kind)
+            lo = hi
+    ordered = np.sort(per_row)
+    max_norm = float(ordered[-1])
+    if not math.isfinite(max_norm):
+        raise InputError(f"sample {kind.value} norms overflow float64")
+    return per_row, ordered, max_norm, exact_mean(a)
+
+
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
     """Per closed ball of radius r: how many norms are <= r, and the largest
     of them (0 when there are none).
@@ -195,9 +250,10 @@ def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]
 class SampleSet:
     """A nonempty batch of same-dimension vectors plus the norm that scores them.
 
-    Per-sample norms (also kept sorted, for ``ball_stats``), the pooled max
-    norm, and the empirical mean are computed once at construction. ``norm``
-    must be a NormKind (``norms`` rejects anything else).
+    Holds one copy of the samples. Per-sample norms (also kept sorted, for
+    ``ball_stats``), the pooled max norm, and the empirical mean are computed
+    once at construction. ``norm`` must be a NormKind (``norms`` rejects
+    anything else).
     """
 
     samples: np.ndarray
@@ -208,21 +264,10 @@ class SampleSet:
     mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.array(self.samples, dtype=np.float64, copy=True)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1)
-        if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-            raise InputError(f"expected a nonempty (n, d) sample array, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise InputError("sample array has non-finite entries")
-        with np.errstate(over="ignore"):
-            per_sample = norms(a, self.norm)
-        ordered = np.sort(per_sample)
-        max_norm = float(ordered[-1])
-        if not math.isfinite(max_norm):
-            raise InputError(f"sample {self.norm.value} norms overflow float64")
+        a = _sample_rows(np.array(self.samples, dtype=np.float64, copy=True))
+        per_sample, ordered, max_norm, mean = _sample_statistics(a, self.norm)
         freeze(self, samples=a, norms=per_sample, sorted_norms=ordered, max_norm=max_norm,
-               mean=exact_mean(a))
+               mean=mean)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -295,21 +340,23 @@ class RadiusFamily:
         return tuple(RadiusIndicator(r, self.norm) for r in self.radii)
 
 
+def _requested_norm(samples, norm: NormKind | str | None) -> NormKind:
+    """``norm`` as a NormKind; None means a SampleSet's own norm, else L2."""
+    if norm is None:
+        return samples.norm if isinstance(samples, SampleSet) else NormKind.L2
+    return norm if isinstance(norm, NormKind) else NormKind.from_string(str(norm))
+
+
 def make_sample_set(samples, norm: NormKind | str | None = None) -> SampleSet:
     """Convenience constructor accepting raw arrays, lists of rows, or 1-D data.
 
     ``norm=None`` keeps an existing SampleSet's norm and defaults raw data to
     L2; passing a norm rebuilds a mismatched SampleSet under that norm.
     """
-    if norm is None:
-        if isinstance(samples, SampleSet):
-            return samples
-        kind = NormKind.L2
-    else:
-        kind = norm if isinstance(norm, NormKind) else NormKind.from_string(str(norm))
+    kind = _requested_norm(samples, norm)
     if isinstance(samples, SampleSet):
         return samples if samples.norm is kind else SampleSet(samples.samples, kind)
-    return SampleSet(np.asarray(samples, dtype=np.float64), kind)
+    return SampleSet(samples, kind)
 
 
 def clamp_unit(x: float) -> float:

@@ -116,11 +116,16 @@ def read_sample_array(path) -> np.ndarray:
     return _parse_csv_rows(path)
 
 
-def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
+def _read_finite_samples(path) -> np.ndarray:
+    """``read_sample_array``, refusing non-finite values."""
     array = read_sample_array(path)
     if not np.isfinite(array).all():
         raise InputError(f"{path}: non-finite sample values")
-    return SampleSet(array, norm)
+    return array
+
+
+def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
+    return SampleSet(_read_finite_samples(path), norm)
 
 
 def _binary_labels(column: np.ndarray, path) -> np.ndarray:

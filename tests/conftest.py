@@ -108,3 +108,28 @@ def radii_on_norms(data, *sample_sets) -> list[float]:
     exact = sorted({v for ss in sample_sets for v in ss.norms.tolist()})
     values = data.draw(st.lists(st.sampled_from(exact) | st.floats(0.0, 8.0), min_size=1, max_size=8))
     return sorted(set(values))
+
+
+# The same values laid out as numpy lays out real inputs; "broadcast" repeats row 0.
+_LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "row-strided": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "column-strided": lambda a: np.repeat(a, 3, axis=1)[:, ::3],
+    "reversed-F": lambda a: np.asfortranarray(a[::-1, ::-1])[::-1, ::-1],
+    "broadcast": lambda a: np.broadcast_to(a[0], a.shape),
+}
+
+
+@st.composite
+def laid_out_samples(draw):
+    """Up to 40 x 16 arrays in one of ``_LAYOUTS``, entries from 1e-100 to
+    1e100 in size, with zero rows, repeated rows, or all rows at the origin."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 100))  # small spreads make summation order show
+    a = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(-spread, spread, size=(n, d))
+    a[rng.random(n) < draw(st.floats(0, 1))] = 0.0
+    if draw(st.booleans()):
+        a = a[rng.integers(0, n, size=n)]
+    return _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](a)

@@ -285,3 +285,17 @@ def test_ball_statistics_equal_mask_loop(data, rows, kind):
         assert c.region_radius == region[i]
         gap = rate_gap_lower_bound(pos, neg, RadiusIndicator(radii[i], kind))
         assert gap == 0.5 * abs(pos_counts[i] / len(pos) - neg_counts[i] / len(neg))
+
+
+@given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS))
+@settings(max_examples=100, deadline=None)
+def test_interleaved_conditions_equal_one_at_a_time(data, rows, kind):
+    # balls in the sets' own norm share one ball_stats call, the others are
+    # evaluated on the samples; each report row must be that condition alone
+    pos = SampleSet(rows, kind)
+    neg = SampleSet(data.draw(repeated_rows(rows.shape[1])), kind)
+    balls = [RadiusIndicator(r, data.draw(st.sampled_from(ALL_NORMS)))
+             for r in radii_on_norms(data, pos, neg)]
+    report = compute_bound(pos, neg, balls)
+    for stat, g in zip(report.conditions, balls):
+        assert stat == compute_bound(pos, neg, [g]).conditions[0]

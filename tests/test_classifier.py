@@ -19,7 +19,7 @@ from overlapbound import (
     make_sample_set,
     score,
 )
-from conftest import ALL_NORMS, radii_on_norms, repeated_rows
+from conftest import ALL_NORMS, laid_out_samples, radii_on_norms, repeated_rows
 from oracles import (
     ball_conditions,
     brute_bound,
@@ -188,6 +188,42 @@ def test_iterative_batch_matches_scalar(rng):
     batch = iterative_scores_batch(s, X, queries, k2=7)
     for i, row in enumerate(queries):
         assert batch[i] == iterative_scores_batch(s, X, row[None], k2=7)[0]
+
+
+@pytest.mark.parametrize(
+    "fit_data, error, message",
+    [
+        ([1.0, 2.0, 3.0], DimensionMismatchError, "fit set has dimension 1, scorer expects 3"),
+        (np.ones((4, 2)), DimensionMismatchError, "fit set has dimension 2, scorer expects 3"),
+        (np.empty((0, 3)), InputError, r"nonempty \(n, d\) sample array, got shape \(0, 3\)"),
+        ([], InputError, r"nonempty \(n, d\) sample array, got shape \(0, 1\)"),
+        ([[1.0, np.nan, 2.0], [1.0, 1.0, 1.0]], InputError, "sample array has non-finite entries"),
+        ([[1.0, 2.0], [np.inf, 1.0]], InputError, "sample array has non-finite entries"),
+    ],
+)
+def test_iterative_fit_data_errors(fit_data, error, message):
+    s = fit([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0]], k=3)
+    with pytest.raises(error, match=message):
+        iterative_scores_batch(s, fit_data, [[1.0, 1.0, 1.0]])
+
+
+def test_iterative_1d_fit_data_is_a_column():
+    s = fit([[0.2], [1.0], [0.7]], k=3)
+    queries = [[0.5], [2.0]]
+    assert np.array_equal(iterative_scores_batch(s, [0.2, 1.0, 0.7], queries),
+                          iterative_scores_batch(s, [[0.2], [1.0], [0.7]], queries))
+
+
+@given(laid_out_samples(), st.sampled_from(ALL_NORMS), st.integers(1, 8), st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_iterative_scores_equal_for_every_layout_and_a_sample_set(rows, kind, k, k2):
+    # the fit data is read in place; the result is that of a copy, and of a SampleSet
+    s = fit(rows, k=k, norm=kind)
+    queries = np.array(rows)[::-1] * 1.5
+    want = iterative_scores_batch(s, np.array(rows), queries, k2=k2)
+    assert want.tobytes() == iterative_scores_batch(s, rows, queries, k2=k2).tobytes()
+    got = iterative_scores_batch(s, SampleSet(rows, kind), queries, k2=k2)
+    assert want.tobytes() == got.tobytes()
 
 
 def test_model_json_round_trip(tmp_path, rng):

@@ -165,6 +165,33 @@ def test_iterative_needs_fit_data(tmp_path, capsys):
     assert "--fit-data" in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,2\ninf,1\n", "bad.csv: non-finite sample values"),
+    ("1e200,1\n1,2\n", "sample l2 norms overflow float64"),
+])
+def test_iterative_bad_fit_data_exit_2(tmp_path, capsys, rows, message):
+    train, bad, model = tmp_path / "train.csv", tmp_path / "bad.csv", tmp_path / "model.json"
+    write_csv(train, [[0.2, 1.0], [1.0, 0.5]])
+    bad.write_text(rows)
+    run_cli(capsys, "fit", str(train), "--out", str(model))
+    code, _, err = run_cli(capsys, "score", str(model), str(train), "--iterative",
+                           "--fit-data", str(bad))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_fit_from_binary_file_equals_in_process_fit(tmp_path, capsys, rng, norm):
+    data, model = tmp_path / "fit.ovlb", tmp_path / "model.json"
+    array = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-3, 3, size=(300, 1))
+    write_samples_binary(data, array)
+    code, out, _ = run_cli(capsys, "fit", str(data), "--k", "7", "--norm", norm, "--out", str(model))
+    assert code == 0
+    assert model.read_text() == fit(array, k=7, norm=norm).to_json_text() + "\n"
+    doc = json.loads(out)
+    assert (doc["n_samples"], doc["dimension"], doc["norm"]) == (300, 5, norm)
+
+
 def test_iterative_adds_column(tmp_path, capsys, rng):
     train = tmp_path / "train.csv"
     write_csv(train, rng.normal(size=(20, 2)).tolist())
@@ -381,6 +408,7 @@ def test_console_script_runs():
         ("1e308,1\n1e308,2\n", "l2", "norms overflow"),
         ("1e200,1\n1e200,2\n", "l2", "norms overflow"),
         ("1e308,1\n1e308,2\n", "l1", "column 0 overflows"),
+        ("1,2\nnan,1\n", "l2", "big.csv: non-finite sample values"),
     ],
 )
 def test_fit_overflow_exit_2_without_traceback(tmp_path, rows, norm, message):

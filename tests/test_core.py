@@ -22,7 +22,7 @@ from overlapbound import (
     norms,
     subset_bound,
 )
-from conftest import ALL_NORMS
+from conftest import ALL_NORMS, laid_out_samples
 from oracles import norm_of
 
 # coordinate magnitudes stay above the range where squaring underflows to 0
@@ -312,3 +312,65 @@ def test_a_norm_name_is_converted_or_refused_never_read_as_linf(rows, name):
     ):
         with pytest.raises(InputError, match="NormKind.from_string"):
             call()
+
+
+@given(laid_out_samples(), st.sampled_from(ALL_NORMS), st.integers(1, 64))
+@example(np.broadcast_to(np.arange(1.0, 10.0) / 7.0, (5, 9)), NormKind.L2, 64)
+@settings(max_examples=300, deadline=None)
+def test_blockwise_statistics_equal_one_shot_bitwise(a, kind, block_elements):
+    # blocks of a few rows, so rows cross block boundaries; the one-shot
+    # expressions run on a copy, as a SampleSet holds one
+    copy = np.array(a)
+    want_norms = norms(copy, kind)
+    want_sorted = np.sort(want_norms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+        ss = SampleSet(a, kind)
+        fitted = fit(a, k=5, norm=kind)
+    assert_same_bits(ss.norms, want_norms)
+    assert_same_bits(ss.sorted_norms, want_sorted)
+    assert ss.max_norm == float(want_sorted[-1]) == fitted.fit_radius
+    assert_same_bits(ss.mean, fsum_columns(copy) / len(copy))
+    assert_same_bits(fitted.mean, ss.mean)
+    assert fitted.to_json_text() == fit(ss, k=5).to_json_text()
+
+
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_non_finite_and_overflow_are_told_apart(kind):
+    inf_row = np.array([[np.inf, 1.0]])
+    for build in (lambda a: SampleSet(a, kind), lambda a: fit(a, norm=kind)):
+        with pytest.raises(InputError, match="sample array has non-finite entries"):
+            build(inf_row)
+    huge_row = np.array([[1e200, 1.0]])
+    for build in (lambda a: SampleSet(a, NormKind.L2), lambda a: fit(a, norm="l2")):
+        with pytest.raises(InputError, match="sample l2 norms overflow float64"):
+            build(huge_row)
+
+
+def test_non_finite_entries_are_reported_before_a_bad_norm(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)
+    a = np.ones((10, 2))
+    a[-1, 0] = np.nan  # in the last block
+    with pytest.raises(InputError, match="non-finite entries"):
+        SampleSet(a, "l2")
+    with pytest.raises(InputError, match="NormKind.from_string"):
+        SampleSet(np.ones((10, 2)), "l2")
+
+
+def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1 << 12)
+    a = np.random.default_rng(5).standard_normal((20000, 64))
+    peaks = {}
+    for name, build in (("fit", lambda: fit(a, k=50)), ("make_sample_set", lambda: make_sample_set(a))):
+        tracemalloc.start()
+        try:
+            built = build()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / a.nbytes
+        finally:
+            tracemalloc.stop()
+        del built
+    # fit keeps two n-vectors of norms and block scratch; a SampleSet adds its copy
+    assert peaks["fit"] <= 0.1, peaks
+    assert peaks["make_sample_set"] <= 1.1, peaks
