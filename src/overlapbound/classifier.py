@@ -316,7 +316,8 @@ def iterative_scores_batch(
     |s| <= j/k2, then scores the queries' scores. Clamped scores are
     nonnegative, so those balls are the predicates score <= j/k2, and the
     result equals the pooled bound between each query's score and the
-    samples' scores.
+    samples' scores. Fit rows whose norms overflow float64 are an
+    InputError, "sample <norm> norms overflow float64".
     """
     rows = _sample_rows(in_class)
     _require_finite(rows)
@@ -327,6 +328,12 @@ def iterative_scores_batch(
     k2 = scorer.k if k2 is None else k2
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
-    second = fit(scorer.clamped_scores(rows), norm=NormKind.L2,
-                 radii=[j / k2 for j in range(1, k2 + 1)])
+    try:
+        first = scorer.clamped_scores(rows)
+    except InputError:  # the rows are finite, so a norm or a gap to the mean overflows
+        with np.errstate(over="ignore"):
+            if np.isinf(norms(rows, scorer.norm)).any():
+                raise InputError(f"sample {scorer.norm.value} norms overflow float64") from None
+        raise
+    second = fit(first, norm=NormKind.L2, radii=[j / k2 for j in range(1, k2 + 1)])
     return second.raw_scores(scorer.clamped_scores(queries))

@@ -1,8 +1,9 @@
 """Command-line front end: bound, fit, score, classify, shift, eval, oracle.
 
 All structured output is JSON on stdout or --out; score/classify also write
-a per-query CSV. Exit codes: 0 success, 2 input or parse error, 3 dimension
-or contract violation, 4 metric undefined on the given data.
+a per-query CSV. Exit codes: 0 success, 2 input or parse error (or an input
+that asks for more memory than can be allocated), 3 dimension or contract
+violation, 4 metric undefined on the given data.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .core import (
 )
 
 # Exit code per error type, matched in order; any other exception propagates.
-EXIT_CODES = {InputError: 2, OSError: 2, DimensionMismatchError: 3, DegenerateDomainError: 3,
-              MetricUndefinedError: 4}
+EXIT_CODES = {InputError: 2, OSError: 2, MemoryError: 2, DimensionMismatchError: 3,
+              DegenerateDomainError: 3, MetricUndefinedError: 4}
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -128,8 +129,8 @@ def _score_command(args) -> None:
     if args.iterative:
         if not args.fit_data:
             raise InputError("--iterative needs --fit-data (the model stores no samples)")
-        fit_set = dataio.read_samples(args.fit_data, scorer.norm)
-        columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_set, queries, k2=args.k2)
+        fit_rows = dataio._read_finite_samples(args.fit_data)
+        columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_rows, queries, k2=args.k2)
     if threshold is not None:
         decide_on = columns.get("iterative", raw).tolist()
         columns["verdict"] = ["in" if s >= threshold else "out" for s in decide_on]

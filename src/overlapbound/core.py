@@ -54,12 +54,14 @@ def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
     a = np.asarray(points, dtype=np.float64)
     if a.ndim != 2:
         raise InputError(f"expected a 2-D array of row vectors, got shape {a.shape}")
+    # The temporaries are in C order, so numpy sums every row in one order
+    # whatever the layout of the array it came from.
     if kind is NormKind.L1:
-        return np.abs(a).sum(axis=1)
+        return np.abs(a, order="C").sum(axis=1)
     if kind is NormKind.L2:
-        return np.sqrt((a * a).sum(axis=1))
+        return np.sqrt(np.multiply(a, a, order="C").sum(axis=1))
     if kind is NormKind.LINF:
-        return np.abs(a).max(axis=1)
+        return np.abs(a, order="C").max(axis=1)
     raise _not_a_norm(kind)
 
 
@@ -114,13 +116,6 @@ def exact_column_sums(points: np.ndarray) -> np.ndarray:
     for start in range(0, n, rows):
         mant, exps = np.frexp(a[start:start + rows])
         lo, hi = int(exps.min()), int(exps.max())
-        # frexp gives zeros exponent 0; keep them from widening the span
-        if (lo == 0 or hi == 0) and not mant.all():
-            nonzero = mant != 0
-            if not nonzero.any():
-                continue
-            lo, hi = int(exps[nonzero].min()), int(exps[nonzero].max())
-            exps[~nonzero] = lo
         span = hi - lo + 1
         keys = exps.astype(np.intp)
         keys -= lo
@@ -181,12 +176,7 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
 
 def _sample_rows(samples) -> np.ndarray:
     """A SampleSet's samples, or array-like data as a nonempty (n, d) float64
-    array with 1-D data as one column.
-
-    A float64 array is used in place, except a view with a zero stride (as
-    ``np.broadcast_to`` makes): numpy sums its rows in another order than those
-    of an array holding the same values, so such a view is copied.
-    """
+    array with 1-D data as one column. A float64 array is used in place."""
     if isinstance(samples, SampleSet):
         return samples.samples
     a = np.asarray(samples, dtype=np.float64)
@@ -194,12 +184,13 @@ def _sample_rows(samples) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise InputError(f"expected a nonempty (n, d) sample array, got shape {a.shape}")
-    return np.array(a) if 0 in a.strides else a
+    return a
 
 
-def _require_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise InputError("sample array has non-finite entries")
+def _require_finite(a: np.ndarray, message: str = "sample array has non-finite entries") -> None:
+    # NaN propagates through min and max, so a nonempty array needs no n×d temporary
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise InputError(message)
 
 
 def _sample_statistics(a: np.ndarray, kind: NormKind):
@@ -215,18 +206,13 @@ def _sample_statistics(a: np.ndarray, kind: NormKind):
         _require_finite(a)
         raise _not_a_norm(kind)
     n, d = a.shape
-    rows = max(2, _BLOCK_ELEMENTS // d)
+    rows = max(1, _BLOCK_ELEMENTS // d)
     per_row = np.empty(n)
-    lo = 0
     with np.errstate(over="ignore"):
-        while lo < n:
-            # No one-row blocks: numpy can sum a lone row of a column-major
-            # array in another order than it sums that row among others.
-            hi = n if n - lo <= rows + 1 else lo + rows
-            block = a[lo:hi]
+        for lo in range(0, n, rows):
+            block = a[lo:lo + rows]
             _require_finite(block)
-            per_row[lo:hi] = norms(block, kind)
-            lo = hi
+            per_row[lo:lo + rows] = norms(block, kind)
     ordered = np.sort(per_row)
     max_norm = float(ordered[-1])
     if not math.isfinite(max_norm):

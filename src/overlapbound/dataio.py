@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .core import InputError, NormKind, SampleSet
+from .core import InputError, NormKind, SampleSet, _require_finite
 
 BINARY_MAGIC = b"OVLB"
 BINARY_VERSION = 1
@@ -119,8 +119,7 @@ def read_sample_array(path) -> np.ndarray:
 def _read_finite_samples(path) -> np.ndarray:
     """``read_sample_array``, refusing non-finite values."""
     array = read_sample_array(path)
-    if not np.isfinite(array).all():
-        raise InputError(f"{path}: non-finite sample values")
+    _require_finite(array, f"{path}: non-finite sample values")
     return array
 
 

@@ -207,6 +207,18 @@ def test_iterative_fit_data_errors(fit_data, error, message):
         iterative_scores_batch(s, fit_data, [[1.0, 1.0, 1.0]])
 
 
+@pytest.mark.parametrize("kind, fitted, rows, message", [
+    (NormKind.L2, [[1.0, 0.0]], [[1e200, 1.0], [1.0, 2.0]], "sample l2 norms overflow float64"),
+    (NormKind.L1, [[1.0, 0.0]], [[1e308, 1e308]], "sample l1 norms overflow float64"),
+    # the norm fits and the gap to the mean does not: the first pass names the query
+    (NormKind.LINF, [[-1.5e308, 0.0]], [[1.5e308, 0.0]], "query linf norms overflow float64"),
+])
+def test_iterative_fit_rows_that_overflow(kind, fitted, rows, message):
+    s = fit(fitted, k=3, norm=kind)
+    with pytest.raises(InputError, match=message):
+        iterative_scores_batch(s, rows, [[1.0, 1.0]])
+
+
 def test_iterative_1d_fit_data_is_a_column():
     s = fit([[0.2], [1.0], [0.7]], k=3)
     queries = [[0.5], [2.0]]
@@ -412,3 +424,20 @@ def test_query_norm_overflow_is_input_error():
         far = fit([[-1e154, 0.0], [-1e154, 1.0]], k=2)
         with pytest.raises(InputError, match="norms overflow"):
             far.raw_scores([[1e154, 0.0]])
+
+
+@given(laid_out_samples(), st.sampled_from(ALL_NORMS))
+@settings(max_examples=300, deadline=None)
+def test_statistics_models_and_scores_depend_only_on_values(a, kind):
+    # every result for a layout is bitwise that of the C-order copy, with the
+    # layout applied to the fit rows and to the queries alike
+    queries = a[::-1]
+    c, c_queries = np.ascontiguousarray(a), np.ascontiguousarray(queries)
+    assert SampleSet(a, kind).norms.tobytes() == SampleSet(c, kind).norms.tobytes()
+    s = fit(c, k=5, norm=kind)
+    assert fit(a, k=5, norm=kind).to_json_text() == s.to_json_text()
+    want = s.raw_scores(c_queries)
+    assert s.raw_scores(queries).tobytes() == want.tobytes()
+    assert np.array([score(s, row).score for row in queries]).tobytes() == want.tobytes()
+    assert (iterative_scores_batch(s, a, queries, k2=7).tobytes()
+            == iterative_scores_batch(s, c, c_queries, k2=7).tobytes())

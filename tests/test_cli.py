@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from overlapbound import fit
+from overlapbound import SampleSet, fit
 from overlapbound.cli import main
 from overlapbound.dataio import write_samples_binary
 
@@ -178,6 +178,30 @@ def test_iterative_bad_fit_data_exit_2(tmp_path, capsys, rows, message):
                            "--fit-data", str(bad))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_iterative_reads_fit_data_without_a_sample_set(tmp_path, capsys, monkeypatch, rng):
+    data, model = tmp_path / "fit.csv", tmp_path / "model.json"
+    rows = rng.normal(size=(30, 3))
+    write_csv(data, rows.tolist())
+    run_cli(capsys, "fit", str(data), "--k", "5", "--out", str(model))
+    calls = []
+    original = SampleSet.__post_init__
+    monkeypatch.setattr(SampleSet, "__post_init__", lambda self: calls.append(self) or original(self))
+    code, out, _ = run_cli(capsys, "score", str(model), str(data), "--iterative",
+                           "--fit-data", str(data))
+    assert code == 0 and calls == []
+    SampleSet(rows)  # the counter sees a SampleSet that is built
+    assert len(calls) == 1
+
+
+def test_shift_simulate_beyond_memory_exit_2(capsys, worked_files):
+    # numpy refuses the 7 PiB request before it touches any memory
+    clean, poisoned = worked_files
+    code, out, err = run_cli(capsys, "shift", "--clean", str(clean), "--poisoned", str(poisoned),
+                             "--p", "0.9", "--simulate", "1000000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])

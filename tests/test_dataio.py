@@ -3,6 +3,7 @@ import pytest
 
 from overlapbound import InputError, NormKind
 from overlapbound.dataio import (
+    _read_finite_samples,
     read_sample_array,
     read_samples,
     read_scores_and_labels,
@@ -95,3 +96,23 @@ def test_scores_and_labels_two_files(tmp_path):
     l.write_text("1\n0\n")
     with pytest.raises(InputError, match="rows"):
         read_scores_and_labels(s, l)
+
+
+def test_reading_and_checking_an_ovlb_file_makes_no_temporary(tmp_path, rng):
+    import tracemalloc
+
+    path = tmp_path / "data.ovlb"
+    a = rng.normal(size=(20000, 32))
+    write_samples_binary(path, a)
+    tracemalloc.start()
+    try:
+        got = _read_finite_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == a.tobytes()
+    assert peak <= 1.01 * a.nbytes, peak / a.nbytes
+    a[123, 4] = np.nan
+    write_samples_binary(path, a)
+    with pytest.raises(InputError, match="data.ovlb: non-finite sample values"):
+        _read_finite_samples(path)
