@@ -70,15 +70,8 @@ def _closed_form(mean_gap, pool_radius, best_separation, sigma=0.0):
 
 
 def _separation(region_radius, rate_gap, pool_radius):
-    """Per condition: (1 - region_radius/pool_radius) * |rate gap|.
-
-    Works in place, as raw_scores calls it per block of queries: the result
-    overwrites the ``region_radius`` array, and ``rate_gap`` is overwritten too.
-    """
-    sep = np.divide(region_radius, pool_radius, out=region_radius)
-    np.subtract(1.0, sep, out=sep)
-    sep *= np.abs(rate_gap, out=rate_gap)
-    return sep
+    """Per condition: (1 - region_radius/pool_radius) * |rate gap|."""
+    return (1.0 - region_radius / pool_radius) * np.abs(rate_gap)
 
 
 def _acceptance(side: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +117,7 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
         # Every sample sits at the origin: both sets are the same point mass.
         separation, raw = np.zeros(len(conditions)), 1.0
     else:
-        separation = _separation(region.copy(), pos_rate - neg_rate, pool_radius)
+        separation = _separation(region, pos_rate - neg_rate, pool_radius)
         raw = float(_closed_form(mean_gap, pool_radius, separation.max()))
     params = [g.radius if isinstance(g, RadiusIndicator) else math.nan for g in conditions]
     columns = zip(params, region.tolist(), pos_rate.tolist(), neg_rate.tolist(), separation.tolist())

@@ -3,10 +3,11 @@
 Fitting stores the in-class mean plus, for each of k nested balls, the
 in-class acceptance rate and in-ball max norm. That is the whole model:
 its size does not depend on how many samples were fitted, and scoring a
-query costs one mean-gap norm plus k scalar updates. The cached path is an
-exact refactoring of running the pooled bound against the query singleton,
-not an approximation, and tests pin the two paths together. The iterative
-second pass is a second fitted scorer, over first-pass scores.
+query within the fit ball costs one mean-gap norm plus one binary search over
+the k radii. The cached path is an exact refactoring of running the pooled
+bound against the query singleton, not an approximation, and tests pin the
+two paths together. The iterative second pass is a second fitted scorer, over
+first-pass scores.
 """
 
 from __future__ import annotations
@@ -84,6 +85,28 @@ def _model_value(attr: str, value, fields: dict):
     return values[0] if attr == "fit_radius" else values
 
 
+def _broken_rule(scorer, radii, rates, region) -> str | None:
+    """The first rule of every fitted model that a scorer's fields break, if any.
+
+    raw_scores relies on them: it binary-searches the radii and takes the
+    separation's maximum over the balls holding a query at the first of them.
+    """
+    top = scorer.fit_radius
+    if not len(radii) == len(rates) == len(region) == scorer.k >= 1:
+        return "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"
+    if not np.all(radii[1:] >= radii[:-1]):
+        return "'radii' must be nondecreasing"
+    if not np.all(region <= np.minimum(radii, top)):
+        return "each 'gMaxNorms' entry must be <= its radius and <= 'rFit'"
+    if not (np.all(rates[1:] >= rates[:-1]) and np.all(region[1:] >= region[:-1])):
+        return "'gMeans' and 'gMaxNorms' must be nondecreasing"
+    if not np.all((rates >= 0.0) & (rates <= 1.0)):
+        return "'gMeans' must lie in [0, 1]"
+    if scorer.degenerate != (top == 0.0):
+        return "'degenerate' must be true exactly when 'rFit' is 0"
+    return None
+
+
 @dataclass(frozen=True)
 class ScoreRecord:
     """One query's confidence score, its [0, 1] clamp, and optional verdict."""
@@ -113,19 +136,32 @@ class FittedScorer:
     degenerate: bool
 
     def __post_init__(self) -> None:
-        # The mean and the k-vectors as read-only arrays, built once so that
-        # raw_scores converts nothing per call.
-        freeze(self, mean=np.array(self.mean, dtype=np.float64),
-               _radii=np.array(self.radii, dtype=np.float64),
-               _rates=np.array(self.accept_rates, dtype=np.float64),
-               _region=np.array(self.region_radii, dtype=np.float64))
+        radii, rates, region = (np.array(v, dtype=np.float64)
+                                for v in (self.radii, self.accept_rates, self.region_radii))
+        rule = _broken_rule(self, radii, rates, region)
+        if rule is not None:
+            raise InputError(f"model fields are inconsistent: {rule}")
+        # Per j, the separation of a query outside ball j whose pool is rFit;
+        # rFit = 0 divides by zero, but such a pool scores 1 regardless.
+        with np.errstate(all="ignore"):
+            outside = _separation(region, 0.0 - rates, self.fit_radius)
+        # Read-only arrays built once, so that raw_scores converts nothing per
+        # call. Index J of the k + 1 vectors serves a query inside balls J..k-1:
+        # the best separation of the balls before J, and ball J's region radius
+        # and |1 - rate| (0 past the last ball).
+        freeze(self, mean=np.array(self.mean, dtype=np.float64), _radii=radii,
+               _rates=rates, _region=region,
+               _outside_best=np.maximum.accumulate(np.append(-np.inf, outside)),
+               _first_region=np.append(region, 0.0),
+               _first_gap=np.append(np.abs(1.0 - rates), 0.0))
 
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.
 
         The one copy of the scorer's formula: ``score`` and the iterative
-        pass both call it. Raises InputError when a query's norm or
-        its gap to the mean overflows float64.
+        pass both call it. A query within the fit ball costs a binary search
+        over the radii, whatever k is. Raises InputError when a query's norm
+        or its gap to the mean overflows float64.
         """
         queries = np.asarray(points, dtype=np.float64)
         if queries.ndim == 1:
@@ -144,14 +180,26 @@ class FittedScorer:
                 qn = norms(block, self.norm)
                 gaps = norms(block - self.mean, self.norm)
                 pool = np.maximum(qn, self.fit_radius)
-                col = qn[:, None]
-                inside = col <= self._radii
-                # Pooled in-ball max norm: the cached value, or the query norm
-                # if the query joined the ball.
-                region = col * inside
-                np.maximum(region, self._region, out=region)
-                sep = _separation(region, inside - self._rates, pool[:, None])
-                raw = _closed_form(gaps, pool, sep.max(axis=1))
+                # Ball j holds the query iff j >= first. Over those balls the
+                # pooled region radius max(qn, gMaxNorms_j) never decreases
+                # and the rate gap 1 - gMeans_j never increases, so both
+                # nonnegative factors of the separation never increase
+                # (rounding is monotone) and ball `first` holds their maximum.
+                # The balls before it give the precomputed prefix maximum
+                # while the pool is rFit.
+                first = np.searchsorted(self._radii, qn)
+                best = np.maximum(self._outside_best[first], _separation(
+                    np.maximum(qn, self._first_region[first]), self._first_gap[first], pool))
+                if qn.max() > self.fit_radius:
+                    # The pool is the query's own norm: weigh every ball.
+                    far = np.flatnonzero(qn > self.fit_radius)
+                    col = qn[far, None]
+                    inside = col <= self._radii
+                    # Pooled in-ball max norm: the cached value, or the query
+                    # norm if the query joined the ball.
+                    region = np.maximum(col * inside, self._region)
+                    best[far] = _separation(region, inside - self._rates, col).max(axis=1)
+                raw = _closed_form(gaps, pool, best)
             if self.fit_radius == 0.0:
                 # An all-origin pool means both sides are the same point mass.
                 raw[pool == 0.0] = 1.0
@@ -223,18 +271,10 @@ class FittedScorer:
                 fields[attr] = value
         if "radii" not in fields:
             fields["radii"] = RadiusFamily(k=fields["k"], top=fields["fit_radius"]).radii
-        # what every fitted model satisfies
-        rates, region, top = fields["accept_rates"], fields["region_radii"], fields["fit_radius"]
-        for holds, rule in (
-            (all(g <= min(r, top) for g, r in zip(region, fields["radii"])),
-             "each 'gMaxNorms' entry must be <= its radius and <= 'rFit'"),
-            (all(a <= b for v in (rates, region) for a, b in zip(v, v[1:])),
-             "'gMeans' and 'gMaxNorms' must be nondecreasing"),
-            (fields["degenerate"] == (top == 0.0), "'degenerate' must be true exactly when 'rFit' is 0"),
-        ):
-            if not holds:
-                raise InputError(f"{source}: model fields are inconsistent: {rule}")
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except InputError as exc:
+            raise InputError(f"{source}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "FittedScorer":

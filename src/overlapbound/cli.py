@@ -27,6 +27,9 @@ from .core import (
     RadiusIndicator,
 )
 
+# The largest --k and --k2: run time, memory and model size grow linearly in k,
+# so a mistyped k is refused before anything is allocated.
+MAX_K = 1_000_000
 # Exit code per error type, matched in order; any other exception propagates.
 EXIT_CODES = {InputError: 2, OSError: 2, MemoryError: 2, DimensionMismatchError: 3,
               DegenerateDomainError: 3, MetricUndefinedError: 4}
@@ -51,11 +54,12 @@ def _parse_sigma_list(text: str) -> list[float]:
     return values
 
 
-def _positive_k(value: str) -> int:
-    k = int(value)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"k must be >= 1, got {k}")
-    return k
+def _positive_k(args) -> None:
+    """Refuse a --k or --k2 outside [1, MAX_K]."""
+    for flag in ("k", "k2"):
+        k = getattr(args, flag, None)
+        if k is not None and not 1 <= k <= MAX_K:
+            raise InputError(f"--{flag} must be between 1 and {MAX_K}, got {k}")
 
 
 def _read_pair(path_a, path_b, norm: NormKind):
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, k_default=50):
         p.add_argument("--norm", default="l2", help="l1, l2, or linf (default l2)")
-        p.add_argument("--k", type=_positive_k, default=k_default,
+        p.add_argument("--k", type=int, default=k_default,
                        help=f"number of nested-ball conditions (default {k_default})")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a one-class scorer and save the model JSON")
     p_fit.add_argument("data", help="in-class sample file")
     p_fit.add_argument("--norm", default="l2", help="l1, l2, or linf (default l2)")
-    p_fit.add_argument("--k", type=_positive_k, default=50,
+    p_fit.add_argument("--k", type=int, default=50,
                        help="number of nested-ball conditions (default 50)")
     p_fit.add_argument("--out", required=True, help="model JSON path")
     p_fit.set_defaults(func=cmd_fit)
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="add a second-pass score computed in score space")
         p_sc.add_argument("--fit-data", default=None,
                           help="original fit samples, required with --iterative")
-        p_sc.add_argument("--k2", type=_positive_k, default=None,
+        p_sc.add_argument("--k2", type=int, default=None,
                           help="condition count for the second pass (default: model k)")
         p_sc.add_argument("--scores-out", default=None,
                           help="per-query CSV path (default stdout)")
@@ -338,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _positive_k(args)
         args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

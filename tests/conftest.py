@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,6 +12,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from overlapbound import DiscreteDistribution, NormKind, SampleSet
 
 ALL_NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
+
+# `pytest --hypothesis-profile=ci`: more examples where a test sets no count
+# of its own, no deadline on shared runners, and a reproduction blob printed
+# with every failure.
+settings.register_profile("ci", max_examples=300, deadline=None, print_blob=True)
 
 
 def random_support(rng: np.random.Generator, n_points: int, dim: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything down to the retired-paths section is deliberately naive pure
 Python (explicit loops over points, pairs, and thresholds) so it shares no
 code path with the package. The retired-paths section keeps earlier package
-code paths (per-radius and per-query loops, the former closed forms, the
+code paths (per-radius and per-query loops, the k-wide scoring sweep, the former
+closed forms, the
 by-value accuracy rule with its per-row simulator, the per-call ranking sorts
 and the per-call joint support), which the code that replaced them must match
 bitwise, and the removed helpers that tests still use to build their data or
@@ -18,6 +19,7 @@ import numpy as np
 
 from overlapbound import (
     DegenerateDomainError,
+    InputError,
     JointSupport,
     NormKind,
     RadiusIndicator,
@@ -25,6 +27,7 @@ from overlapbound import (
     compute_bound,
     norms,
 )
+from overlapbound.classifier import _BLOCK_VALUES
 
 
 def norm_of(row, kind: str) -> float:
@@ -145,6 +148,34 @@ def mask_ball_stats(norms, radii) -> tuple[list[int], list[float]]:
         counts.append(int(np.count_nonzero(mask)))
         region.append(float(norms[mask].max()) if mask.any() else 0.0)
     return counts, region
+
+
+def sweep_raw_scores(scorer, points) -> np.ndarray:
+    """``FittedScorer.raw_scores`` as a sweep over all k balls per query, in
+    the same blocks and with the same errors."""
+    queries = np.asarray(points, dtype=np.float64).reshape(-1, scorer.dimension)
+    radii, rates, region_radii = (np.array(v, dtype=np.float64) for v in
+                                  (scorer.radii, scorer.accept_rates, scorer.region_radii))
+    out = np.empty(queries.shape[0], dtype=np.float64)
+    rows = max(1, _BLOCK_VALUES // scorer.dimension)
+    for lo in range(0, queries.shape[0], rows):
+        block = queries[lo : lo + rows]
+        with np.errstate(all="ignore"):
+            qn = norms(block, scorer.norm)
+            gaps = norms(block - scorer.mean, scorer.norm)
+            pool = np.maximum(qn, scorer.fit_radius)
+            inside = qn[:, None] <= radii
+            region = np.maximum(qn[:, None] * inside, region_radii)
+            sep = (1.0 - region / pool[:, None]) * np.abs(inside - rates)
+            raw = 1.0 - 0.5 * (gaps / pool) - 0.5 * sep.max(axis=1)
+        if scorer.fit_radius == 0.0:
+            raw[pool == 0.0] = 1.0
+        if not np.isfinite(raw).all():
+            if not np.isfinite(block).all():
+                raise InputError("query block has non-finite entries")
+            raise InputError(f"query {scorer.norm.value} norms overflow float64")
+        out[lo : lo + rows] = raw
+    return out
 
 
 def iterative_scores_loop(scorer, in_class, queries, k2: int) -> np.ndarray:

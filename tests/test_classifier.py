@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from overlapbound import (
     fit,
     iterative_scores_batch,
     make_sample_set,
+    norms,
     score,
 )
 from conftest import ALL_NORMS, laid_out_samples, radii_on_norms, repeated_rows
@@ -26,6 +28,7 @@ from oracles import (
     brute_scorer_score,
     iterative_scores_loop,
     mask_ball_stats,
+    sweep_raw_scores,
 )
 
 
@@ -441,3 +444,102 @@ def test_statistics_models_and_scores_depend_only_on_values(a, kind):
     assert np.array([score(s, row).score for row in queries]).tobytes() == want.tobytes()
     assert (iterative_scores_batch(s, a, queries, k2=7).tobytes()
             == iterative_scores_batch(s, c, c_queries, k2=7).tobytes())
+
+
+@st.composite
+def scorers_and_queries(draw):
+    """A fitted scorer and queries against it: ties, zero rows, all-origin
+    fits, custom radii beyond rFit, queries beyond the fit ball, one-row
+    batches, and batches that span several scoring blocks (wide rows)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 8, 3000, 40000]))  # 21 and 1 rows per block when wide
+    n = draw(st.integers(1, 30 if d < 3000 else 6))
+    rows = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        rows = np.round(2.0 * rows) / 2.0  # repeated norms and coordinates
+    rows *= 10.0 ** rng.uniform(-3, 3)
+    rows[rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))] = 0.0
+    kind = draw(st.sampled_from(ALL_NORMS))
+    k = draw(st.integers(1, 40))
+    radii = None
+    if draw(st.booleans()):
+        top = float(norms(rows, kind).max())
+        exact = norms(rows, kind).tolist()
+        beyond = (rng.uniform(1.0, 3.0, size=3) * (top + 1.0)).tolist()
+        radii = sorted(set(draw(st.lists(st.sampled_from(exact + beyond), min_size=1, max_size=k))))
+    scorer = fit(rows, k=k, norm=kind, radii=radii)
+    l = draw(st.sampled_from([1, 2, 17, 200] if d < 3000 else [1, 2, 30, 60]))
+    queries = rng.normal(size=(l, d)) * 10.0 ** rng.uniform(-3, 3)
+    picked = rng.random(l) < 0.5  # fit rows, stretched or shrunk at times
+    queries[picked] = rows[rng.integers(0, n, size=l)[picked]] * draw(st.sampled_from([1.0, 0.5, 2.0]))
+    queries[rng.random(l) < 0.2] = 0.0
+    bad = draw(st.sampled_from([None] * 6 + [np.nan, np.inf, 1e200, 1.7e308]))
+    if bad is not None:
+        queries[rng.integers(0, l), rng.integers(0, d, size=2)] = bad
+    return scorer, queries
+
+
+def _outcome(scores, queries):
+    try:
+        return scores(queries).tobytes()
+    except InputError as exc:
+        return str(exc)
+
+
+@given(scorers_and_queries())
+@settings(max_examples=300, deadline=None)
+def test_raw_scores_equal_the_k_wide_sweep_bitwise(case):
+    scorer, queries = case
+    want = _outcome(lambda q: sweep_raw_scores(scorer, q), queries)
+    assert _outcome(scorer.raw_scores, queries) == want
+    if isinstance(want, bytes):
+        one = [score(scorer, row).score for row in queries[:3]]
+        assert np.array(one).tobytes() == want[: 8 * len(one)]
+
+
+def test_raw_scores_memory_does_not_grow_with_k():
+    # 2000 queries inside the fit ball at k=5000: a (rows, k) float64
+    # temporary alone would take 80 MB
+    rows = np.random.default_rng(3).normal(size=(3000, 32))
+    scorer = fit(rows, k=5000)
+    queries = 0.5 * rows[:2000]
+    tracemalloc.start()
+    try:
+        got = scorer.raw_scores(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert got[:50].tobytes() == sweep_raw_scores(scorer, queries[:50]).tobytes()
+
+
+@pytest.mark.parametrize("changes, rule", [
+    ({"accept_rates": (0.75, 0.5, 1.0)}, "'gMeans' and 'gMaxNorms' must be nondecreasing"),
+    ({"region_radii": (1.0, 0.5, 3.0)}, "'gMeans' and 'gMaxNorms' must be nondecreasing"),
+    ({"region_radii": (1.5, 2.0, 3.0)}, "each 'gMaxNorms' entry must be <= its radius"),
+    ({"radii": (2.0, 1.0, 3.0)}, "'radii' must be nondecreasing"),
+    ({"radii": (1.0, 2.0)}, "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"),
+    ({"k": 0, "radii": (), "accept_rates": (), "region_radii": ()},
+     "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"),
+    ({"accept_rates": (0.5, 0.75, 1.25)}, "'gMeans' must lie in [0, 1]"),
+    ({"degenerate": True}, "'degenerate' must be true exactly when 'rFit' is 0"),
+])
+def test_hand_built_scorer_is_checked(changes, rule):
+    fields = dict(norm=NormKind.L2, dimension=1, k=3, mean=[0.5], fit_radius=3.0,
+                  radii=(1.0, 2.0, 3.0), accept_rates=(0.25, 0.5, 1.0),
+                  region_radii=(1.0, 2.0, 3.0), degenerate=False)
+    FittedScorer(**fields)
+    with pytest.raises(InputError) as err:
+        FittedScorer(**(fields | changes))
+    assert str(err.value).startswith(f"model fields are inconsistent: {rule}")
+
+
+def test_inconsistent_model_file_names_the_file(tmp_path):
+    doc = fit([[0.2], [1.0], [0.6]], k=3).to_json_dict()
+    doc["gMeans"] = doc["gMeans"][::-1]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as err:
+        FittedScorer.load(path)
+    assert str(err.value) == (f"{path}: model fields are inconsistent: "
+                              "'gMeans' and 'gMaxNorms' must be nondecreasing")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from overlapbound import SampleSet, fit
-from overlapbound.cli import main
+from overlapbound.cli import MAX_K, main
 from overlapbound.dataio import write_samples_binary
 
 
@@ -698,7 +698,8 @@ def model_files(draw) -> bytes:
               _FLAG_VALUES, _FLAG_VALUES, _FLAG_VALUES),
     st.lists(_FLAG_VALUES, min_size=1, max_size=3),
     st.integers(-1, 1000), _mostly(st.integers(0, 2**32), st.integers(-3, -1), st.just(2**70)),
-    st.sampled_from(["l1", "l2", "linf"]), st.integers(1, 64), st.booleans(),
+    st.sampled_from(["l1", "l2", "linf"]),
+    _mostly(st.integers(1, 64), st.sampled_from([0, -1, MAX_K + 1, 10**9, 10**30])), st.booleans(),
 )
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_on_any_json_csv_or_flag_answers_or_prints_one_error(
@@ -733,6 +734,27 @@ def test_cli_on_any_json_csv_or_flag_answers_or_prints_one_error(
         if code == 0:  # every JSON output is valid JSON: no NaN or Infinity
             text = summary.read_text() if argv[0] == "score" else out
             json.loads(text, parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("k", ["0", "-3", str(MAX_K + 1), "1000000000"])
+@pytest.mark.parametrize("command", ["bound", "fit", "shift", "oracle", "score"])
+def test_k_outside_range_exit_2_before_any_work(tmp_path, command, k):
+    data = tmp_path / "data.csv"
+    write_csv(data, _FIT_ROWS)
+    model = tmp_path / "model.json"
+    assert main(["fit", str(data), "--out", str(model)]) == 0
+    flag = "--k2" if command == "score" else "--k"
+    argv = {
+        "bound": ["bound", str(data), str(data)],
+        "fit": ["fit", str(data), "--out", str(tmp_path / "new.json")],
+        "shift": ["shift", "--clean", str(data), "--poisoned", str(data), "--p", "0.9"],
+        "oracle": ["oracle", str(tmp_path / "missing.json"), str(tmp_path / "missing.json")],
+        "score": ["score", str(model), str(data), "--iterative", "--fit-data", str(data)],
+    }[command]
+    code, out, err = _main_with_warnings_as_errors(argv + [flag, k])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be between 1 and {MAX_K}, got {k}\n"
+    assert not (tmp_path / "new.json").exists()
 
 
 def _refuse_constant(name):
