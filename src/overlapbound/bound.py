@@ -19,6 +19,7 @@ from .core import (
     RadiusFamily,
     RadiusIndicator,
     SampleSet,
+    _sample_rows,
     ball_stats,
     clamp_unit,
     norms,
@@ -78,13 +79,14 @@ def _acceptance(side: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np
     """Per condition: how many samples of ``side`` it accepts, and the largest
     accepted norm (0 if none). The radius indicators in the side's own norm
     are read off the sorted norms in one ``ball_stats`` call; any other
-    condition is evaluated on the samples."""
+    condition is evaluated on the samples, which a set that keeps only its
+    statistics refuses with an InputError."""
     counts, region = np.empty(len(conditions)), np.empty(len(conditions))
     balls = np.array([isinstance(g, RadiusIndicator) and g.norm is side.norm for g in conditions])
     radii = [g.radius for g, ball in zip(conditions, balls) if ball]
     counts[balls], region[balls] = ball_stats(side.sorted_norms, radii)
     for i in np.flatnonzero(~balls):
-        accepted = np.asarray(conditions[i].evaluate_many(side.samples), dtype=bool)
+        accepted = np.asarray(conditions[i].evaluate_many(_sample_rows(side)), dtype=bool)
         counts[i], region[i] = np.count_nonzero(accepted), side.norms[accepted].max(initial=0.0)
     return counts, region
 

@@ -25,6 +25,7 @@ from .core import (
     NormKind,
     RadiusFamily,
     SampleSet,
+    _block_rows,
     _requested_norm,
     _require_finite,
     _sample_rows,
@@ -37,9 +38,6 @@ from .core import (
 from .dataio import read_json
 
 MODEL_FORMAT_VERSION = 1
-# Query values per scoring block: each temporary is about 512 KB, small enough
-# to stay in cache, so a large batch runs faster in blocks than in one piece.
-_BLOCK_VALUES = 1 << 16
 
 # The model file after "format_version", in file order: (JSON key, attribute,
 # what from_json_dict accepts). "radii" is optional: it is written only when
@@ -171,7 +169,7 @@ class FittedScorer:
                 f"queries have shape {queries.shape}, scorer expects dimension {self.dimension}"
             )
         out = np.empty(queries.shape[0], dtype=np.float64)
-        rows = max(1, _BLOCK_VALUES // self.dimension)
+        rows = _block_rows(self.dimension)
         for lo in range(0, queries.shape[0], rows):
             block = queries[lo : lo + rows]
             # A non-finite entry or an overflowing norm leaves a non-finite
@@ -291,15 +289,16 @@ def fit(
 
     One pass over the data. A float64 array is read in place, not copied; a
     SampleSet in the requested norm (``norm=None`` keeps its own) supplies its
-    cached statistics. ``radii`` overrides the default evenly spaced family
-    (j/k of the in-class max norm, j = 1..k); when given, k is its length.
+    cached statistics, so a set that keeps only its statistics fits too.
+    ``radii`` overrides the default evenly spaced family (j/k of the in-class
+    max norm, j = 1..k); when given, k is its length.
     """
     kind = _requested_norm(in_class, norm)
-    rows = _sample_rows(in_class)
     if isinstance(in_class, SampleSet) and in_class.norm is kind:
-        ordered, max_norm, mean = in_class.sorted_norms, in_class.max_norm, in_class.mean
+        stats = in_class
     else:
-        _, ordered, max_norm, mean = _sample_statistics(rows, kind)
+        stats = _sample_statistics(_sample_rows(in_class), kind)
+    max_norm = stats.max_norm
     if radii is not None:
         family = tuple(float(r) for r in radii)
         if len(family) == 0:
@@ -311,15 +310,15 @@ def fit(
         k = len(family)
     else:
         family = RadiusFamily(k=k, top=max_norm, norm=kind).radii
-    counts, region = ball_stats(ordered, family)
+    counts, region = ball_stats(stats.sorted_norms, family)
     return FittedScorer(
         norm=kind,
-        dimension=rows.shape[1],
+        dimension=len(stats.mean),
         k=k,
-        mean=mean,
+        mean=stats.mean,
         fit_radius=max_norm,
         radii=family,
-        accept_rates=tuple((counts / rows.shape[0]).tolist()),
+        accept_rates=tuple((counts / len(stats.norms)).tolist()),
         region_radii=tuple(region.tolist()),
         degenerate=max_norm == 0.0,
     )

@@ -85,13 +85,13 @@ def cmd_bound(args) -> None:
 
 def cmd_fit(args) -> None:
     norm = NormKind.from_string(args.norm)
-    samples = dataio._read_finite_samples(args.data)
+    samples = dataio.read_samples(args.data, norm)
     scorer = classifier.fit(samples, k=args.k, norm=norm)
     scorer.save(args.out)
     _emit(
         {
             "model": args.out,
-            "n_samples": samples.shape[0],
+            "n_samples": len(samples),
             "dimension": scorer.dimension,
             "k": scorer.k,
             "norm": scorer.norm.value,
@@ -247,8 +247,16 @@ def cmd_oracle(args) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are InputErrors, so that a malformed
+    flag value is one ``error:`` line and exit 2 like any other bad input."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="overlapbound",
         description=(
             "Distribution-free overlap bounds, one-class confidence scoring, "
@@ -340,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _positive_k(args)
         args.func(args)
     except tuple(EXIT_CODES) as exc:

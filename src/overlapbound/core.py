@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,8 +73,9 @@ def freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-# Values per block of rows: caps scratch memory at a few MB whatever n is.
-_BLOCK_ELEMENTS = 1 << 19
+# Values per block of rows: each block temporary is about 512 KB, small enough
+# to stay in cache, and scratch memory does not grow with n.
+_BLOCK_ELEMENTS = 1 << 16
 # Rows summed in float64 buckets between folds into Python ints. A limb is at
 # most 2**27 in its unit, so a bucket sum over up to 2**26 rows is an integer
 # of at most 2**53 units, which float64 holds exactly; 2**25 leaves a factor 2.
@@ -83,6 +84,91 @@ _FOLD_ROWS = 1 << 25
 _SPLIT = 3.0 * 2.0**24
 # frexp exponents are >= -1073, so every bucket is an integer times 2**-1126.
 _UNIT_BITS = 1126
+
+
+def _block_rows(d: int) -> int:
+    """Rows of width d per block of about ``_BLOCK_ELEMENTS`` values; at least one."""
+    return max(1, _BLOCK_ELEMENTS // max(1, d))
+
+
+class _ColumnSums:
+    """``exact_column_sums`` of a finite (n, d) array fed in blocks of rows:
+    ``add`` each block, in any order and of any size, then read ``result``.
+
+    Between blocks it keeps only d Python ints and the limb buckets of the
+    exponents seen since the last fold, so its memory does not grow with n.
+    """
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+        self.totals = [0] * d  # exact column sums in units of 2**-_UNIT_BITS
+        self.acc = None  # (2, exponents, d) limb sums; row i holds exponent base + i
+        self.base = self.pending = 0
+        # Block scratch, reused so that each block allocates nothing of its size:
+        # mantissas, exponents, bucket keys and high limbs.
+        self.scratch = ()
+
+    def add(self, block: np.ndarray) -> None:
+        rows = min(_FOLD_ROWS, _block_rows(self.d))
+        for start in range(0, block.shape[0], rows):
+            part = block[start:start + rows]
+            if self.pending + part.shape[0] > _FOLD_ROWS:
+                self._fold()
+            self._add(part)
+            self.pending += part.shape[0]
+
+    def _add(self, part: np.ndarray) -> None:
+        d, m = self.d, part.shape[0]
+        if not self.scratch or self.scratch[0].shape[0] < m:
+            self.scratch = tuple(np.empty((m, d), dtype=t)
+                                 for t in (np.float64, np.intc, np.intp, np.float64))
+        mant, exps, keys, high = (buf[:m] for buf in self.scratch)
+        np.frexp(part, out=(mant, exps))
+        lo, hi = int(exps.min()), int(exps.max())
+        span = hi - lo + 1
+        np.subtract(exps, lo, out=keys)
+        keys *= d
+        keys += np.arange(d)
+        np.add(mant, _SPLIT, out=high)
+        high -= _SPLIT
+        mant -= high
+        keys, high, mant = keys.ravel(), high.ravel(), mant.ravel()
+        sums = np.stack([
+            np.bincount(keys, high, span * d),
+            np.bincount(keys, mant, span * d),
+        ]).reshape(2, span, d)
+        if self.acc is None:
+            self.acc, self.base = sums, lo
+            return
+        acc, base = self.acc, self.base
+        first, end = min(base, lo), max(base + acc.shape[1], hi + 1)
+        if end - first > acc.shape[1]:
+            grown = np.zeros((2, end - first, d))
+            grown[:, base - first:base - first + acc.shape[1]] = acc
+            self.acc, self.base = acc, base = grown, first
+        acc[:, lo - base:hi + 1 - base] += sums
+
+    def _fold(self) -> None:
+        """Add limb sums at exponent e, (high + low) * 2**e, to the int totals."""
+        if self.acc is not None:
+            idx, col = np.nonzero(self.acc.any(axis=0))
+            high = (self.acc[0, idx, col] * 2.0**27).tolist()
+            low = (self.acc[1, idx, col] * 2.0**53).tolist()
+            for i, j, h, l in zip(idx.tolist(), col.tolist(), high, low):
+                self.totals[j] += ((int(h) << 26) + int(l)) << (self.base + i - 53 + _UNIT_BITS)
+        self.acc, self.pending = None, 0
+
+    def result(self) -> np.ndarray:
+        """The correctly rounded column sums of every row added so far."""
+        self._fold()
+        unit = 1 << _UNIT_BITS
+        out = np.empty(self.d, dtype=np.float64)
+        for j, total in enumerate(self.totals):
+            try:
+                out[j] = total / unit
+            except OverflowError:
+                raise InputError(f"the sum of column {j} overflows float64") from None
+        return out
 
 
 def exact_column_sums(points: np.ndarray) -> np.ndarray:
@@ -100,67 +186,16 @@ def exact_column_sums(points: np.ndarray) -> np.ndarray:
     exact in float64. The buckets are folded into Python ints every
     ``_FOLD_ROWS`` = 2**25 rows and at the end, and one correctly rounded int
     division per column gives the result. Rows are taken in blocks of about
-    ``_BLOCK_ELEMENTS`` = 2**19 values, so scratch memory does not grow with n.
+    ``_BLOCK_ELEMENTS`` = 2**16 values, so scratch memory does not grow with n;
+    the sums are exact, so the blocks do not change them.
 
     Raises InputError when a column's correctly rounded sum overflows.
     """
     a = np.asarray(points, dtype=np.float64)
-    n, d = a.shape
-    if a.size == 0:
-        return np.zeros(d)
-    rows = min(_FOLD_ROWS, max(1, _BLOCK_ELEMENTS // d))
-    cols = np.arange(d)
-    totals = [0] * d  # exact column sums in units of 2**-_UNIT_BITS
-    acc = None  # (2, exponents, d) limb sums; row i holds exponent base + i
-    base = pending = 0
-    for start in range(0, n, rows):
-        mant, exps = np.frexp(a[start:start + rows])
-        lo, hi = int(exps.min()), int(exps.max())
-        span = hi - lo + 1
-        keys = exps.astype(np.intp)
-        keys -= lo
-        keys *= d
-        keys += cols
-        keys = keys.ravel()
-        high = mant + _SPLIT
-        high -= _SPLIT
-        mant -= high
-        sums = np.stack([
-            np.bincount(keys, high.ravel(), span * d),
-            np.bincount(keys, mant.ravel(), span * d),
-        ]).reshape(2, span, d)
-        if acc is None:
-            acc, base = sums, lo
-        else:
-            first, end = min(base, lo), max(base + acc.shape[1], hi + 1)
-            if end - first > acc.shape[1]:
-                grown = np.zeros((2, end - first, d))
-                grown[:, base - first:base - first + acc.shape[1]] = acc
-                acc, base = grown, first
-            acc[:, lo - base:hi + 1 - base] += sums
-        pending += rows
-        if pending + rows > _FOLD_ROWS:
-            _fold_buckets(acc, base, totals)
-            acc, pending = None, 0
-    if acc is not None:
-        _fold_buckets(acc, base, totals)
-    unit = 1 << _UNIT_BITS
-    out = np.empty(d, dtype=np.float64)
-    for j, total in enumerate(totals):
-        try:
-            out[j] = total / unit
-        except OverflowError:
-            raise InputError(f"the sum of column {j} overflows float64") from None
-    return out
-
-
-def _fold_buckets(acc: np.ndarray, base: int, totals: list[int]) -> None:
-    """Add limb sums at exponent e, (high + low) * 2**e, to the int totals."""
-    idx, col = np.nonzero(acc.any(axis=0))
-    high = (acc[0, idx, col] * 2.0**27).tolist()
-    low = (acc[1, idx, col] * 2.0**53).tolist()
-    for i, j, h, l in zip(idx.tolist(), col.tolist(), high, low):
-        totals[j] += ((int(h) << 26) + int(l)) << (base + i - 53 + _UNIT_BITS)
+    sums = _ColumnSums(a.shape[1])
+    if a.size:
+        sums.add(a)
+    return sums.result()
 
 
 def exact_mean(points: np.ndarray) -> np.ndarray:
@@ -178,6 +213,9 @@ def _sample_rows(samples) -> np.ndarray:
     """A SampleSet's samples, or array-like data as a nonempty (n, d) float64
     array with 1-D data as one column. A float64 array is used in place."""
     if isinstance(samples, SampleSet):
+        if samples.samples is None:
+            raise InputError("this sample set keeps only its statistics, not its rows; "
+                             "build it from the rows to use a condition or norm that needs them")
         return samples.samples
     a = np.asarray(samples, dtype=np.float64)
     if a.ndim == 1:
@@ -193,8 +231,37 @@ def _require_finite(a: np.ndarray, message: str = "sample array has non-finite e
         raise InputError(message)
 
 
-def _sample_statistics(a: np.ndarray, kind: NormKind):
-    """Per-row norms, sorted norms, max norm and exact mean of a ``_sample_rows`` array.
+class _RowStatistics(NamedTuple):
+    """All that a SampleSet keeps of its rows: what the bound, the scorer and
+    the shift ceilings read."""
+
+    norm: NormKind
+    norms: np.ndarray  # per row, in row order
+    sorted_norms: np.ndarray
+    max_norm: float
+    mean: np.ndarray
+
+
+def _finite_norms(block: np.ndarray, kind: NormKind,
+                  message: str = "sample array has non-finite entries") -> np.ndarray:
+    """Per-row norms of a block that must be finite; an overflowing norm is inf."""
+    _require_finite(block, message)
+    with np.errstate(over="ignore"):
+        return norms(block, kind)
+
+
+def _row_statistics(per_row: np.ndarray, kind: NormKind, mean) -> _RowStatistics:
+    """Sort the per-row norms and refuse an overflowing one, then call ``mean``,
+    so that a norm overflow is reported before a column sum overflow."""
+    ordered = np.sort(per_row)
+    max_norm = float(ordered[-1])
+    if not math.isfinite(max_norm):
+        raise InputError(f"sample {kind.value} norms overflow float64")
+    return _RowStatistics(kind, per_row, ordered, max_norm, mean())
+
+
+def _sample_statistics(a: np.ndarray, kind: NormKind) -> _RowStatistics:
+    """The statistics of a ``_sample_rows`` array.
 
     One pass over blocks of about ``_BLOCK_ELEMENTS`` values checks that the
     entries are finite and fills the norms, and ``exact_mean`` walks the rows
@@ -206,18 +273,11 @@ def _sample_statistics(a: np.ndarray, kind: NormKind):
         _require_finite(a)
         raise _not_a_norm(kind)
     n, d = a.shape
-    rows = max(1, _BLOCK_ELEMENTS // d)
+    rows = _block_rows(d)
     per_row = np.empty(n)
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, rows):
-            block = a[lo:lo + rows]
-            _require_finite(block)
-            per_row[lo:lo + rows] = norms(block, kind)
-    ordered = np.sort(per_row)
-    max_norm = float(ordered[-1])
-    if not math.isfinite(max_norm):
-        raise InputError(f"sample {kind.value} norms overflow float64")
-    return per_row, ordered, max_norm, exact_mean(a)
+    for lo in range(0, n, rows):
+        per_row[lo:lo + rows] = _finite_norms(a[lo:lo + rows], kind)
+    return _row_statistics(per_row, kind, lambda: exact_mean(a))
 
 
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +300,13 @@ class SampleSet:
     ``ball_stats``), the pooled max norm, and the empirical mean are computed
     once at construction. ``norm`` must be a NormKind (``norms`` rejects
     anything else).
+
+    A set built from the private ``_RowStatistics`` of a block-wise file read
+    keeps no rows: ``samples`` is None, and only radius indicators in its own
+    norm can be evaluated on it.
     """
 
-    samples: np.ndarray
+    samples: np.ndarray | None
     norm: NormKind = NormKind.L2
     norms: np.ndarray = field(init=False, repr=False, compare=False)
     sorted_norms: np.ndarray = field(init=False, repr=False, compare=False)
@@ -250,17 +314,22 @@ class SampleSet:
     mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = _sample_rows(np.array(self.samples, dtype=np.float64, copy=True))
-        per_sample, ordered, max_norm, mean = _sample_statistics(a, self.norm)
-        freeze(self, samples=a, norms=per_sample, sorted_norms=ordered, max_norm=max_norm,
-               mean=mean)
+        if isinstance(self.samples, _RowStatistics):
+            rows, stats = None, self.samples
+            if stats.norm is not self.norm:
+                raise InputError(f"statistics in the {stats.norm.value} norm cannot serve "
+                                 f"a sample set in norm {self.norm!r}")
+        else:
+            rows = _sample_rows(np.array(self.samples, dtype=np.float64, copy=True))
+            stats = _sample_statistics(rows, self.norm)
+        freeze(self, samples=rows, **stats._asdict())
 
     def __len__(self) -> int:
-        return self.samples.shape[0]
+        return self.norms.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.samples.shape[1]
+        return self.mean.shape[0]
 
 
 class ConditionFunction:
@@ -341,7 +410,7 @@ def make_sample_set(samples, norm: NormKind | str | None = None) -> SampleSet:
     """
     kind = _requested_norm(samples, norm)
     if isinstance(samples, SampleSet):
-        return samples if samples.norm is kind else SampleSet(samples.samples, kind)
+        return samples if samples.norm is kind else SampleSet(_sample_rows(samples), kind)
     return SampleSet(samples, kind)
 
 

@@ -13,23 +13,50 @@ import struct
 
 import numpy as np
 
-from .core import InputError, NormKind, SampleSet, _require_finite
+from .core import (
+    InputError,
+    NormKind,
+    SampleSet,
+    _block_rows,
+    _ColumnSums,
+    _finite_norms,
+    _require_finite,
+    _row_statistics,
+    _sample_statistics,
+)
 
 BINARY_MAGIC = b"OVLB"
 BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 
 
-def write_samples_binary(path, samples: np.ndarray) -> None:
-    a = np.ascontiguousarray(samples, dtype="<f8")
+def write_samples_binary(path, samples) -> None:
+    """Write a (n, d) array as an OVLB file.
+
+    Blocks of about ``_BLOCK_ELEMENTS`` values are converted to little-endian
+    float64 one at a time, so a C-contiguous float64 array goes to the file
+    straight from its own memory and any other array needs only block scratch.
+    """
+    a = np.asarray(samples)
     if a.ndim != 2:
         raise InputError(f"expected a (n, d) array, got shape {a.shape}")
+    if a.dtype.kind not in "biuf":  # convert up front, so a bad value leaves no file
+        a = a.astype(np.float64)
+    rows = _block_rows(a.shape[1])
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, a.shape[0], a.shape[1]))
-        fh.write(a.tobytes())
+        for lo in range(0, a.shape[0], rows):
+            fh.write(np.ascontiguousarray(a[lo:lo + rows], dtype="<f8"))
 
 
-def _read_samples_binary(path) -> np.ndarray:
+def _read_samples_binary(path, norm: NormKind | None = None):
+    """An OVLB file's (n, d) array or, given a norm, only the statistics a
+    SampleSet keeps (``_RowStatistics``).
+
+    Statistics are gathered from blocks of about ``_BLOCK_ELEMENTS`` values,
+    each read into one reused buffer, so no more than a block of rows is in
+    memory at a time. Non-finite values are an InputError naming the file.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -46,7 +73,20 @@ def _read_samples_binary(path) -> np.ndarray:
         found = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
         if found < n * d:
             raise InputError(f"{path}: expected {n * d} float64 values, found {found}")
-        return np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+        if norm is None:
+            return np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+        per_row, sums = np.empty(n), _ColumnSums(d)
+        non_finite = f"{path}: non-finite sample values"
+        buffer = np.empty((min(n, _block_rows(d)), d), dtype="<f8")
+        for lo in range(0, n, buffer.shape[0]):
+            block = buffer[:n - lo]
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank after the size check
+                raise InputError(f"{path}: expected {n * d} float64 values, "
+                                 f"found {(lo * d * 8 + got) // 8}")
+            per_row[lo:lo + len(block)] = _finite_norms(block, norm, non_finite)
+            sums.add(block)
+    return _row_statistics(per_row, norm, lambda: sums.result() / n)
 
 
 def read_json(path, what: str):
@@ -106,14 +146,17 @@ def _parse_csv_rows(path) -> np.ndarray:
 
 def read_sample_array(path) -> np.ndarray:
     """Load a (n, d) sample array from CSV or the binary format."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read file: {exc}") from exc
-    if magic == BINARY_MAGIC:
+    if _is_binary(path):
         return _read_samples_binary(path)
     return _parse_csv_rows(path)
+
+
+def _is_binary(path) -> bool:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(4) == BINARY_MAGIC
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read file: {exc}") from exc
 
 
 def _read_finite_samples(path) -> np.ndarray:
@@ -124,7 +167,14 @@ def _read_finite_samples(path) -> np.ndarray:
 
 
 def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
-    return SampleSet(_read_finite_samples(path), norm)
+    """A sample file's SampleSet, keeping only its statistics (``samples`` is
+    None): an OVLB file is read in blocks and never held whole, and a CSV file
+    is parsed whole and its rows dropped once the statistics are taken."""
+    if _is_binary(path):
+        stats = _read_samples_binary(path, norm)
+    else:
+        stats = _sample_statistics(_read_finite_samples(path), norm)
+    return SampleSet(stats, norm)
 
 
 def _binary_labels(column: np.ndarray, path) -> np.ndarray:

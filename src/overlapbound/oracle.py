@@ -54,7 +54,10 @@ class DiscreteDistribution:
             raise InputError("support points have non-finite coordinates")
         if not np.isfinite(mass).all() or (mass < 0).any():
             raise InputError("masses must be finite and nonnegative")
-        total = math.fsum(mass.tolist())
+        try:
+            total = math.fsum(mass.tolist())
+        except OverflowError:  # finite masses whose sum overflows are far from 1
+            total = math.inf
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise InputError(f"masses must sum to 1 within {MASS_TOLERANCE}, got {total!r}")
         keys = {tuple(row) for row in pts.tolist()}

@@ -27,7 +27,7 @@ from overlapbound import (
     compute_bound,
     norms,
 )
-from overlapbound.classifier import _BLOCK_VALUES
+from overlapbound.core import _block_rows
 
 
 def norm_of(row, kind: str) -> float:
@@ -157,7 +157,7 @@ def sweep_raw_scores(scorer, points) -> np.ndarray:
     radii, rates, region_radii = (np.array(v, dtype=np.float64) for v in
                                   (scorer.radii, scorer.accept_rates, scorer.region_radii))
     out = np.empty(queries.shape[0], dtype=np.float64)
-    rows = max(1, _BLOCK_VALUES // scorer.dimension)
+    rows = _block_rows(scorer.dimension)
     for lo in range(0, queries.shape[0], rows):
         block = queries[lo : lo + rows]
         with np.errstate(all="ignore"):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from overlapbound import SampleSet, fit
+from overlapbound import (
+    SampleSet,
+    compute_bound,
+    core,
+    fit,
+    fixed_accuracy_rule,
+    pooled_radius_family,
+    simulate_accuracy,
+    sweep_sigma,
+)
 from overlapbound.cli import MAX_K, main
 from overlapbound.dataio import write_samples_binary
 
@@ -151,8 +161,9 @@ def test_classify_requires_threshold(tmp_path, capsys):
     write_csv(train, [[0.2], [1.0]])
     model = tmp_path / "model.json"
     run_cli(capsys, "fit", str(train), "--out", str(model))
-    with pytest.raises(SystemExit):
-        main(["classify", str(model), str(train)])
+    code, out, err = run_cli(capsys, "classify", str(model), str(train))
+    assert (code, out) == (2, "")
+    assert err == "error: the following arguments are required: --threshold\n"
 
 
 def test_iterative_needs_fit_data(tmp_path, capsys):
@@ -759,3 +770,111 @@ def test_k_outside_range_exit_2_before_any_work(tmp_path, command, k):
 
 def _refuse_constant(name):
     raise AssertionError(f"JSON output holds {name}")
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_bound_and_shift_on_binary_files_equal_in_process_runs_on_the_arrays(
+    tmp_path, capsys, monkeypatch, rng, norm
+):
+    # blocks of two rows: the files are read in many blocks
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 11)
+    a = rng.normal(size=(301, 5)) * 10.0 ** rng.integers(-3, 3, size=(301, 1))
+    b = 0.3 + rng.normal(size=(203, 5))
+    pa, pb = tmp_path / "a.ovlb", tmp_path / "b.ovlb"
+    write_samples_binary(pa, a)
+    write_samples_binary(pb, b)
+    sa, sb = SampleSet(a, core.NormKind(norm)), SampleSet(b, core.NormKind(norm))
+    conditions = pooled_radius_family(sa, sb, 9).indicators()
+
+    doc = compute_bound(sa, sb, conditions).to_dict()
+    doc.update(norm=norm, k=9)
+    code, out, _ = run_cli(capsys, "bound", str(pa), str(pb), "--k", "9", "--norm", norm)
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+
+    sigmas = [0.0, 0.25, 1.0]
+    rule = fixed_accuracy_rule(sa, sb, 0.9, 0.1, seed=4)
+    doc = {
+        "sigma": sigmas,
+        "ceiling": [c for _, c in sweep_sigma(sa, sb, 0.9, sigmas, conditions, q=0.1)],
+        "norm": norm, "k": 9, "p": 0.9, "q": 0.1,
+        "measured": [simulate_accuracy(sa, sb, s, rule, 500, seed=4) for s in sigmas],
+        "n_simulated": 500, "seed": 4,
+    }
+    code, out, _ = run_cli(capsys, "shift", "--clean", str(pa), "--poisoned", str(pb), "--p", "0.9",
+                           "--q", "0.1", "--sigma", "0,0.25,1", "--simulate", "500", "--seed", "4",
+                           "--k", "9", "--norm", norm)
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+
+
+# Runs ``python -m overlapbound`` with the given arguments, or only imports
+# overlapbound.cli when there are none, then prints its own peak resident set
+# (VmHWM, in kB). A child's RUSAGE_CHILDREN peak would start at its parent's.
+_PEAK_CHILD = """
+import runpy, sys
+if len(sys.argv) > 1:
+    sys.argv[0] = "overlapbound"
+    try:
+        runpy.run_module("overlapbound", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+else:
+    import overlapbound.cli
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def _child_peak_mb(*argv) -> float:
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *map(str, argv)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux /proc")
+def test_fit_and_bound_on_binary_files_hold_only_statistics(tmp_path):
+    # each 1e5 x 32 file is 25.6 MB; a child that held one would peak that much higher
+    rng = np.random.default_rng(11)
+    pa, pb, model = tmp_path / "a.ovlb", tmp_path / "b.ovlb", tmp_path / "model.json"
+    for path in (pa, pb):
+        write_samples_binary(path, rng.standard_normal((100_000, 32)))
+    base = _child_peak_mb()
+    fit_peak = _child_peak_mb("fit", pa, "--out", model)
+    bound_peak = _child_peak_mb("bound", pa, pb, "--out", tmp_path / "bound.json")
+    assert fit_peak - base <= 20, (base, fit_peak)
+    assert bound_peak - base <= 20, (base, bound_peak)
+
+
+_ARGV_WORDS = ["bound", "fit", "score", "classify", "shift", "eval", "oracle", "--k", "--k2",
+               "--norm", "--out", "--p", "--q", "--seed", "--sigma", "--simulate", "--threshold",
+               "--iterative", "--fit-data", "--scores-out", "--labels", "--in-rate", "--radius",
+               "--clean", "--poisoned", "--bogus", "-h", "--help", "--k=abc", "--p=x", "abc", "1",
+               "3", "-1", "0.5", "1.5", "nan", "", "l2", "l3"]
+
+
+@given(st.lists(st.sampled_from(_ARGV_WORDS + ["DATA", "MODEL", "DIST", "SCORES", "MISSING"]),
+                max_size=8),
+       st.sampled_from(["bound", "fit", "score", "classify", "shift", "eval", "oracle", None]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_exits_0_2_3_or_4_with_at_most_one_error_line(tmp_path_factory, words, command):
+    folder = tmp_path_factory.getbasetemp() / "fuzz-argv"
+    folder.mkdir(exist_ok=True)
+    files = {"DATA": folder / "data.csv", "MODEL": folder / "model.json",
+             "DIST": folder / "dist.json", "SCORES": folder / "scores.csv",
+             "MISSING": folder / "missing.csv"}
+    write_csv(files["DATA"], _FIT_ROWS)  # rewritten each time: --out may name any file
+    files["MODEL"].write_text(fit(_FIT_ROWS, k=3).to_json_text())
+    files["DIST"].write_text('{"dimension": 2, "points": [[0, 1], [2, 0]], "masses": [0.5, 0.5]}')
+    files["SCORES"].write_text("score,label\n0.9,1\n0.2,0\n")
+    files["MISSING"].unlink(missing_ok=True)
+    argv = [str(files.get(w, w)) for w in ([command] if command else []) + words]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # only --help exits: it prints its text and exits 0
+            code = exc.code if {"-h", "--help"} & set(argv) else ("SystemExit", exc.code)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    text = err.getvalue()
+    assert text == "" or (text.count("\n") == 1 and text.startswith("error: ")), (argv, text)

@@ -229,6 +229,22 @@ def test_exact_column_sums_across_blocks_and_folds(monkeypatch, rng, block_eleme
     assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
+@settings(max_examples=100, deadline=None)
+def test_column_sums_resume_over_blocks_of_any_size(seed, fold_rows, block_elements):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-40, 40, size=(60, 1))
+    cuts = np.sort(rng.integers(0, 61, size=int(rng.integers(0, 8))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_FOLD_ROWS", fold_rows)
+        mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+        sums = core._ColumnSums(3)
+        for lo, hi in zip([0, *cuts], [*cuts, 60]):
+            sums.add(a[lo:hi])
+            assert sums.pending <= fold_rows  # bucket sums stay exact in float64
+            assert_same_bits(sums.result(), fsum_columns(a[:hi]))  # and adding goes on
+
+
 def test_exact_column_sums_overflow():
     with pytest.raises(InputError, match="column 1 overflows"):
         core.exact_column_sums(np.array([[1.0, 1e308], [2.0, 1e308]]))

@@ -1,7 +1,13 @@
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overlapbound import InputError, NormKind
+from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core
 from overlapbound.dataio import (
     _read_finite_samples,
     read_sample_array,
@@ -9,6 +15,7 @@ from overlapbound.dataio import (
     read_scores_and_labels,
     write_samples_binary,
 )
+from conftest import ALL_NORMS, laid_out_samples
 
 
 def test_csv_plain_rows(tmp_path):
@@ -99,8 +106,6 @@ def test_scores_and_labels_two_files(tmp_path):
 
 
 def test_reading_and_checking_an_ovlb_file_makes_no_temporary(tmp_path, rng):
-    import tracemalloc
-
     path = tmp_path / "data.ovlb"
     a = rng.normal(size=(20000, 32))
     write_samples_binary(path, a)
@@ -116,3 +121,128 @@ def test_reading_and_checking_an_ovlb_file_makes_no_temporary(tmp_path, rng):
     write_samples_binary(path, a)
     with pytest.raises(InputError, match="data.ovlb: non-finite sample values"):
         _read_finite_samples(path)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_WRITER_INPUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "strided": lambda a: np.repeat(np.repeat(a, 2, axis=0), 3, axis=1)[::2, ::3],
+    ">f8": lambda a: a.astype(">f8"),
+    "integer": lambda a: np.rint(a * 1e3).astype(np.int64),
+}
+
+
+@pytest.mark.parametrize("block_elements", [1, 7, 1 << 16])
+@pytest.mark.parametrize("layout", sorted(_WRITER_INPUTS))
+def test_binary_write_is_bitwise_for_any_layout(tmp_path, rng, monkeypatch, layout, block_elements):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+    values = rng.normal(size=(301, 5))
+    if layout != "integer":
+        values *= 10.0 ** rng.integers(-300, 300, size=(301, 1))
+    a = _WRITER_INPUTS[layout](values)
+    path = tmp_path / "data.ovlb"
+    write_samples_binary(path, a)
+    want = np.asarray(a, dtype=np.float64)
+    header = struct.pack("<4sIQQ", b"OVLB", 1, 301, 5)
+    assert path.read_bytes() == header + want.astype("<f8").tobytes()
+    assert read_sample_array(path).tobytes() == want.tobytes()
+
+
+def test_writing_a_float64_array_makes_no_copy(tmp_path, rng):
+    a = rng.normal(size=(20000, 32))
+    path = tmp_path / "data.ovlb"
+    peak = _traced_peak(lambda: write_samples_binary(path, a))
+    assert peak <= 0.01 * a.nbytes, peak / a.nbytes
+    f_order = np.asfortranarray(a)
+    peak = _traced_peak(lambda: write_samples_binary(path, f_order))
+    assert peak <= 1.1 * 8 * core._BLOCK_ELEMENTS, peak  # one converted block
+    assert read_sample_array(path).tobytes() == a.tobytes()
+
+
+def test_a_value_that_is_not_a_number_leaves_no_file(tmp_path):
+    path = tmp_path / "data.ovlb"
+    with pytest.raises(ValueError):
+        write_samples_binary(path, [["1.5", "x"]])
+    assert not path.exists()
+
+
+@given(laid_out_samples(), st.sampled_from(ALL_NORMS), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_statistics_read_in_blocks_equal_those_of_the_whole_array_bitwise(
+    tmp_path_factory, a, kind, block_elements
+):
+    # a few values per block: reads split the rows between many blocks, and a
+    # block of one row holds more values than the block size when d exceeds it
+    path = tmp_path_factory.getbasetemp() / "blocks.ovlb"
+    write_samples_binary(path, a)
+    whole = SampleSet(a, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+        got = read_samples(path, kind)
+    assert got.samples is None and got.norm is kind
+    assert (len(got), got.dimension) == (len(whole), whole.dimension)
+    for name in ("norms", "sorted_norms", "mean"):
+        assert getattr(got, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert got.max_norm == whole.max_norm
+
+
+@pytest.mark.parametrize(
+    "rows, norm, message",
+    [
+        ([[1.0, 2.0]] * 9 + [[np.nan, 1.0]], NormKind.L2, "non-finite sample values"),
+        ([[1.0, 2.0]] * 9 + [[1.0, np.inf]], NormKind.LINF, "non-finite sample values"),
+        ([[1.0, 2.0]] * 9 + [[1e200, 1.0]], NormKind.L2, "sample l2 norms overflow float64"),
+        ([[1e308, 1.0]] * 2, NormKind.L1, "the sum of column 0 overflows float64"),
+        ([[1e308, 1e308]] * 2, NormKind.L1, "sample l1 norms overflow float64"),
+    ],
+)
+def test_a_bad_value_in_any_block_is_the_same_error_as_in_csv(tmp_path, monkeypatch, rows, norm,
+                                                              message):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)
+    binary, text = tmp_path / "data.ovlb", tmp_path / "data.csv"
+    write_samples_binary(binary, np.array(rows))
+    text.write_text("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    for path in (binary, text):
+        with pytest.raises(InputError) as caught:
+            read_samples(path, norm)
+        want = f"{path}: {message}" if message.startswith("non-finite") else message
+        assert str(caught.value) == want
+
+
+def test_a_file_that_shrinks_while_read_in_blocks_is_an_input_error(tmp_path, monkeypatch, rng):
+    # the size check passes on a stale size, then a block read comes up short
+    path = tmp_path / "data.ovlb"
+    write_samples_binary(path, rng.normal(size=(10, 3)))
+    path.write_bytes(path.read_bytes()[:-20])
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        st = real_fstat(fd)
+        return os.stat_result(st[:6] + (st.st_size + 20,) + st[7:])
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 6)
+    with pytest.raises(InputError, match=r"data.ovlb: expected 30 float64 values, found 27$"):
+        read_samples(path)
+
+
+def test_a_set_read_from_statistics_refuses_what_needs_rows(tmp_path, rng):
+    path = tmp_path / "data.ovlb"
+    a = rng.normal(size=(50, 3))
+    write_samples_binary(path, a)
+    got, whole = read_samples(path), SampleSet(a)
+    balls = [RadiusIndicator(r) for r in (0.5, 1.0, 2.0)]
+    assert compute_bound(got, whole, balls) == compute_bound(whole, whole, balls)
+    with pytest.raises(InputError, match="keeps only its statistics"):
+        compute_bound(got, whole, [RadiusIndicator(1.0, NormKind.L1)])
+    with pytest.raises(InputError, match="keeps only its statistics"):
+        core.make_sample_set(got, "l1")

@@ -203,6 +203,8 @@ def test_distribution_dimension_must_be_a_positive_int(dimension):
 def test_validation_errors():
     with pytest.raises(InputError):
         DiscreteDistribution([[0.0], [1.0]], [0.5, 0.6])  # masses sum to 1.1
+    with pytest.raises(InputError, match="masses must sum to 1 within 1e-12, got inf"):
+        DiscreteDistribution([[0.0], [1.0]], [1e308, 1e308])  # the sum overflows float64
     with pytest.raises(InputError):
         DiscreteDistribution([[0.0], [0.0]], [0.5, 0.5])  # duplicate support
     with pytest.raises(InputError):
