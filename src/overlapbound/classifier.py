@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,8 @@ _MODEL_FIELDS = (
 
 
 def _model_value(attr: str, value, fields: dict):
-    """A model field's value if it is what ``_MODEL_FIELDS`` accepts, else None.
+    """A model field's value if its JSON type and length are what
+    ``_MODEL_FIELDS`` accepts, else None; the scorer checks the numbers.
 
     ``fields`` holds the fields read so far; k and dimension fix list lengths.
     """
@@ -74,34 +75,37 @@ def _model_value(attr: str, value, fields: dict):
     except OverflowError:  # an integer beyond float64
         return None
     size = {"fit_radius": 1, "mean": fields["dimension"]}.get(attr, fields["k"])
-    if len(values) != size or not all(map(math.isfinite, values)):
-        return None
-    if attr != "mean" and min(values) < 0.0 or attr == "accept_rates" and max(values) > 1.0:
-        return None
-    if attr == "radii" and any(b <= a for a, b in zip(values, values[1:])):
+    if len(values) != size:
         return None
     return values[0] if attr == "fit_radius" else values
 
 
-def _broken_rule(scorer, radii, rates, region) -> str | None:
-    """The first rule of every fitted model that a scorer's fields break, if any.
+def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
+    """The first rule of every fitted model that a scorer's values break, if any.
 
     raw_scores relies on them: it binary-searches the radii and takes the
     separation's maximum over the balls holding a query at the first of them.
     """
-    top = scorer.fit_radius
-    if not len(radii) == len(rates) == len(region) == scorer.k >= 1:
+    if not isinstance(norm, NormKind):
+        return f"'norm' must be a NormKind, got {type(norm).__name__}"
+    if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
+        return "'mean' must be a nonempty 1-D vector of finite numbers"
+    if not (math.isfinite(top) and top >= 0.0):
+        return "'rFit' must be a finite number >= 0"
+    if not (radii.ndim == 1 and radii.shape == rates.shape == region.shape and radii.size):
         return "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"
-    if not np.all(radii[1:] >= radii[:-1]):
-        return "'radii' must be nondecreasing"
+    if not all(np.isfinite(v).all() and v.min() >= 0.0 for v in (radii, region)):
+        return "'radii' and 'gMaxNorms' entries must be finite numbers >= 0"
+    if not np.all((rates >= 0.0) & (rates <= 1.0)):
+        return "'gMeans' must lie in [0, 1]"
+    # a file omits the default family, and the radii it holds must increase strictly
+    if not np.all(radii[1:] > radii[:-1]) and radii.tolist() != list(
+            RadiusFamily(k=len(radii), top=top).radii):
+        return "'radii' must be nondecreasing, and strictly increasing unless they are j/k * 'rFit'"
     if not np.all(region <= np.minimum(radii, top)):
         return "each 'gMaxNorms' entry must be <= its radius and <= 'rFit'"
     if not (np.all(rates[1:] >= rates[:-1]) and np.all(region[1:] >= region[:-1])):
         return "'gMeans' and 'gMaxNorms' must be nondecreasing"
-    if not np.all((rates >= 0.0) & (rates <= 1.0)):
-        return "'gMeans' must lie in [0, 1]"
-    if scorer.degenerate != (top == 0.0):
-        return "'degenerate' must be true exactly when 'rFit' is 0"
     return None
 
 
@@ -119,35 +123,38 @@ class FittedScorer:
     """Precomputed in-class statistics enabling constant-space scoring.
 
     Stores exactly the mean vector plus 2k + 1 scalars, independent of the
-    training-set size. ``degenerate`` flags a fit where every sample sat at
-    the origin (all radii collapse to zero).
+    training-set size. ``dimension``, ``k`` and ``degenerate`` (every sample
+    at the origin, all radii zero) follow from the other fields. Construction
+    raises InputError for the first rule of a fitted model that they break.
     """
 
     norm: NormKind
-    dimension: int
-    k: int
     mean: np.ndarray
     fit_radius: float
     radii: tuple[float, ...]
     accept_rates: tuple[float, ...]
     region_radii: tuple[float, ...]
-    degenerate: bool
+    dimension: int = field(init=False)
+    k: int = field(init=False)
+    degenerate: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        radii, rates, region = (np.array(v, dtype=np.float64)
-                                for v in (self.radii, self.accept_rates, self.region_radii))
-        rule = _broken_rule(self, radii, rates, region)
-        if rule is not None:
+        mean, radii, rates, region = (np.array(v, dtype=np.float64) for v in (
+            self.mean, self.radii, self.accept_rates, self.region_radii))
+        top = float(self.fit_radius)
+        if (rule := _broken_rule(self.norm, mean, top, radii, rates, region)) is not None:
             raise InputError(f"model fields are inconsistent: {rule}")
         # Per j, the separation of a query outside ball j whose pool is rFit;
         # rFit = 0 divides by zero, but such a pool scores 1 regardless.
         with np.errstate(all="ignore"):
-            outside = _separation(region, 0.0 - rates, self.fit_radius)
+            outside = _separation(region, 0.0 - rates, top)
         # Read-only arrays built once, so that raw_scores converts nothing per
         # call. Index J of the k + 1 vectors serves a query inside balls J..k-1:
         # the best separation of the balls before J, and ball J's region radius
         # and |1 - rate| (0 past the last ball).
-        freeze(self, mean=np.array(self.mean, dtype=np.float64), _radii=radii,
+        freeze(self, mean=mean, fit_radius=top, radii=tuple(radii.tolist()),
+               accept_rates=tuple(rates.tolist()), region_radii=tuple(region.tolist()),
+               dimension=len(mean), k=len(radii), degenerate=top == 0.0, _radii=radii,
                _rates=rates, _region=region,
                _outside_best=np.maximum.accumulate(np.append(-np.inf, outside)),
                _first_region=np.append(region, 0.0),
@@ -267,12 +274,20 @@ class FittedScorer:
                 if value is None:
                     raise InputError(f"{source}: model field {key!r} must be {accepted}")
                 fields[attr] = value
+        k, _, degenerate = (fields.pop(attr) for attr in ("k", "dimension", "degenerate"))
         if "radii" not in fields:
-            fields["radii"] = RadiusFamily(k=fields["k"], top=fields["fit_radius"]).radii
+            try:
+                fields["radii"] = RadiusFamily(k=k, top=fields["fit_radius"]).radii
+            except InputError:  # no family for a bad rFit: the scorer names the rule
+                fields["radii"] = ()
         try:
-            return cls(**fields)
+            scorer = cls(**fields)
+            if scorer.degenerate != degenerate:
+                raise InputError("model fields are inconsistent: "
+                                 "'degenerate' must be true exactly when 'rFit' is 0")
         except InputError as exc:
             raise InputError(f"{source}: {exc}") from None
+        return scorer
 
     @classmethod
     def load(cls, path) -> "FittedScorer":
@@ -301,27 +316,13 @@ def fit(
     max_norm = stats.max_norm
     if radii is not None:
         family = tuple(float(r) for r in radii)
-        if len(family) == 0:
-            raise InputError("custom radius family must be nonempty")
-        if any(not math.isfinite(r) or r < 0 for r in family):
-            raise InputError("custom radii must be finite and >= 0")
         if any(b <= a for a, b in zip(family, family[1:])):
             raise InputError("custom radii must be strictly increasing")
-        k = len(family)
     else:
         family = RadiusFamily(k=k, top=max_norm, norm=kind).radii
     counts, region = ball_stats(stats.sorted_norms, family)
-    return FittedScorer(
-        norm=kind,
-        dimension=len(stats.mean),
-        k=k,
-        mean=stats.mean,
-        fit_radius=max_norm,
-        radii=family,
-        accept_rates=tuple((counts / len(stats.norms)).tolist()),
-        region_radii=tuple(region.tolist()),
-        degenerate=max_norm == 0.0,
-    )
+    return FittedScorer(norm=kind, mean=stats.mean, fit_radius=max_norm, radii=family,
+                        accept_rates=counts / len(stats.norms), region_radii=region)
 
 
 def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecord:

@@ -9,6 +9,7 @@ violation, 4 metric undefined on the given data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -103,16 +104,12 @@ def cmd_fit(args) -> None:
 
 
 def _write_scores_csv(path, columns: dict) -> None:
-    """Per-query CSV: row_index, then each column (floats, or a list of str) in order."""
-    cells = [v if isinstance(v, list) else list(map(repr, v.tolist())) for v in columns.values()]
-    lines = [",".join(["row_index", *columns])]
-    lines += [",".join([str(i), *row]) for i, row in enumerate(zip(*cells))]
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Per-query CSV: row_index, then each column (floats, or a list of str) in
+    order, written one row at a time as it is formatted."""
+    cells = [v if isinstance(v, list) else map(repr, v.tolist()) for v in columns.values()]
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(",".join(["row_index", *columns]) + "\n")
+        fh.writelines(",".join([str(i), *row]) + "\n" for i, row in enumerate(zip(*cells)))
 
 
 def _score_command(args) -> None:

@@ -73,17 +73,17 @@ def _read_samples_binary(path, norm: NormKind | None = None):
         found = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
         if found < n * d:
             raise InputError(f"{path}: expected {n * d} float64 values, found {found}")
-        if norm is None:
-            return np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
-        per_row, sums = np.empty(n), _ColumnSums(d)
+        per_row, sums = np.empty(0 if norm is None else n), _ColumnSums(d)
         non_finite = f"{path}: non-finite sample values"
-        buffer = np.empty((min(n, _block_rows(d)), d), dtype="<f8")
+        buffer = np.empty((n if norm is None else min(n, _block_rows(d)), d), dtype="<f8")
         for lo in range(0, n, buffer.shape[0]):
             block = buffer[:n - lo]
             got = fh.readinto(block)
             if got != block.nbytes:  # the file shrank after the size check
                 raise InputError(f"{path}: expected {n * d} float64 values, "
                                  f"found {(lo * d * 8 + got) // 8}")
+            if norm is None:  # the whole array, read as one block
+                return buffer
             per_row[lo:lo + len(block)] = _finite_norms(block, norm, non_finite)
             sums.add(block)
     return _row_statistics(per_row, norm, lambda: sums.result() / n)

@@ -8,7 +8,7 @@ is the ground truth the estimators are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +29,15 @@ MASS_TOLERANCE = 1e-12
 
 # A subset of the joint support: a condition function or a boolean mask.
 SubsetSpec = ConditionFunction | np.ndarray
+
+
+def _weighted_mean(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Exact mass-weighted column sums, so zero-mass rows leave them bitwise unchanged."""
+    with np.errstate(over="ignore"):  # a mass may exceed 1 by MASS_TOLERANCE
+        weighted = points * masses[:, None]
+    if not np.isfinite(weighted).all():
+        raise InputError("mass-weighted support points overflow float64")
+    return exact_column_sums(weighted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +80,7 @@ class DiscreteDistribution:
 
     def mean(self) -> np.ndarray:
         """Mass-weighted mean, accumulated exactly per coordinate."""
-        with np.errstate(over="ignore"):  # a mass may exceed 1 by MASS_TOLERANCE
-            weighted = self.points * self.masses[:, None]
-        if not np.isfinite(weighted).all():
-            raise InputError("mass-weighted support points overflow float64")
-        return exact_column_sums(weighted)
+        return _weighted_mean(self.points, self.masses)
 
     @classmethod
     def from_json_dict(cls, doc: dict, source: str = "<memory>") -> "DiscreteDistribution":
@@ -101,7 +106,7 @@ class DiscreteDistribution:
 @dataclass(frozen=True, eq=False)
 class JointSupport:
     """Union of two supports with aligned mass vectors (0 where absent), plus
-    the two distributions' exact means.
+    the two distributions' exact means, derived from the masses.
 
     Points are matched by exact coordinate identity; nearby-but-unequal points
     stay distinct so the oracle never does fuzzy merging. Boolean subset
@@ -111,11 +116,14 @@ class JointSupport:
     points: np.ndarray
     p_masses: np.ndarray
     q_masses: np.ndarray
-    p_mean: np.ndarray
-    q_mean: np.ndarray
+    p_mean: np.ndarray = field(init=False)
+    q_mean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        freeze(self, **{f.name: np.array(getattr(self, f.name), dtype=np.float64) for f in fields(self)})
+        freeze(self, **{f.name: np.array(getattr(self, f.name), dtype=np.float64)
+                        for f in fields(self) if f.init})
+        freeze(self, p_mean=_weighted_mean(self.points, self.p_masses),
+               q_mean=_weighted_mean(self.points, self.q_masses))
 
     @classmethod
     def of(cls, p: DiscreteDistribution, q: DiscreteDistribution) -> "JointSupport":
@@ -139,7 +147,7 @@ class JointSupport:
         p_mass[: p.points.shape[0]] = p.masses
         for row, w in zip(q.points.tolist(), q.masses.tolist()):
             q_mass[index[tuple(row)]] = w
-        return cls(np.asarray(rows, dtype=np.float64), p_mass, q_mass, p.mean(), q.mean())
+        return cls(np.asarray(rows, dtype=np.float64), p_mass, q_mass)
 
     def support_norms(self, kind: NormKind) -> np.ndarray:
         """Norms of the joint support points; InputError if one overflows float64."""

@@ -104,19 +104,6 @@ def sweep_sigma(
             for sigma in sigmas]
 
 
-def _mixture_rows(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: int, seed: int):
-    """Row indices of a deterministic proportional test mixture: floor(sigma*n)
-    clean rows, then the remainder poisoned, each drawn with replacement."""
-    require_compatible(clean, poisoned)
-    _check_unit("sigma", sigma)
-    if n_total < 1:
-        raise InputError(f"n_total must be >= 1, got {n_total}")
-    n_clean = math.floor(sigma * n_total)
-    rng = _rng(seed)
-    clean_rows = rng.integers(0, len(clean), size=n_clean)
-    return clean_rows, rng.integers(0, len(poisoned), size=n_total - n_clean)
-
-
 def fixed_accuracy_rule(
     clean: SampleSet,
     poisoned: SampleSet,
@@ -156,6 +143,13 @@ def simulate_accuracy(
     clean_right, poisoned_right = rule
     if len(clean_right) != len(clean) or len(poisoned_right) != len(poisoned):
         raise InputError("the rule's masks do not match the sizes of the sample sets")
-    clean_rows, poisoned_rows = _mixture_rows(clean, poisoned, sigma, n_samples, seed)
+    require_compatible(clean, poisoned)
+    _check_unit("sigma", sigma)
+    if n_samples < 1:
+        raise InputError(f"n_samples must be >= 1, got {n_samples}")
+    n_clean = math.floor(sigma * n_samples)
+    rng = _rng(seed)
+    clean_rows = rng.integers(0, len(clean), size=n_clean)
+    poisoned_rows = rng.integers(0, len(poisoned), size=n_samples - n_clean)
     correct = int(clean_right[clean_rows].sum()) + int(poisoned_right[poisoned_rows].sum())
     return correct / n_samples

@@ -519,19 +519,84 @@ def test_raw_scores_memory_does_not_grow_with_k():
     ({"region_radii": (1.5, 2.0, 3.0)}, "each 'gMaxNorms' entry must be <= its radius"),
     ({"radii": (2.0, 1.0, 3.0)}, "'radii' must be nondecreasing"),
     ({"radii": (1.0, 2.0)}, "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"),
-    ({"k": 0, "radii": (), "accept_rates": (), "region_radii": ()},
+    ({"radii": (), "accept_rates": (), "region_radii": ()},
      "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"),
     ({"accept_rates": (0.5, 0.75, 1.25)}, "'gMeans' must lie in [0, 1]"),
-    ({"degenerate": True}, "'degenerate' must be true exactly when 'rFit' is 0"),
+    ({"radii": (1.0, 2.0, np.inf)}, "'radii' and 'gMaxNorms' entries must be finite numbers >= 0"),
+    ({"region_radii": (-1.0, 2.0, 3.0)},
+     "'radii' and 'gMaxNorms' entries must be finite numbers >= 0"),
+    ({"fit_radius": np.inf}, "'rFit' must be a finite number >= 0"),
+    ({"fit_radius": np.nan}, "'rFit' must be a finite number >= 0"),
+    ({"mean": [np.nan]}, "'mean' must be a nonempty 1-D vector of finite numbers"),
+    ({"mean": [[0.5]]}, "'mean' must be a nonempty 1-D vector of finite numbers"),
+    ({"norm": "l2"}, "'norm' must be a NormKind, got str"),
+    ({"radii": (1.0, 1.0, 3.0)}, "'radii' must be nondecreasing, and strictly increasing unless"),
 ])
 def test_hand_built_scorer_is_checked(changes, rule):
-    fields = dict(norm=NormKind.L2, dimension=1, k=3, mean=[0.5], fit_radius=3.0,
-                  radii=(1.0, 2.0, 3.0), accept_rates=(0.25, 0.5, 1.0),
-                  region_radii=(1.0, 2.0, 3.0), degenerate=False)
+    fields = dict(norm=NormKind.L2, mean=[0.5], fit_radius=3.0, radii=(1.0, 2.0, 3.0),
+                  accept_rates=(0.25, 0.5, 1.0), region_radii=(1.0, 2.0, 3.0))
     FittedScorer(**fields)
     with pytest.raises(InputError) as err:
         FittedScorer(**(fields | changes))
     assert str(err.value).startswith(f"model fields are inconsistent: {rule}")
+
+
+_SCORER_FIELDS = ("norm", "mean", "fit_radius", "radii", "accept_rates", "region_radii")
+
+
+@st.composite
+def hand_built_fields(draw):
+    """Keyword arguments of ``FittedScorer``: those of a fit on generated data
+    (every norm, ties, all-origin rows, custom radii), then zero to three edits
+    of the kind a caller building a scorer by hand might make."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(draw(st.integers(1, 12)), draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        rows = np.round(rows)  # repeated norms and zero rows
+    rows *= draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    kind = draw(st.sampled_from(ALL_NORMS))
+    radii = None
+    if draw(st.booleans()):
+        radii = sorted(set(draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8))))
+    fitted = fit(rows, k=draw(st.integers(1, 8)), norm=kind, radii=radii)
+    fields = {name: getattr(fitted, name) for name in _SCORER_FIELDS}
+    k = len(fields["radii"])
+    special = st.sampled_from([0.0, -0.0, -1.0, 1.5, np.nan, np.inf, 1e300])
+    edits = {
+        "norm": st.sampled_from(ALL_NORMS),
+        "mean": st.lists(st.floats(-1e6, 1e6) | special, min_size=1, max_size=4),
+        "fit_radius": st.floats(0.0, 1e5) | special,
+        "radii": st.sampled_from(["scale", "default", "repeat", "list"]),
+        "accept_rates": st.lists(st.floats(0.0, 1.0) | special, min_size=k, max_size=k).map(sorted),
+        "region_radii": st.sampled_from(["zeros", "array"]),
+    }
+    for name in draw(st.lists(st.sampled_from(_SCORER_FIELDS), max_size=3)):
+        value = draw(edits[name])
+        if name == "radii":
+            r, top = np.array(fields["radii"]), fields["fit_radius"]
+            value = {"scale": r * draw(st.floats(1.0, 4.0)), "list": r.tolist(),
+                     "default": RadiusFamily(k=k, top=top).radii if np.isfinite(top) and top >= 0
+                     else r, "repeat": np.append(r[:1], r[:-1])}[value]
+        elif name == "region_radii":
+            value = np.zeros(k) if value == "zeros" else np.array(fields["region_radii"])
+        fields[name] = value
+    return fields
+
+
+@given(hand_built_fields())
+@settings(max_examples=300, deadline=None)
+def test_every_scorer_the_constructor_accepts_saves_a_model_that_loads(tmp_path_factory, fields):
+    try:
+        scorer = FittedScorer(**fields)
+    except InputError as exc:
+        assert str(exc).startswith("model fields are inconsistent: ")
+        return
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    scorer.save(path)
+    loaded = FittedScorer.load(path)
+    assert loaded.to_json_text() == scorer.to_json_text()
+    assert (loaded.k, loaded.dimension, loaded.degenerate) == (scorer.k, scorer.dimension,
+                                                              scorer.degenerate)
 
 
 def test_inconsistent_model_file_names_the_file(tmp_path):

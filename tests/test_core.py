@@ -288,7 +288,7 @@ def test_every_array_of_a_value_type_is_read_only(value):
 
 
 def test_joint_support_copies_what_it_is_given():
-    arrays = [np.array([[1.0]]), np.array([1.0]), np.array([0.0]), np.array([1.0]), np.array([0.0])]
+    arrays = [np.array([[1.0]]), np.array([1.0]), np.array([0.0])]
     joint = JointSupport(*arrays)
     assert all(a.flags.writeable for a in arrays)
     arrays[1][0] = 0.0

@@ -219,7 +219,7 @@ def test_a_bad_value_in_any_block_is_the_same_error_as_in_csv(tmp_path, monkeypa
 
 
 def test_a_file_that_shrinks_while_read_in_blocks_is_an_input_error(tmp_path, monkeypatch, rng):
-    # the size check passes on a stale size, then a block read comes up short
+    # the size check passes on a stale size, then a read comes up short
     path = tmp_path / "data.ovlb"
     write_samples_binary(path, rng.normal(size=(10, 3)))
     path.write_bytes(path.read_bytes()[:-20])
@@ -231,8 +231,9 @@ def test_a_file_that_shrinks_while_read_in_blocks_is_an_input_error(tmp_path, mo
 
     monkeypatch.setattr(os, "fstat", stale_fstat)
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 6)
-    with pytest.raises(InputError, match=r"data.ovlb: expected 30 float64 values, found 27$"):
-        read_samples(path)
+    for reader in (read_samples, read_sample_array):
+        with pytest.raises(InputError, match=r"data.ovlb: expected 30 float64 values, found 27$"):
+            reader(path)
 
 
 def test_a_set_read_from_statistics_refuses_what_needs_rows(tmp_path, rng):

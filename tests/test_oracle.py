@@ -260,6 +260,20 @@ def distribution_pairs(draw):
     return one_side(), one_side()
 
 
+@given(st.data(), st.integers(1, 8), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_a_joint_built_from_three_arrays_derives_the_exact_means(data, m, d):
+    coords = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300, -1e300])
+    points = np.array(data.draw(st.lists(st.tuples(*[coords] * d), min_size=m, max_size=m,
+                                         unique=True)))
+    weights = st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any)
+    p_mass, q_mass = (np.array(data.draw(weights), dtype=float) for _ in range(2))
+    p_mass, q_mass = p_mass / p_mass.sum(), q_mass / q_mass.sum()
+    joint = JointSupport(points, p_mass, q_mass)
+    assert joint.p_mean.tobytes() == DiscreteDistribution(points, p_mass).mean().tobytes()
+    assert joint.q_mean.tobytes() == DiscreteDistribution(points, q_mass).mean().tobytes()
+
+
 @given(distribution_pairs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_partition_identity_property(pair, data):
