@@ -71,8 +71,9 @@ def _closed_form(mean_gap, pool_radius, best_separation, sigma=0.0):
 
 
 def _separation(region_radius, rate_gap, pool_radius):
-    """Per condition: (1 - region_radius/pool_radius) * |rate gap|."""
-    return (1.0 - region_radius / pool_radius) * np.abs(rate_gap)
+    """Per condition: (1 - region_radius/pool_radius) * |rate gap|, for
+    scalars or arrays; a float stays a float."""
+    return (1.0 - region_radius / pool_radius) * abs(rate_gap)
 
 
 def _acceptance(side: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ first-pass scores.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,6 +93,12 @@ def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
         return "'mean' must be a nonempty 1-D vector of finite numbers"
     if not (math.isfinite(top) and top >= 0.0):
         return "'rFit' must be a finite number >= 0"
+    if top == 0.0:
+        # every fitted norm is 0, so the mean's is too (an l2 mean of tiny
+        # entries may be nonzero where every square underflows)
+        with np.errstate(over="ignore"):
+            if norms(mean[None], norm)[0] != 0.0:
+                return "'mean' must have norm 0 when 'rFit' is 0"
     if not (radii.ndim == 1 and radii.shape == rates.shape == region.shape and radii.size):
         return "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"
     if not all(np.isfinite(v).all() and v.min() >= 0.0 for v in (radii, region)):
@@ -151,14 +158,17 @@ class FittedScorer:
         # Read-only arrays built once, so that raw_scores converts nothing per
         # call. Index J of the k + 1 vectors serves a query inside balls J..k-1:
         # the best separation of the balls before J, and ball J's region radius
-        # and |1 - rate| (0 past the last ball).
+        # and |1 - rate| (0 past the last ball). ``score`` reads the same
+        # three values at J as one tuple of floats.
+        outside_best = np.maximum.accumulate(np.append(-np.inf, outside))
+        first_region, first_gap = np.append(region, 0.0), np.append(np.abs(1.0 - rates), 0.0)
         freeze(self, mean=mean, fit_radius=top, radii=tuple(radii.tolist()),
                accept_rates=tuple(rates.tolist()), region_radii=tuple(region.tolist()),
                dimension=len(mean), k=len(radii), degenerate=top == 0.0, _radii=radii,
-               _rates=rates, _region=region,
-               _outside_best=np.maximum.accumulate(np.append(-np.inf, outside)),
-               _first_region=np.append(region, 0.0),
-               _first_gap=np.append(np.abs(1.0 - rates), 0.0))
+               _rates=rates, _region=region, _outside_best=outside_best,
+               _first_region=first_region, _first_gap=first_gap,
+               _ball_terms=tuple(zip(outside_best.tolist(), first_region.tolist(),
+                                     first_gap.tolist())))
 
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.
@@ -329,10 +339,14 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
     """Confidence that x came from the fitted in-class distribution.
 
     Equal to running the pooled-bound computation between the singleton {x}
-    and the full fit set, evaluated from the cached statistics alone: a
-    one-row ``raw_scores`` call. With a threshold, the verdict is "in" iff
-    the score reaches it (the boundary counts as in); a non-finite threshold
-    is an InputError.
+    and the full fit set, evaluated from the cached statistics alone, and
+    bitwise equal to ``scorer.raw_scores(x[None])[0]``. A query within the
+    fit ball costs one two-row ``norms`` call and the ``raw_scores`` formula
+    on Python floats; every other query (beyond the fit ball, against an
+    all-origin fit, non-finite or overflowing) is a one-row ``raw_scores``
+    call, which also reports its errors. With a threshold, the verdict is
+    "in" iff the score reaches it (the boundary counts as in); a non-finite
+    threshold is an InputError.
     """
     if threshold is not None and not math.isfinite(threshold):
         raise InputError(f"threshold must be finite, got {threshold!r}")
@@ -341,7 +355,17 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
         raise InputError(f"expected a nonempty 1-D vector, got shape {vec.shape}")
     if vec.size != scorer.dimension:
         raise DimensionMismatchError(f"expected dimension {scorer.dimension}, got {vec.size}")
-    raw = float(scorer.raw_scores(vec[None])[0])
+    # Each row is summed on its own in C order, so both norms are bitwise
+    # those of raw_scores; what is non-finite here goes to raw_scores below.
+    with np.errstate(all="ignore"):
+        qn, gap = norms(np.array((vec, vec - scorer.mean)), scorer.norm).tolist()
+    top, raw = scorer.fit_radius, math.nan
+    if 0.0 < top and qn <= top:
+        # raw_scores's in-ball case: bisect_left is searchsorted's side="left"
+        before, region, rate_gap = scorer._ball_terms[bisect.bisect_left(scorer.radii, qn)]
+        raw = _closed_form(gap, top, max(before, _separation(max(qn, region), rate_gap, top)))
+    if not math.isfinite(raw):
+        raw = float(scorer.raw_scores(vec[None])[0])
     verdict = None if threshold is None else ("in" if raw >= threshold else "out")
     return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
 

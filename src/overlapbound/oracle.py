@@ -8,7 +8,7 @@ is the ground truth the estimators are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,17 @@ def _weighted_mean(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return exact_column_sums(weighted)
 
 
+def _check_support(points: np.ndarray, **masses: np.ndarray) -> None:
+    """InputError unless ``points`` is a nonempty (m, d) array and each mass
+    vector is 1-D of length m."""
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise InputError(f"expected a nonempty (m, d) support array, got shape {points.shape}")
+    for name, mass in masses.items():
+        if mass.shape != points.shape[:1]:
+            raise InputError(f"{name} must be 1-D with one entry per support point "
+                             f"({points.shape[0]}), got shape {mass.shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Finite support points with probability masses summing to one."""
@@ -52,13 +63,7 @@ class DiscreteDistribution:
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         mass = np.array(self.masses, dtype=np.float64, copy=True)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InputError(f"expected a nonempty (m, d) support array, got shape {pts.shape}")
-        if mass.ndim != 1 or mass.shape[0] != pts.shape[0]:
-            raise InputError(
-                f"masses must be 1-D with one entry per support point "
-                f"({pts.shape[0]}), got shape {mass.shape}"
-            )
+        _check_support(pts, masses=mass)
         if not np.isfinite(pts).all():
             raise InputError("support points have non-finite coordinates")
         if not np.isfinite(mass).all() or (mass < 0).any():
@@ -120,10 +125,11 @@ class JointSupport:
     q_mean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        freeze(self, **{f.name: np.array(getattr(self, f.name), dtype=np.float64)
-                        for f in fields(self) if f.init})
-        freeze(self, p_mean=_weighted_mean(self.points, self.p_masses),
-               q_mean=_weighted_mean(self.points, self.q_masses))
+        points, p_masses, q_masses = (np.array(v, dtype=np.float64)
+                                      for v in (self.points, self.p_masses, self.q_masses))
+        _check_support(points, p_masses=p_masses, q_masses=q_masses)
+        freeze(self, points=points, p_masses=p_masses, q_masses=q_masses,
+               p_mean=_weighted_mean(points, p_masses), q_mean=_weighted_mean(points, q_masses))
 
     @classmethod
     def of(cls, p: DiscreteDistribution, q: DiscreteDistribution) -> "JointSupport":

@@ -303,8 +303,34 @@ def test_per_query_work_independent_of_fit_size(rng, monkeypatch):
         finally:
             monkeypatch.setattr(mod, "norms", real_norms)
         counts[n] = (len(rows_seen), sum(rows_seen))
+        # one scalar call inside the fit ball: one norms call over the query
+        # and its gap to the mean
+        rows_seen.clear()
+        monkeypatch.setattr(mod, "norms", counting_norms)
+        try:
+            score(scorer, 0.01 * queries[0])
+        finally:
+            monkeypatch.setattr(mod, "norms", real_norms)
+        assert rows_seen == [2], n
     assert counts[20] == counts[20_000]
     assert counts[20][1] == 2 * len(queries)  # query norms + mean-gap rows
+
+
+def test_score_inside_the_fit_ball_skips_raw_scores(monkeypatch):
+    scorer = fit([[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]], k=3)
+    calls = []
+    real_raw_scores = FittedScorer.raw_scores
+
+    def counting_raw_scores(self, points):
+        calls.append(np.asarray(points).shape)
+        return real_raw_scores(self, points)
+
+    monkeypatch.setattr(FittedScorer, "raw_scores", counting_raw_scores)
+    for inside in ([0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [-1.5, 0.5]):
+        score(scorer, inside)
+    assert calls == []
+    score(scorer, [4.0, 4.0])  # beyond the fit ball: the O(k) batch path
+    assert calls == [(1, 2)]
 
 
 def test_custom_radii_survive_round_trip(tmp_path):
@@ -358,11 +384,40 @@ def test_fit_ball_statistics_equal_mask_loop(data, rows, kind):
 
 
 @given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS), st.integers(1, 12))
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_scalar_score_is_one_row_batch(data, rows, kind, k):
-    s = fit(SampleSet(rows, kind), k=k)
-    x = np.array(data.draw(repeated_rows(rows.shape[1]))[0]) * data.draw(st.floats(0.0, 3.0))
-    assert score(s, x).score == s.raw_scores(x[None])[0]
+    # default or custom radii, all-origin fits (k zero radii), and queries
+    # scaled, on a radius, on rFit or beyond it
+    if data.draw(st.booleans()):
+        rows = np.zeros_like(rows)
+    ss = SampleSet(rows, kind)
+    s = fit(ss, k=k, radii=radii_on_norms(data, ss) if data.draw(st.booleans()) else None)
+    x = np.array(data.draw(repeated_rows(rows.shape[1]))[0])
+    if data.draw(st.booleans()):
+        x *= data.draw(st.floats(0.0, 3.0))
+    else:  # r times a signed unit vector has norm exactly r in every norm
+        x = np.zeros_like(x)
+        x[data.draw(st.integers(0, len(x) - 1))] = data.draw(
+            st.sampled_from(s.radii + (s.fit_radius,))) * data.draw(st.sampled_from([1.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = score(s, x).score, s.raw_scores(x[None])[0]
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_score_reports_the_errors_of_raw_scores():
+    l2 = fit([[1.0, 2.0], [3.0, 1.0]], k=3)
+    # the query's norm fits in the fit ball, but its gap to the mean overflows
+    far = fit([[-1e154, 0.0], [-1e154, 1.0]], k=2)
+    cases = ((l2, [np.nan, 1.0]), (l2, [np.inf, 1.0]), (l2, [1e200, 1.0]), (far, [1e154, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scorer, row in cases:
+            with pytest.raises(InputError) as batch:
+                scorer.raw_scores([row])
+            with pytest.raises(InputError) as one:
+                score(scorer, row)
+            assert str(one.value) == str(batch.value), row
 
 
 @given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS), st.integers(1, 12), st.integers(1, 30))
@@ -395,6 +450,8 @@ def _corruptions(doc: dict) -> list[tuple[str, object]]:
         ("gMaxNorms", [top / k] + [0.0] * (k - 1)), ("gMeans", [1.0] + [0.0] * (k - 1)),
         ("radii", [0.5 * top * j / k for j in range(1, k + 1)]),
         ("degenerate", True), ("rFit", 0.0),
+        # a degenerate model whose mean is off the origin
+        (None, {"rFit": 0.0, "gMaxNorms": [0.0] * k, "degenerate": True}),
     ]
 
 
@@ -404,7 +461,7 @@ def test_corrupted_model_field_fails_to_load(tmp_path_factory, data, d, k):
     rows = np.random.default_rng(d * 10 + k).normal(size=(9, d))
     doc = fit(rows, k=k).to_json_dict()
     key, bad = data.draw(st.sampled_from(_corruptions(doc)))
-    doc[key] = bad
+    doc.update(bad if key is None else {key: bad})
     path = tmp_path_factory.mktemp("model") / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError):
@@ -531,6 +588,8 @@ def test_raw_scores_memory_does_not_grow_with_k():
     ({"mean": [[0.5]]}, "'mean' must be a nonempty 1-D vector of finite numbers"),
     ({"norm": "l2"}, "'norm' must be a NormKind, got str"),
     ({"radii": (1.0, 1.0, 3.0)}, "'radii' must be nondecreasing, and strictly increasing unless"),
+    ({"fit_radius": 0.0, "radii": (0.0, 0.0), "accept_rates": (1.0, 1.0),
+      "region_radii": (0.0, 0.0)}, "'mean' must have norm 0 when 'rFit' is 0"),
 ])
 def test_hand_built_scorer_is_checked(changes, rule):
     fields = dict(norm=NormKind.L2, mean=[0.5], fit_radius=3.0, radii=(1.0, 2.0, 3.0),
@@ -539,6 +598,11 @@ def test_hand_built_scorer_is_checked(changes, rule):
     with pytest.raises(InputError) as err:
         FittedScorer(**(fields | changes))
     assert str(err.value).startswith(f"model fields are inconsistent: {rule}")
+
+
+def test_degenerate_scorer_mean_may_be_negative_zero():
+    s = FittedScorer(NormKind.L2, [-0.0, 0.0], 0.0, (0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+    assert s.degenerate and score(s, [0.0, -0.0]).score == 1.0
 
 
 _SCORER_FIELDS = ("norm", "mean", "fit_radius", "radii", "accept_rates", "region_radii")

@@ -274,6 +274,23 @@ def test_a_joint_built_from_three_arrays_derives_the_exact_means(data, m, d):
     assert joint.q_mean.tobytes() == DiscreteDistribution(points, q_mass).mean().tobytes()
 
 
+@pytest.mark.parametrize("points, p_masses, q_masses, message", [
+    ([1.0, 2.0], [0.5, 0.5], [1.0, 0.0], "expected a nonempty (m, d) support array, got shape (2,)"),
+    (np.zeros((0, 2)), [], [], "expected a nonempty (m, d) support array, got shape (0, 2)"),
+    ([[[1.0]]], [1.0], [1.0], "expected a nonempty (m, d) support array, got shape (1, 1, 1)"),
+    ([[1.0], [2.0]], [0.5, 0.5], [1.0],
+     "q_masses must be 1-D with one entry per support point (2), got shape (1,)"),
+    ([[1.0], [2.0]], [[0.5, 0.5]], [1.0, 0.0],
+     "p_masses must be 1-D with one entry per support point (2), got shape (1, 2)"),
+    ([[1.0], [2.0]], 1.0, [1.0, 0.0],
+     "p_masses must be 1-D with one entry per support point (2), got shape ()"),
+])
+def test_joint_support_shapes_are_checked(points, p_masses, q_masses, message):
+    with pytest.raises(InputError) as err:
+        JointSupport(points, p_masses, q_masses)
+    assert str(err.value) == message
+
+
 @given(distribution_pairs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_partition_identity_property(pair, data):
