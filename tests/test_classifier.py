@@ -430,7 +430,7 @@ def test_iterative_batch_equals_per_query_bound_loop(data, rows, kind, k, k2):
     assert np.array_equal(got, iterative_scores_loop(s, rows, queries, k2))
 
 
-def _corruptions(doc: dict) -> list[tuple[str, object]]:
+def _corruptions(doc: dict) -> list[tuple[str | None, object]]:
     k, d, top = doc["k"], doc["dimension"], doc["rFit"]
     return [
         ("k", "abc"), ("k", 0), ("k", -3), ("k", 2.5), ("k", True), ("k", k + 1),
