@@ -185,45 +185,57 @@ class FittedScorer:
             raise DimensionMismatchError(
                 f"queries have shape {queries.shape}, scorer expects dimension {self.dimension}"
             )
-        out = np.empty(queries.shape[0], dtype=np.float64)
+        n = queries.shape[0]
+        qn, gaps = np.empty(n), np.empty(n)
         rows = _block_rows(self.dimension)
-        for lo in range(0, queries.shape[0], rows):
-            block = queries[lo : lo + rows]
-            # A non-finite entry or an overflowing norm leaves a non-finite
-            # score, which is caught below.
-            with np.errstate(all="ignore"):
-                qn = norms(block, self.norm)
-                gaps = norms(block - self.mean, self.norm)
-                pool = np.maximum(qn, self.fit_radius)
-                # Ball j holds the query iff j >= first. Over those balls the
-                # pooled region radius max(qn, gMaxNorms_j) never decreases
-                # and the rate gap 1 - gMeans_j never increases, so both
-                # nonnegative factors of the separation never increase
-                # (rounding is monotone) and ball `first` holds their maximum.
-                # The balls before it give the precomputed prefix maximum
-                # while the pool is rFit.
-                first = np.searchsorted(self._radii, qn)
-                best = np.maximum(self._outside_best[first], _separation(
-                    np.maximum(qn, self._first_region[first]), self._first_gap[first], pool))
-                if qn.max() > self.fit_radius:
-                    # The pool is the query's own norm: weigh every ball.
-                    far = np.flatnonzero(qn > self.fit_radius)
-                    col = qn[far, None]
-                    inside = col <= self._radii
-                    # Pooled in-ball max norm: the cached value, or the query
-                    # norm if the query joined the ball.
-                    region = np.maximum(col * inside, self._region)
-                    best[far] = _separation(region, inside - self._rates, col).max(axis=1)
-                raw = _closed_form(gaps, pool, best)
-            if self.fit_radius == 0.0:
-                # An all-origin pool means both sides are the same point mass.
-                raw[pool == 0.0] = 1.0
-            if not np.isfinite(raw).all():
-                if not np.isfinite(block).all():
-                    raise InputError("query block has non-finite entries")
-                raise InputError(f"query {self.norm.value} norms overflow float64")
-            out[lo : lo + rows] = raw
-        return out
+        # One block of scratch per call, so that a shared scorer stays
+        # safe to use from several threads.
+        scratch = np.empty((min(rows, n), self.dimension))
+        # A non-finite entry or an overflowing norm leaves a non-finite
+        # score, which is caught below.
+        with np.errstate(all="ignore"):
+            for lo in range(0, n, rows):
+                block = queries[lo : lo + rows]
+                qn[lo : lo + rows] = norms(block, self.norm)
+                gaps[lo : lo + rows] = norms(
+                    np.subtract(block, self.mean, out=scratch[: len(block)]), self.norm)
+            pool = np.maximum(qn, self.fit_radius)
+            # Ball j holds the query iff j >= first. Over those balls the
+            # pooled region radius max(qn, gMaxNorms_j) never decreases and
+            # the rate gap 1 - gMeans_j never increases, so both nonnegative
+            # factors of the separation never increase (rounding is
+            # monotone) and ball `first` holds their maximum. The balls
+            # before it give the precomputed prefix maximum while the pool
+            # is rFit.
+            first = np.searchsorted(self._radii, qn)
+            best = np.maximum(self._outside_best[first], _separation(
+                np.maximum(qn, self._first_region[first]), self._first_gap[first], pool))
+            # Beyond the fit ball the pool is the query's own norm: weigh
+            # every ball, a chunk of rows at a time: no more rows than a
+            # query block, and no more (row, ball) pairs than a block has
+            # values. A NaN norm is not far.
+            far_rows = np.flatnonzero(qn > self.fit_radius)
+            chunk = min(rows, _block_rows(self.k))
+            for lo in range(0, far_rows.size, chunk):
+                far = far_rows[lo : lo + chunk]
+                col = qn[far, None]
+                inside = col <= self._radii
+                # Pooled in-ball max norm: the cached value, or the query
+                # norm if the query joined the ball.
+                region = np.maximum(col * inside, self._region)
+                best[far] = _separation(region, inside - self._rates, col).max(axis=1)
+            raw = _closed_form(gaps, pool, best)
+        if self.fit_radius == 0.0:
+            # An all-origin pool means both sides are the same point mass.
+            raw[pool == 0.0] = 1.0
+        finite = np.isfinite(raw)
+        if not finite.all():
+            # The first block holding a non-finite score names the fault.
+            lo = int(finite.argmin()) // rows * rows
+            if not np.isfinite(queries[lo : lo + rows]).all():
+                raise InputError("query block has non-finite entries")
+            raise InputError(f"query {self.norm.value} norms overflow float64")
+        return raw
 
     def clamped_scores(self, points) -> np.ndarray:
         return np.clip(self.raw_scores(points), 0.0, 1.0)
@@ -355,8 +367,9 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
         raise InputError(f"expected a nonempty 1-D vector, got shape {vec.shape}")
     if vec.size != scorer.dimension:
         raise DimensionMismatchError(f"expected dimension {scorer.dimension}, got {vec.size}")
-    # Each row is summed on its own in C order, so both norms are bitwise
-    # those of raw_scores; what is non-finite here goes to raw_scores below.
+    # A row's norm has the same bits alone, in this pair or in a batch, so
+    # both are bitwise those of raw_scores; what is non-finite here goes to
+    # raw_scores below.
     with np.errstate(all="ignore"):
         qn, gap = norms(np.array((vec, vec - scorer.mean)), scorer.norm).tolist()
     top, raw = scorer.fit_radius, math.nan

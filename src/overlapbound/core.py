@@ -50,16 +50,25 @@ def _not_a_norm(norm) -> InputError:
 
 
 def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Per-row norms of a (n, d) array. ``kind`` must be a NormKind, not a name."""
+    """Per-row norms of a (n, d) array. ``kind`` must be a NormKind, not a name.
+
+    Each row's norm has the same bits whatever the array's layout, wherever
+    the row starts and whichever rows come with it.
+    """
     a = np.asarray(points, dtype=np.float64)
     if a.ndim != 2:
         raise InputError(f"expected a 2-D array of row vectors, got shape {a.shape}")
-    # The temporaries are in C order, so numpy sums every row in one order
-    # whatever the layout of the array it came from.
+    # The l1 and linf temporaries are in C order, so numpy sums every row in
+    # one order whatever the layout of the array it came from.
     if kind is NormKind.L1:
         return np.abs(a, order="C").sum(axis=1)
     if kind is NormKind.L2:
-        return np.sqrt(np.multiply(a, a, order="C").sum(axis=1))
+        # One dot product per row, with no n x d temporary. Its summation
+        # order is fixed only for contiguous rows: a strided last axis is
+        # copied to C order first.
+        if a.strides[1] != a.itemsize:
+            a = np.ascontiguousarray(a)
+        return np.sqrt(np.vecdot(a, a))
     if kind is NormKind.LINF:
         return np.abs(a, order="C").max(axis=1)
     raise _not_a_norm(kind)

@@ -42,10 +42,17 @@ class LabeledScores:
             )
         if not np.isfinite(s).all():
             raise InputError("scores must be finite")
-        order = np.argsort(-s, kind="mergesort")
+        # The sort need not be stable: a tie group's counts at its last row
+        # do not depend on the order within it, and its members share their
+        # bits, except that 0.0 and -0.0 tie. The zero threshold takes the
+        # sign of the last zero in input order, as a stable sort gives it.
+        order = np.argsort(-s)
         sorted_scores = s[order]
         boundary = np.r_[np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), s.size - 1]
-        freeze(self, scores=s, labels=y, thresholds=sorted_scores[boundary],
+        thresholds = sorted_scores[boundary]
+        if (zeros := np.flatnonzero(s == 0.0)).size:
+            thresholds[thresholds == 0.0] = s[zeros[-1]]
+        freeze(self, scores=s, labels=y, thresholds=thresholds,
                tps=np.cumsum(y[order])[boundary], predicted=boundary + 1)
 
     @property

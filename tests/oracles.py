@@ -14,6 +14,7 @@ to state a property.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +39,11 @@ def norm_of(row, kind: str) -> float:
     if kind == "linf":
         return max(abs(v) for v in row)
     raise ValueError(kind)
+
+
+def exact_square_sum(row) -> Fraction:
+    """The exact sum of squares of a row of floats, as a fraction."""
+    return sum((Fraction(v) ** 2 for v in row), Fraction(0))
 
 
 def brute_overlap(p: dict, q: dict) -> float:

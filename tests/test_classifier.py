@@ -570,6 +570,33 @@ def test_raw_scores_memory_does_not_grow_with_k():
     assert got[:50].tobytes() == sweep_raw_scores(scorer, queries[:50]).tobytes()
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0, 1.0]], [[0.0, 0.0]]])
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_raw_scores_of_an_empty_batch_are_empty(rows, kind):
+    scorer = fit(rows, k=3, norm=kind)
+    for got in (scorer.raw_scores(np.empty((0, 2))), scorer.clamped_scores(np.empty((0, 2)))):
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
+def test_raw_scores_of_a_large_batch_make_no_query_sized_temporary():
+    # 8192 x 128 queries at k = 50, inside the fit ball and beyond it: one
+    # (l, d) float64 temporary alone would take 8.4 MB
+    rng = np.random.default_rng(11)
+    scorer = fit(rng.normal(size=(2000, 128)), k=50)
+    queries = rng.normal(size=(8192, 128))
+    for scale, far in ((0.5, False), (10.0, True)):
+        scaled = scale * queries
+        assert ((norms(scaled, NormKind.L2) > scorer.fit_radius) == far).all()
+        tracemalloc.start()
+        try:
+            got = scorer.raw_scores(scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, (scale, peak)
+        assert got[:64].tobytes() == sweep_raw_scores(scorer, scaled[:64]).tobytes()
+
+
 @pytest.mark.parametrize("changes, rule", [
     ({"accept_rates": (0.75, 0.5, 1.0)}, "'gMeans' and 'gMaxNorms' must be nondecreasing"),
     ({"region_radii": (1.0, 0.5, 3.0)}, "'gMeans' and 'gMaxNorms' must be nondecreasing"),

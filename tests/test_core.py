@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from overlapbound import (
     norms,
     subset_bound,
 )
-from conftest import ALL_NORMS, laid_out_samples
-from oracles import norm_of
+from conftest import ALL_NORMS, _LAYOUTS, laid_out_samples
+from oracles import exact_square_sum, norm_of
 
 # coordinate magnitudes stay above the range where squaring underflows to 0
 finite_coord = st.one_of(
@@ -390,3 +391,57 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch):
     # fit keeps two n-vectors of norms and block scratch; a SampleSet adds its copy
     assert peaks["fit"] <= 0.1, peaks
     assert peaks["make_sample_set"] <= 1.1, peaks
+
+
+def assert_norms_of_rows_ignore_layout_start_and_company(c, kind):
+    """The norms of a C-order (n, d) array are bitwise those of every layout
+    of its values, of a copy that starts one element into a larger buffer,
+    and of each row alone and in a two-row array such as ``score`` builds."""
+    want = norms(c, kind)
+    for name, lay_out in _LAYOUTS.items():
+        # "broadcast" repeats row 0
+        expected = np.repeat(want[:1], len(c)) if name == "broadcast" else want
+        assert_same_bits(norms(lay_out(c), kind), expected)
+    shifted = np.empty(c.size + 1)[1:].reshape(c.shape)
+    shifted[...] = c
+    assert_same_bits(norms(shifted, kind), want)
+    for i in range(len(c)):
+        assert_same_bits(norms(c[i : i + 1], kind), want[i : i + 1])
+        assert_same_bits(norms(np.array((c[i], c[i - 1])), kind), want[[i, i - 1]])
+
+
+def assert_l2_within_exact(row, value):
+    """An l2 norm lies within (d + 2) * 2**-53 relative error of the exact
+    root of the exact sum of squares, checked in fractions by squaring."""
+    exact = exact_square_sum(row)
+    tol = Fraction(len(row) + 2, 2**53)
+    assert (1 - tol) ** 2 * exact <= Fraction(value) ** 2 <= (1 + tol) ** 2 * exact, (row, value)
+
+
+@given(laid_out_samples(), st.sampled_from(ALL_NORMS))
+@settings(max_examples=300, deadline=None)
+def test_a_rows_norm_does_not_depend_on_layout_start_or_other_rows(a, kind):
+    assert_norms_of_rows_ignore_layout_start_and_company(np.array(a), kind)
+
+
+@pytest.mark.parametrize("d", [10_001, 16_387])
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_long_rows_keep_their_norms_in_any_company(d, kind):
+    # rows longer than 10,000 entries, where a BLAS dot product may be threaded
+    rng = np.random.default_rng(d)
+    c = rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+    assert_norms_of_rows_ignore_layout_start_and_company(c, kind)
+    if kind is NormKind.L2:
+        for row, value in zip(c.tolist(), norms(c, kind).tolist()):
+            assert_l2_within_exact(row, value)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 64), st.integers(0, 140))
+@settings(max_examples=300, deadline=None)
+def test_l2_norms_are_within_d_plus_2_ulps_of_exact(seed, n, d, spread):
+    # entry magnitudes from 1e-140 to 1e140: no square leaves the normal range
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(-spread, spread, size=(n, d))
+    a[rng.random((n, d)) < 0.2] = 0.0
+    for row, value in zip(a.tolist(), norms(a, NormKind.L2).tolist()):
+        assert_l2_within_exact(row, value)

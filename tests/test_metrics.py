@@ -19,6 +19,7 @@ from oracles import (
     brute_aupr,
     brute_auroc,
     brute_tpr_at,
+    float_sweep,
     midrank_auroc,
     sorted_tpr_at_in_rate,
     sweep_aupr,
@@ -195,6 +196,30 @@ def test_one_sweep_equals_retired_per_call_forms(data, in_rate):
         return
     assert auroc(ls) == midrank_auroc(scores, labels)
     assert tpr_at_in_rate(ls, in_rate) == sorted_tpr_at_in_rate(scores, labels, in_rate)
+    for got, want in zip(roc_curve(ls), sweep_roc_curve(scores, labels)):
+        assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1000, 5000),
+       st.lists(_TIED_SCORE, min_size=1, max_size=6), st.floats(0.1, 0.9))
+@settings(max_examples=100, deadline=None)
+def test_sweep_of_thousands_of_tied_scores_equals_the_stable_sort(seed, n, grid, pos_rate):
+    # numpy sorts a large array with another algorithm than a tiny one, so
+    # the sweep is also checked on thousands of scores from a small tie grid
+    # that holds both signed zeros, with labels mixed in every tie group and
+    # a few scores left untied
+    rng = np.random.default_rng(seed)
+    grid = np.array(grid + [-0.0, 0.0])
+    scores = grid[rng.integers(0, grid.size, size=n)]
+    untied = rng.random(n) < 0.05
+    scores[untied] = rng.uniform(-2.0, 2.0, size=int(untied.sum()))
+    labels = rng.random(n) < pos_rate
+    ls = LabeledScores(scores, labels)
+    thresholds, tps, predicted = float_sweep(scores, labels)
+    assert ls.thresholds.tobytes() == thresholds.tobytes()
+    assert ls.tps.astype(np.float64).tobytes() == tps.tobytes()
+    assert ls.predicted.astype(np.float64).tobytes() == predicted.tobytes()
+    assert aupr(ls) == sweep_aupr(scores, labels)
     for got, want in zip(roc_curve(ls), sweep_roc_curve(scores, labels)):
         assert got.tobytes() == want.tobytes()
 
