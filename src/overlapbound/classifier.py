@@ -81,6 +81,23 @@ def _model_value(attr: str, value, fields: dict):
     return values[0] if attr == "fit_radius" else values
 
 
+def _mean_norm_limit(norm: NormKind, top: float, d: int) -> float:
+    """The largest computed norm that the mean of samples whose computed max
+    norm is ``top`` > 0 can have.
+
+    Exactly, the mean lies within the max norm. Computed, each of the two
+    norms is off by a relative (d + 2) * 2**-53 in l2 (and by sqrt(d) *
+    2**-537 where squares underflow), d * 2**-53 in l1 and 0 in linf, and
+    the mean by two roundings, relative 2**-53 each or 2**-1074 per entry
+    where it is subnormal.
+    """
+    relative = {NormKind.L1: d, NormKind.L2: d + 2, NormKind.LINF: 0}[norm]
+    limit = top * (1.0 + (2 * relative + 4) * 2.0**-53) + d * 2.0**-1073
+    if norm is NormKind.L2:
+        limit += 3.0 * math.sqrt(d) * 2.0**-537
+    return limit
+
+
 def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
     """The first rule of every fitted model that a scorer's values break, if any.
 
@@ -93,12 +110,15 @@ def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
         return "'mean' must be a nonempty 1-D vector of finite numbers"
     if not (math.isfinite(top) and top >= 0.0):
         return "'rFit' must be a finite number >= 0"
+    with np.errstate(over="ignore"):
+        mean_norm = float(norms(mean[None], norm)[0])
     if top == 0.0:
         # every fitted norm is 0, so the mean's is too (an l2 mean of tiny
         # entries may be nonzero where every square underflows)
-        with np.errstate(over="ignore"):
-            if norms(mean[None], norm)[0] != 0.0:
-                return "'mean' must have norm 0 when 'rFit' is 0"
+        if mean_norm != 0.0:
+            return "'mean' must have norm 0 when 'rFit' is 0"
+    elif mean_norm > _mean_norm_limit(norm, top, mean.size):
+        return "'mean' must have a norm <= 'rFit', up to rounding"
     if not (radii.ndim == 1 and radii.shape == rates.shape == region.shape and radii.size):
         return "'radii', 'gMeans' and 'gMaxNorms' must have k >= 1 entries each"
     if not all(np.isfinite(v).all() and v.min() >= 0.0 for v in (radii, region)):

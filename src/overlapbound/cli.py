@@ -215,27 +215,31 @@ def cmd_oracle(args) -> None:
             conditions = [RadiusIndicator(float(r), norm) for r in args.radius]
         except ValueError as exc:
             raise InputError(f"bad --radius: {exc}") from None
+        support = joint.support_norms(norm)
     else:
-        top = float(joint.support_norms(norm).max())
-        conditions = RadiusFamily(args.k, top, norm).indicators()
+        support = joint.support_norms(norm)
+        conditions = RadiusFamily(args.k, float(support.max()), norm).indicators()
     per_radius = []
     for g in conditions:
-        entry = {"radius": g.radius, "delta_a": oracle.subset_variation(joint, g)}
+        mask = joint.membership(g)
+        entry = {"radius": g.radius, "delta_a": oracle.subset_variation(joint, mask)}
         for key, use_domain_radius in (("bound_domain_radius", True),
                                        ("bound_complement_radius", False)):
             try:
-                entry[key] = oracle.subset_bound(joint, g, norm, use_domain_radius)
+                entry[key] = oracle.subset_bound(joint, mask, norm, use_domain_radius,
+                                                 support_norms=support)
             except DegenerateDomainError:
                 entry[key] = None
         per_radius.append(entry)
     try:
-        family_bound = oracle.indicator_bound(p, q, conditions, norm)
+        family_bound = oracle.indicator_bound(p, q, conditions, norm, joint=joint,
+                                              support_norms=support)
     except DegenerateDomainError:
         family_bound = None
     _emit(
         {
-            "overlap": oracle.overlap(p, q),
-            "total_variation": oracle.total_variation(p, q),
+            "overlap": oracle._overlap(joint),
+            "total_variation": oracle._total_variation(joint),
             "norm": norm.value,
             "per_radius": per_radius,
             "indicator_bound": family_bound,

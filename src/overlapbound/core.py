@@ -85,14 +85,18 @@ def freeze(obj, **fields) -> None:
 # Values per block of rows: each block temporary is about 512 KB, small enough
 # to stay in cache, and scratch memory does not grow with n.
 _BLOCK_ELEMENTS = 1 << 16
-# Rows summed in float64 buckets between folds into Python ints. A limb is at
-# most 2**27 in its unit, so a bucket sum over up to 2**26 rows is an integer
-# of at most 2**53 units, which float64 holds exactly; 2**25 leaves a factor 2.
+# Rows summed in float64 buckets between folds into Python ints. Each block
+# adds at most one level to a bucket, as two limbs of at most 2**26 units (see
+# ``_ColumnSums._level``), so a bucket sum over up to 2**27 rows is at most
+# 2**53 units, which float64 holds exactly; 2**25 leaves a factor 4.
 _FOLD_ROWS = 1 << 25
-# (m + _SPLIT) - _SPLIT rounds a mantissa m in (-1, 1) to a multiple of 2**-27.
-_SPLIT = 3.0 * 2.0**24
-# frexp exponents are >= -1073, so every bucket is an integer times 2**-1126.
-_UNIT_BITS = 1126
+# Level units are powers of two from 2**-1074, the smallest subnormal, so every
+# exact total is an integer in units of 2**-_UNIT_BITS.
+_UNIT_BITS = 1074
+# The largest level unit whose level sums, up to 2**53 units, fit in float64.
+_TOP_UNIT = 1023 - 53
+# (s + _LIMB_SPLIT) - _LIMB_SPLIT rounds an integer |s| <= 2**53 to a multiple of 2**27.
+_LIMB_SPLIT = 1.5 * 2.0**79
 
 
 def _block_rows(d: int) -> int:
@@ -105,16 +109,17 @@ class _ColumnSums:
     ``add`` each block, in any order and of any size, then read ``result``.
 
     Between blocks it keeps only d Python ints and the limb buckets of the
-    exponents seen since the last fold, so its memory does not grow with n.
+    level units seen since the last fold, so its memory does not grow with n.
     """
 
     def __init__(self, d: int) -> None:
         self.d = d
         self.totals = [0] * d  # exact column sums in units of 2**-_UNIT_BITS
-        self.acc = None  # (2, exponents, d) limb sums; row i holds exponent base + i
-        self.base = self.pending = 0
-        # Block scratch, reused so that each block allocates nothing of its size:
-        # mantissas, exponents, bucket keys and high limbs.
+        self.acc = {}  # level unit exponent -> (2, d) limb sums in that unit
+        self.pending = 0
+        # Block scratch, reused so that each block allocates nothing of its
+        # size: two buffers that take turns holding the remainder, and the
+        # ones vector that sums their columns.
         self.scratch = ()
 
     def add(self, block: np.ndarray) -> None:
@@ -127,45 +132,57 @@ class _ColumnSums:
             self.pending += part.shape[0]
 
     def _add(self, part: np.ndarray) -> None:
+        """Split the block into levels of exact column sums, highest first.
+
+        With T the largest |x| left, T < 2**e, a level's unit is
+        u = 2**(e - bits), so that m multiples of u below 2**e sum to less
+        than 2**53 units: every partial sum of a column is exact, in any
+        order, so one BLAS product with a ones vector sums them. (x + S) - S with S = 1.5 * 2**52 * u rounds x to a multiple of
+        u, and x minus that is exact too; the remainder, at most u/2, feeds
+        the next level until it is all zero.
+        """
         d, m = self.d, part.shape[0]
         if not self.scratch or self.scratch[0].shape[0] < m:
-            self.scratch = tuple(np.empty((m, d), dtype=t)
-                                 for t in (np.float64, np.intc, np.intp, np.float64))
-        mant, exps, keys, high = (buf[:m] for buf in self.scratch)
-        np.frexp(part, out=(mant, exps))
-        lo, hi = int(exps.min()), int(exps.max())
-        span = hi - lo + 1
-        np.subtract(exps, lo, out=keys)
-        keys *= d
-        keys += np.arange(d)
-        np.add(mant, _SPLIT, out=high)
-        high -= _SPLIT
-        mant -= high
-        keys, high, mant = keys.ravel(), high.ravel(), mant.ravel()
-        sums = np.stack([
-            np.bincount(keys, high, span * d),
-            np.bincount(keys, mant, span * d),
-        ]).reshape(2, span, d)
-        if self.acc is None:
-            self.acc, self.base = sums, lo
-            return
-        acc, base = self.acc, self.base
-        first, end = min(base, lo), max(base + acc.shape[1], hi + 1)
-        if end - first > acc.shape[1]:
-            grown = np.zeros((2, end - first, d))
-            grown[:, base - first:base - first + acc.shape[1]] = acc
-            self.acc, self.base = acc, base = grown, first
-        acc[:, lo - base:hi + 1 - base] += sums
+            self.scratch = (np.empty((m, d)), np.empty((m, d)), np.ones(m))
+        hi, spare, ones = (buf[:m] for buf in self.scratch)
+        bits = 53 - max(2, (m - 1).bit_length())  # 2**(53 - bits) >= m rows
+        x = part
+        while (top := max(-float(x.min()), float(x.max()))) != 0.0:  # NaN enters
+            if not math.isfinite(top):
+                raise InputError("column sums need finite entries")
+            unit = max(math.frexp(top)[1] - bits, -_UNIT_BITS)
+            # Near float64's maximum, extract from x * 2**-scale. Scaling rounds
+            # only entries that round to 0 there; they pass on unscaled.
+            scale = max(0, unit - _TOP_UNIT)
+            with np.errstate(under="ignore"):
+                y = x * 2.0**-scale if scale else x
+            split = 1.5 * 2.0**(52 + unit - scale)
+            np.add(y, split, out=hi)
+            hi -= split
+            self._level(unit, np.ldexp(ones @ hi, scale - unit))
+            if scale:
+                hi[...] = np.where(hi == 0.0, x, (y - hi) * 2.0**scale)
+            else:
+                np.subtract(x, hi, out=hi)
+            x, hi, spare = hi, spare, hi
+
+    def _level(self, unit: int, sums: np.ndarray) -> None:
+        """Add a level's column sums, integers of at most 2**53 in units of
+        2**unit, to its bucket as two limbs: the sums rounded to a multiple of
+        2**27 (at most 2**26 such multiples) and the rest (at most 2**26)."""
+        high = sums + _LIMB_SPLIT
+        high -= _LIMB_SPLIT
+        acc = self.acc.setdefault(unit, np.zeros((2, self.d)))
+        acc[0] += high
+        acc[1] += sums - high
 
     def _fold(self) -> None:
-        """Add limb sums at exponent e, (high + low) * 2**e, to the int totals."""
-        if self.acc is not None:
-            idx, col = np.nonzero(self.acc.any(axis=0))
-            high = (self.acc[0, idx, col] * 2.0**27).tolist()
-            low = (self.acc[1, idx, col] * 2.0**53).tolist()
-            for i, j, h, l in zip(idx.tolist(), col.tolist(), high, low):
-                self.totals[j] += ((int(h) << 26) + int(l)) << (self.base + i - 53 + _UNIT_BITS)
-        self.acc, self.pending = None, 0
+        """Add each bucket's limb sums, integers in units of 2**unit, to the int totals."""
+        for unit, acc in self.acc.items():
+            cols = np.flatnonzero(acc.any(axis=0))
+            for j, h, l in zip(cols.tolist(), acc[0, cols].tolist(), acc[1, cols].tolist()):
+                self.totals[j] += (int(h) + int(l)) << (unit + _UNIT_BITS)
+        self.acc, self.pending = {}, 0
 
     def result(self) -> np.ndarray:
         """The correctly rounded column sums of every row added so far."""
@@ -186,17 +203,18 @@ def exact_column_sums(points: np.ndarray) -> np.ndarray:
     Bitwise equal to ``math.fsum`` per column, except that a column whose
     partial sums overflow but whose exact sum fits returns that sum.
 
-    Each value x = m * 2**e (``np.frexp``) is split exactly into a high limb,
-    m rounded to a multiple of 2**-27, and a low limb, the rest: a multiple
-    of 2**-53 no larger than 2**-28. Two ``np.bincount`` calls, keyed by
-    column and exponent, add up each limb. Both limbs are integers of at
-    most 2**27 in their unit (2**-27 and 2**-53), so every partial bucket sum
-    over at most 2**26 rows is an integer of at most 2**53 units and thus
-    exact in float64. The buckets are folded into Python ints every
+    Rows are taken in blocks of about ``_BLOCK_ELEMENTS`` = 2**16 values, so
+    scratch memory does not grow with n. Each block is split by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation",
+    2008) into levels: a level rounds every entry to a multiple of a power of
+    two, its unit, chosen from the block's largest |x| so that all column
+    sums of the rounded entries are exact, and passes the exact remainders
+    on, until none are left. Each level's exact sums go to float64 buckets
+    keyed by its unit, as two limbs of at most 2**26 units, so that every
+    bucket sum is exact too; the buckets are folded into Python ints every
     ``_FOLD_ROWS`` = 2**25 rows and at the end, and one correctly rounded int
-    division per column gives the result. Rows are taken in blocks of about
-    ``_BLOCK_ELEMENTS`` = 2**16 values, so scratch memory does not grow with n;
-    the sums are exact, so the blocks do not change them.
+    division per column gives the result. The sums are exact, so neither the
+    blocks nor the summation order change them.
 
     Raises InputError when a column's correctly rounded sum overflows.
     """

@@ -187,16 +187,22 @@ class JointSupport:
         return subset
 
 
+def _overlap(joint: JointSupport) -> float:
+    return math.fsum(np.minimum(joint.p_masses, joint.q_masses).tolist())
+
+
+def _total_variation(joint: JointSupport) -> float:
+    return 0.5 * math.fsum(np.abs(joint.p_masses - joint.q_masses).tolist())
+
+
 def overlap(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Exact overlap index: sum of pointwise minimum masses. 1 iff identical."""
-    joint = JointSupport.of(p, q)
-    return math.fsum(np.minimum(joint.p_masses, joint.q_masses).tolist())
+    return _overlap(JointSupport.of(p, q))
 
 
 def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Exact total variation distance: half the L1 gap between mass vectors."""
-    joint = JointSupport.of(p, q)
-    return 0.5 * math.fsum(np.abs(joint.p_masses - joint.q_masses).tolist())
+    return _total_variation(JointSupport.of(p, q))
 
 
 def subset_variation(joint: JointSupport, subset: SubsetSpec) -> float:
@@ -211,6 +217,8 @@ def subset_bound(
     subset: SubsetSpec,
     norm: NormKind = NormKind.L2,
     use_domain_radius: bool = True,
+    *,
+    support_norms: np.ndarray | None = None,
 ) -> float:
     """Exact upper bound on the overlap built from one subset.
 
@@ -218,9 +226,12 @@ def subset_bound(
     on the subset, each scaled by max-norm radii taken exactly over the joint
     support. ``use_domain_radius`` selects the denominator: the max norm over
     the whole support (True) or over the subset's complement (False).
+    ``support_norms``, when given, must be ``joint.support_norms(norm)``, so
+    that a caller bounding many subsets of one joint computes them once.
     """
     mask = joint.membership(subset)
-    support_norms = joint.support_norms(norm)
+    if support_norms is None:
+        support_norms = joint.support_norms(norm)
     r_region = float(support_norms[mask].max(initial=0.0))
     denom_norms = support_norms if use_domain_radius else support_norms[~mask]
     r_denom = float(denom_norms.max(initial=0.0))
@@ -240,16 +251,24 @@ def indicator_bound(
     q: DiscreteDistribution,
     conditions: Sequence[ConditionFunction],
     norm: NormKind = NormKind.L2,
+    *,
+    joint: JointSupport | None = None,
+    support_norms: np.ndarray | None = None,
 ) -> float:
     """Exact upper bound on the overlap over a family of condition functions.
 
     Uses exact acceptance probabilities instead of the per-subset variation
     mass, taking the best (largest) separation term across the family.
+    ``joint`` and ``support_norms``, when given, must be
+    ``JointSupport.of(p, q)`` and its ``support_norms(norm)``, so that a
+    caller that holds them does not build them again.
     """
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
-    joint = JointSupport.of(p, q)
-    support_norms = joint.support_norms(norm)
+    if joint is None:
+        joint = JointSupport.of(p, q)
+    if support_norms is None:
+        support_norms = joint.support_norms(norm)
     r_domain = float(support_norms.max())
     if r_domain == 0.0:
         raise DegenerateDomainError(

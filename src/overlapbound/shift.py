@@ -145,8 +145,9 @@ def simulate_accuracy(
         raise InputError("the rule's masks do not match the sizes of the sample sets")
     require_compatible(clean, poisoned)
     _check_unit("sigma", sigma)
-    if n_samples < 1:
-        raise InputError(f"n_samples must be >= 1, got {n_samples}")
+    # numpy refuses a larger array of int64 row indices with a ValueError
+    if not 1 <= n_samples <= np.iinfo(np.intp).max // 8:
+        raise InputError(f"n_samples must be >= 1 and fit an array size, got {n_samples}")
     n_clean = math.floor(sigma * n_samples)
     rng = _rng(seed)
     clean_rows = rng.integers(0, len(clean), size=n_clean)

@@ -46,6 +46,19 @@ def exact_square_sum(row) -> Fraction:
     return sum((Fraction(v) ** 2 for v in row), Fraction(0))
 
 
+def exact_sum(values) -> float | None:
+    """The sum of floats, correctly rounded from the exact integer count of
+    2**-1074 units; None when it rounds beyond float64."""
+    units = 0
+    for v in values:
+        num, den = v.as_integer_ratio()  # den is a power of two <= 2**1074
+        units += num * (2**1074 // den)
+    try:
+        return units / 2**1074
+    except OverflowError:
+        return None
+
+
 def brute_overlap(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return sum(min(p.get(k, 0.0), q.get(k, 0.0)) for k in keys)

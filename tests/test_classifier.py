@@ -627,6 +627,40 @@ def test_hand_built_scorer_is_checked(changes, rule):
     assert str(err.value).startswith(f"model fields are inconsistent: {rule}")
 
 
+def test_hand_built_mean_beyond_the_fit_radius_is_refused():
+    with pytest.raises(InputError, match="'mean' must have a norm <= 'rFit', up to rounding"):
+        FittedScorer(NormKind.L2, [3.0, 4.0], 1.0, (0.5, 1.0), (0.5, 1.0), (0.5, 1.0))
+    for kind in ALL_NORMS:  # one ulp beyond the fit radius is rounding
+        FittedScorer(kind, [np.nextafter(1.0, 2.0)], 1.0, (1.0,), (1.0,), (1.0,))
+        with pytest.raises(InputError, match="'mean' must have a norm <= 'rFit'"):
+            FittedScorer(kind, [1.0 + 1e-9], 1.0, (1.0,), (1.0,), (1.0,))
+
+
+@st.composite
+def wide_fit_rows(draw):
+    """Up to 60 x 8 rows with entries from about 1e-330 to 1e140 in size, so
+    that l2 squares may underflow but never overflow; often every row is one
+    vector, or one row dominates, so the mean's norm nears the max norm."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-330, 140))
+    high = draw(st.integers(low, 140))
+    a = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(low, high, size=(n, d))
+    shape = draw(st.sampled_from(["random", "one vector", "one row dominates"]))
+    if shape == "one vector":
+        a[:] = a[0]
+    elif shape == "one row dominates":
+        a[1:] = a[0] * rng.uniform(0.999, 1.0, size=(n - 1, 1))
+    return a
+
+
+@given(wide_fit_rows(), st.sampled_from(ALL_NORMS), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_no_fit_breaks_the_mean_norm_rule(rows, kind, k):
+    fitted = fit(rows, k=k, norm=kind)  # the constructor refuses a broken rule
+    FittedScorer(**{name: getattr(fitted, name) for name in _SCORER_FIELDS})
+
+
 def test_degenerate_scorer_mean_may_be_negative_zero():
     s = FittedScorer(NormKind.L2, [-0.0, 0.0], 0.0, (0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
     assert s.degenerate and score(s, [0.0, -0.0]).score == 1.0

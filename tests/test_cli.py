@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from overlapbound import (
+    DegenerateDomainError,
+    NormKind,
+    RadiusFamily,
+    RadiusIndicator,
     SampleSet,
     compute_bound,
     core,
@@ -22,7 +27,7 @@ from overlapbound import (
     simulate_accuracy,
     sweep_sigma,
 )
-from overlapbound.cli import MAX_K, main
+from overlapbound.cli import MAX_K, build_parser, main
 from overlapbound.dataio import write_samples_binary
 
 
@@ -215,6 +220,16 @@ def test_shift_simulate_beyond_memory_exit_2(capsys, worked_files):
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [2**60, 2**62, 2**70])
+def test_shift_simulate_beyond_any_array_size_exit_2(capsys, worked_files, n):
+    # numpy refuses such a size with a ValueError, not a MemoryError
+    clean, poisoned = worked_files
+    code, out, err = run_cli(capsys, "shift", "--clean", str(clean), "--poisoned", str(poisoned),
+                             "--p", "0.9", "--simulate", str(n))
+    assert code == 2 and out == ""
+    assert err == f"error: n_samples must be >= 1 and fit an array size, got {n}\n"
+
+
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
 def test_fit_from_binary_file_equals_in_process_fit(tmp_path, capsys, rng, norm):
     data, model = tmp_path / "fit.ovlb", tmp_path / "model.json"
@@ -379,6 +394,61 @@ def test_oracle_builds_one_joint_support_per_quantity(tmp_path, monkeypatch):
     assert len(json.loads(out.getvalue())["per_radius"]) == 50
     # the command's joint, then overlap, total_variation and indicator_bound
     assert counts["of"] <= 4 and counts["mean"] <= 8, counts
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("radii", [[], ["0.5", "1.5", "9"]])
+def test_oracle_builds_the_joint_and_its_norms_once_with_the_same_json(tmp_path, monkeypatch,
+                                                                      norm, radii):
+    from overlapbound import oracle
+
+    rng = np.random.default_rng(7)
+    pool = np.round(rng.uniform(-2.0, 2.0, size=(16, 2)), 1)
+    pool[0] = 0.0
+    docs = {}
+    for name, rows in (("p.json", pool[:12]), ("q.json", pool[4:])):
+        docs[name] = {"dimension": 2, "points": rows.tolist(),
+                      "masses": [1.0 / 12] * 11 + [1.0 - 11.0 / 12]}
+        (tmp_path / name).write_text(json.dumps(docs[name]))
+    p, q = (oracle.DiscreteDistribution.from_json_dict(docs[name]) for name in ("p.json", "q.json"))
+    kind = NormKind.from_string(norm)
+    # the JSON from the public functions, each called alone
+    joint = oracle.JointSupport.of(p, q)
+    conditions = ([RadiusIndicator(float(r), kind) for r in radii]
+                  or RadiusFamily(7, float(joint.support_norms(kind).max()), kind).indicators())
+
+    def bound_or_none(g, use_domain_radius):  # the CLI writes null for an undefined bound
+        try:
+            return oracle.subset_bound(joint, g, kind, use_domain_radius)
+        except DegenerateDomainError:
+            return None
+
+    per_radius = [{"radius": g.radius, "delta_a": oracle.subset_variation(joint, g),
+                   "bound_domain_radius": bound_or_none(g, True),
+                   "bound_complement_radius": bound_or_none(g, False)}
+                  for g in conditions]
+    want = {"overlap": oracle.overlap(p, q), "total_variation": oracle.total_variation(p, q),
+            "norm": norm, "per_radius": per_radius,
+            "indicator_bound": oracle.indicator_bound(p, q, conditions, kind)}
+    counts = {"of": 0, "support_norms": 0}
+    real_of, real_norms = oracle.JointSupport.of.__func__, oracle.JointSupport.support_norms
+
+    def counting_of(cls, *args):
+        counts["of"] += 1
+        return real_of(cls, *args)
+
+    def counting_norms(self, *args):
+        counts["support_norms"] += 1
+        return real_norms(self, *args)
+
+    monkeypatch.setattr(oracle.JointSupport, "of", classmethod(counting_of))
+    monkeypatch.setattr(oracle.JointSupport, "support_norms", counting_norms)
+    argv = ["oracle", str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--norm", norm,
+            "--k", "7"] + [f"--radius={r}" for r in radii]
+    code, out, err = _main_with_warnings_as_errors(argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(want, indent=2) + "\n"
+    assert counts == {"of": 1, "support_norms": 1}
 
 
 @pytest.mark.parametrize("command", ["score", "classify"])
@@ -878,3 +948,105 @@ def test_any_argv_exits_0_2_3_or_4_with_at_most_one_error_line(tmp_path_factory,
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     text = err.getvalue()
     assert text == "" or (text.count("\n") == 1 and text.startswith("error: ")), (argv, text)
+
+
+def _subcommand_actions() -> dict:
+    """Per subcommand, its positional and optional argparse actions, read from
+    the parser itself so that a new flag is fuzzed without editing the test."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: ([a for a in p._actions if not a.option_strings],
+                   [a for a in p._actions if a.option_strings and a.dest != "help"])
+            for name, p in sub.choices.items()}
+
+
+_ACTIONS = _subcommand_actions()
+
+
+def _often(common, rare, odds: int = 7):
+    """``common`` ``odds`` times in ``odds + 1``, else ``rare``."""
+    return st.sampled_from([False] * odds + [True]).flatmap(lambda r: rare if r else common)
+
+
+_SAMPLE_FILES = _mostly(st.sampled_from(["DATA", "OVLB", "QUERIES"]),
+                        st.sampled_from(["MISSING", "FOLDER", "GARBAGE", "MODEL"]))
+_INTS = _mostly(st.integers(1, 64).map(str),
+                st.sampled_from(["0", "-1", str(MAX_K + 1), str(2**70), "1.5", "abc", "", "1e3"]))
+_FLOATS = _mostly(st.floats(0.0, 1.0).map(repr),
+                  st.sampled_from(["nan", "inf", "-inf", "1e999", "-0.5", "x", "", "0x1p-2"]))
+_POSITIONALS = {  # by dest; sample files otherwise
+    "model": _mostly(st.just("MODEL"), st.sampled_from(["DIST", "DATA", "MISSING", "GARBAGE"])),
+    "p": _mostly(st.just("DIST"), st.sampled_from(["MODEL", "MISSING", "GARBAGE"])),
+    "q": _mostly(st.just("DIST2"), st.sampled_from(["DIST", "MISSING"])),
+    "scores": _mostly(st.just("SCORES"), st.sampled_from(["DATA", "MISSING", "GARBAGE"])),
+}
+_VALUES = {  # flag values by dest, then by type; sample files otherwise
+    "norm": _mostly(st.sampled_from(["l1", "l2", "linf"]), st.sampled_from([" L2 ", "l3", ""])),
+    "sigma": st.lists(_FLOATS, min_size=1, max_size=4).map(",".join),
+    "radius": _FLOATS,
+    "labels": _mostly(st.just("LABELS"), st.sampled_from(["SCORES", "MISSING"])),
+    "fit_data": _mostly(st.just("DATA"), _SAMPLE_FILES),
+    "out": _mostly(st.just("OUT"), st.sampled_from(["FOLDER", "MISSING_DIR"])),
+    "scores_out": _mostly(st.just("OUT_CSV"), st.just("FOLDER")),
+    int: _INTS,
+    float: _FLOATS,
+}
+
+
+@st.composite
+def command_argvs(draw) -> list[str]:
+    """An argv for one of the seven subcommands: its positionals (sometimes
+    too few or too many), its required flags (mostly) and any of the others,
+    each as ``--flag value``, ``--flag=value``, a bare ``--flag`` or twice,
+    sometimes in another order or with an unknown word."""
+    command = draw(st.sampled_from(sorted(_ACTIONS)))
+    positionals, optionals = _ACTIONS[command]
+    count = draw(_often(st.just(len(positionals)), st.integers(0, len(positionals) + 1)))
+    groups = [[draw(_POSITIONALS.get(a.dest, _SAMPLE_FILES))] for a in positionals]
+    groups = (groups + [[draw(_SAMPLE_FILES)]])[:count]
+    for action in optionals:
+        if not draw(_often(st.just(True), st.just(False)) if action.required else st.booleans()):
+            continue
+        flag = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:  # a switch
+            groups.append([flag])
+            continue
+        value = draw(_VALUES.get(action.dest, _VALUES.get(action.type, _SAMPLE_FILES)))
+        groups.append(draw(_often(st.sampled_from([[flag, value], [f"{flag}={value}"]]),
+                                  st.sampled_from([[flag], [flag, value, flag, value]]))))
+    groups += draw(_often(st.just([]), st.sampled_from([[["--bogus"]], [["-x"]], [["--k2=3"]],
+                                                        [["extra"]]]), odds=15))
+    groups = draw(_often(st.just(groups), st.permutations(groups), odds=3))
+    return [command] + [word for group in groups for word in group]
+
+
+@given(command_argvs())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_flag_combination_exits_0_2_3_or_4_with_at_most_one_error_line(tmp_path_factory, argv):
+    folder = tmp_path_factory.getbasetemp() / "fuzz-commands"
+    folder.mkdir(exist_ok=True)
+    files = {name: folder / file for name, file in (
+        ("DATA", "data.csv"), ("OVLB", "data.ovlb"), ("QUERIES", "queries.csv"),
+        ("MODEL", "model.json"), ("DIST", "p.json"), ("DIST2", "q.json"),
+        ("SCORES", "scores.csv"), ("LABELS", "labels.csv"), ("GARBAGE", "garbage.bin"),
+        ("OUT", "out.json"), ("OUT_CSV", "out.csv"), ("FOLDER", "folder"),
+        ("MISSING", "missing.csv"), ("MISSING_DIR", "no-such-folder/out.json"))}
+    # rewritten each time: --out may name any of them
+    write_csv(files["DATA"], _FIT_ROWS)
+    write_samples_binary(files["OVLB"], np.array(_FIT_ROWS) * 2.0)
+    write_csv(files["QUERIES"], [[1.0, 1.0], [0.0, 0.0], [9.0, -4.0]])
+    files["MODEL"].write_text(fit(_FIT_ROWS, k=3).to_json_text())
+    files["DIST"].write_text('{"dimension": 2, "points": [[0, 1], [2, 0]], "masses": [0.5, 0.5]}')
+    files["DIST2"].write_text('{"dimension": 2, "points": [[0, 1], [1, 1]], "masses": [0.25, 0.75]}')
+    files["SCORES"].write_text("score,label\n0.9,1\n0.2,0\n0.4,1\n")
+    files["LABELS"].write_text("1\n0\n1\n")
+    files["GARBAGE"].write_bytes(b"\x00\xffOVLB{[")
+    files["FOLDER"].mkdir(exist_ok=True)
+    files["MISSING"].unlink(missing_ok=True)
+    argv = [str(files[w]) if w in files else w for w in argv]
+    argv = [f"{w.split('=')[0]}={files[w.split('=')[1]]}" if w.split("=")[-1] in files else w
+            for w in argv]  # --flag=NAME
+    with contextlib.chdir(folder):  # a bare --out takes the next word as a path
+        code, _, err = _main_with_warnings_as_errors(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert err == "" or (err.count("\n") == 1 and err.startswith("error: ")), (argv, err)

@@ -24,7 +24,7 @@ from overlapbound import (
     subset_bound,
 )
 from conftest import ALL_NORMS, _LAYOUTS, laid_out_samples
-from oracles import exact_square_sum, norm_of
+from oracles import exact_square_sum, exact_sum, norm_of
 
 # coordinate magnitudes stay above the range where squaring underflows to 0
 finite_coord = st.one_of(
@@ -253,6 +253,64 @@ def test_exact_column_sums_overflow():
     with pytest.raises(OverflowError):
         math.fsum([1e308, 1e308, -1e308])
     assert core.exact_column_sums(np.array([[1e308], [1e308], [-1e308]]))[0] == 1e308
+
+
+@st.composite
+def full_range_arrays(draw):
+    """Arrays up to 400 x 5 whose entries run from 5e-324 to the largest
+    float64 in size, mixed within one block, often with a column's second
+    half negating its first, so that its partial sums overflow while its
+    exact sum fits."""
+    n, d = draw(st.integers(1, 400)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-1074, 1023))
+    high = draw(st.integers(low, 1023))
+    exponents = rng.integers(low, high + 1, size=(n, d))
+    a = np.ldexp(rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(1.0, 2.0, size=(n, d)), exponents)
+    a[rng.random((n, d)) < draw(st.floats(0, 0.5))] = 0.0
+    extremes = st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                                2.0**1023, 2.0**1015, -(2.0**1014) * 1.5, 2.2250738585072014e-308])
+    for value in draw(st.lists(extremes, max_size=12)):
+        a[rng.integers(n), rng.integers(d)] = value
+    if draw(st.booleans()):
+        half = n // 2
+        a[n - half:] = -a[:half][::-1]
+    return a
+
+
+@given(full_range_arrays(), st.lists(st.integers(0, 400), max_size=6))
+@example(np.array([[1.7976931348623157e308], [1.7976931348623157e308], [-1.7976931348623157e308]]), [])
+@example(np.array([[1.7976931348623157e308, 5e-324], [-5e-324, 2.0**1023]]), [1])
+@settings(max_examples=150, deadline=None)
+def test_exact_column_sums_over_the_full_float64_range(a, cuts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = []
+        for column in a.T.tolist():
+            try:
+                want.append(math.fsum(column))
+            except OverflowError:  # the partial sums overflow
+                want.append(exact_sum(column))
+        overflows = [j for j, value in enumerate(want) if value is None]
+        if overflows:
+            with pytest.raises(InputError, match=f"column {overflows[0]} overflows"):
+                core.exact_column_sums(a)
+            return
+        want = np.array(want)
+        assert_same_bits(core.exact_column_sums(a), want)
+        # the same rows in blocks cut anywhere
+        n = a.shape[0]
+        sums = core._ColumnSums(a.shape[1])
+        bounds = sorted(min(c, n) for c in cuts)
+        for lo, hi in zip([0, *bounds], [*bounds, n]):
+            sums.add(a[lo:hi])
+        assert_same_bits(sums.result(), want)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_exact_column_sums_refuse_non_finite_entries(bad):
+    with pytest.raises(InputError, match="finite"):
+        core.exact_column_sums(np.array([[1.0, 2.0], [bad, 0.5]]))
 
 
 def test_sample_set_rejects_overflowing_norms():
