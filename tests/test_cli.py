@@ -1046,7 +1046,11 @@ def test_any_flag_combination_exits_0_2_3_or_4_with_at_most_one_error_line(tmp_p
     argv = [str(files[w]) if w in files else w for w in argv]
     argv = [f"{w.split('=')[0]}={files[w.split('=')[1]]}" if w.split("=")[-1] in files else w
             for w in argv]  # --flag=NAME
-    with contextlib.chdir(folder):  # a bare --out takes the next word as a path
+    cwd = os.getcwd()
+    os.chdir(folder)  # a bare --out takes the next word as a path
+    try:
         code, _, err = _main_with_warnings_as_errors(argv)
+    finally:
+        os.chdir(cwd)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert err == "" or (err.count("\n") == 1 and err.startswith("error: ")), (argv, err)
