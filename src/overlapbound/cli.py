@@ -26,6 +26,7 @@ from .core import (
     NormKind,
     RadiusFamily,
     RadiusIndicator,
+    exact_mean,
 )
 
 # The largest --k and --k2: run time, memory and model size grow linearly in k,
@@ -112,6 +113,12 @@ def _write_scores_csv(path, columns: dict) -> None:
         fh.writelines(",".join([str(i), *row]) + "\n" for i, row in enumerate(zip(*cells)))
 
 
+def _mean(column: np.ndarray) -> float:
+    """A score column's correctly rounded sum divided by its length, so that
+    the mean does not depend on how the column is summed."""
+    return float(exact_mean(column[:, None])[0])
+
+
 def _score_command(args) -> None:
     if not args.iterative and (args.fit_data is not None or args.k2 is not None):
         raise InputError("--fit-data and --k2 apply only with --iterative")
@@ -143,13 +150,13 @@ def _score_command(args) -> None:
         "model": args.model,
         "norm": scorer.norm.value,
         "k": scorer.k,
-        "mean_score": float(np.mean(raw)),
+        "mean_score": _mean(raw),
         "min_score": float(np.min(raw)),
         "max_score": float(np.max(raw)),
     }
     if args.iterative:
         summary["k2"] = args.k2 if args.k2 is not None else scorer.k
-        summary["mean_iterative_score"] = float(np.mean(columns["iterative"]))
+        summary["mean_iterative_score"] = _mean(columns["iterative"])
     if threshold is not None:
         summary["threshold"] = threshold
         summary["n_in"] = columns["verdict"].count("in")
@@ -219,21 +226,22 @@ def cmd_oracle(args) -> None:
     else:
         support = joint.support_norms(norm)
         conditions = RadiusFamily(args.k, float(support.max()), norm).indicators()
+    gap = joint.mean_gap(norm)
     per_radius = []
     for g in conditions:
-        mask = joint.membership(g)
+        mask = support <= g.radius  # g's acceptances, read off the support's norms
         entry = {"radius": g.radius, "delta_a": oracle.subset_variation(joint, mask)}
         for key, use_domain_radius in (("bound_domain_radius", True),
                                        ("bound_complement_radius", False)):
             try:
                 entry[key] = oracle.subset_bound(joint, mask, norm, use_domain_radius,
-                                                 support_norms=support)
+                                                 support_norms=support, mean_gap=gap)
             except DegenerateDomainError:
                 entry[key] = None
         per_radius.append(entry)
     try:
         family_bound = oracle.indicator_bound(p, q, conditions, norm, joint=joint,
-                                              support_norms=support)
+                                              support_norms=support, mean_gap=gap)
     except DegenerateDomainError:
         family_bound = None
     _emit(

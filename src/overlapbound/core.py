@@ -104,9 +104,44 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, d))
 
 
+def _top(x: np.ndarray) -> float:
+    """The largest |x| of a nonempty array from one min and one max; NaN
+    propagates through both, so a non-finite entry makes it non-finite."""
+    return max(-float(x.min()), float(x.max()))
+
+
+def _units(x: float) -> int:
+    """A finite float as an integer in units of 2**-_UNIT_BITS, exactly."""
+    p, q = x.as_integer_ratio()  # q is a power of two of at most 2**_UNIT_BITS
+    return p << (_UNIT_BITS + 1 - q.bit_length())
+
+
+def _rounded(total: int, j: int) -> float:
+    """Column j's exact total in units of 2**-_UNIT_BITS, correctly rounded."""
+    try:
+        return total / (1 << _UNIT_BITS)
+    except OverflowError:
+        raise InputError(f"the sum of column {j} overflows float64") from None
+
+
+def _rounded_if_certain(total: int, rest: float, error: float) -> float | None:
+    """The float that every point within ``error`` of total + rest rounds to,
+    with total in units of 2**-_UNIT_BITS, or None if there is none: the two
+    ends round apart, ``rest`` or ``error`` is not finite, or an end is
+    beyond float64."""
+    try:
+        centre, width = total + _units(rest), _units(error)
+        low, high = (centre - width) / (1 << _UNIT_BITS), (centre + width) / (1 << _UNIT_BITS)
+    except (OverflowError, ValueError):
+        return None
+    return low if low == high else None
+
+
 class _ColumnSums:
-    """``exact_column_sums`` of a finite (n, d) array fed in blocks of rows:
-    ``add`` each block, in any order and of any size, then read ``result``.
+    """Exact column sums of a finite (n, d) array fed in blocks of rows, by
+    extraction level after level until no remainder is left: ``add`` each
+    block, in any order and of any size, then read ``result``. It needs each
+    row only once, so a file read in blocks is summed with it.
 
     Between blocks it keeps only d Python ints and the limb buckets of the
     level units seen since the last fold, so its memory does not grow with n.
@@ -122,49 +157,60 @@ class _ColumnSums:
         # ones vector that sums their columns.
         self.scratch = ()
 
-    def add(self, block: np.ndarray) -> None:
+    def add(self, block: np.ndarray, top: float | None = None) -> None:
+        """Add a block's rows; ``top``, when given, is at least its largest |x|."""
         rows = min(_FOLD_ROWS, _block_rows(self.d))
         for start in range(0, block.shape[0], rows):
             part = block[start:start + rows]
             if self.pending + part.shape[0] > _FOLD_ROWS:
                 self._fold()
-            self._add(part)
+            self._add(part, _top(part) if top is None else top)
             self.pending += part.shape[0]
 
-    def _add(self, part: np.ndarray) -> None:
-        """Split the block into levels of exact column sums, highest first.
-
-        With T the largest |x| left, T < 2**e, a level's unit is
-        u = 2**(e - bits), so that m multiples of u below 2**e sum to less
-        than 2**53 units: every partial sum of a column is exact, in any
-        order, so one BLAS product with a ones vector sums them. (x + S) - S with S = 1.5 * 2**52 * u rounds x to a multiple of
-        u, and x minus that is exact too; the remainder, at most u/2, feeds
-        the next level until it is all zero.
-        """
-        d, m = self.d, part.shape[0]
+    def _buffers(self, m: int):
         if not self.scratch or self.scratch[0].shape[0] < m:
-            self.scratch = (np.empty((m, d)), np.empty((m, d)), np.ones(m))
-        hi, spare, ones = (buf[:m] for buf in self.scratch)
-        bits = 53 - max(2, (m - 1).bit_length())  # 2**(53 - bits) >= m rows
+            self.scratch = (np.empty((m, self.d)), np.empty((m, self.d)), np.ones(m))
+        return (buf[:m] for buf in self.scratch)
+
+    def _add(self, part: np.ndarray, top: float) -> None:
+        """Split the block into levels of exact column sums, highest first,
+        until the remainder is all zero."""
+        hi, spare, ones = self._buffers(part.shape[0])
         x = part
-        while (top := max(-float(x.min()), float(x.max()))) != 0.0:  # NaN enters
-            if not math.isfinite(top):
-                raise InputError("column sums need finite entries")
-            unit = max(math.frexp(top)[1] - bits, -_UNIT_BITS)
-            # Near float64's maximum, extract from x * 2**-scale. Scaling rounds
-            # only entries that round to 0 there; they pass on unscaled.
-            scale = max(0, unit - _TOP_UNIT)
-            with np.errstate(under="ignore"):
-                y = x * 2.0**-scale if scale else x
-            split = 1.5 * 2.0**(52 + unit - scale)
-            np.add(y, split, out=hi)
-            hi -= split
-            self._level(unit, np.ldexp(ones @ hi, scale - unit))
-            if scale:
-                hi[...] = np.where(hi == 0.0, x, (y - hi) * 2.0**scale)
-            else:
-                np.subtract(x, hi, out=hi)
-            x, hi, spare = hi, spare, hi
+        while top != 0.0:  # NaN enters
+            x = self._extract(x, top, hi, ones)
+            hi, spare = spare, hi
+            top = _top(x)
+
+    def _extract(self, x: np.ndarray, top: float, out: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Add one level of the column sums of x, whose largest |x| is at
+        most ``top``, and return the remainder, written to ``out``.
+
+        With top < 2**e, the level's unit is u = 2**(e - bits), so that m
+        multiples of u below 2**e sum to less than 2**53 units: every partial
+        sum of a column is exact, in any order, so one BLAS product with a
+        ones vector sums them. (x + S) - S with S = 1.5 * 2**52 * u rounds x
+        to a multiple of u, and x minus that is exact too; the remainder is at
+        most u/2.
+        """
+        if not math.isfinite(top):
+            raise InputError("column sums need finite entries")
+        bits = 53 - max(2, (x.shape[0] - 1).bit_length())  # 2**(53 - bits) >= m rows
+        unit = max(math.frexp(top)[1] - bits, -_UNIT_BITS)
+        # Near float64's maximum, extract from x * 2**-scale. Scaling rounds
+        # only entries that round to 0 there; they pass on unscaled.
+        scale = max(0, unit - _TOP_UNIT)
+        with np.errstate(under="ignore"):
+            y = x * 2.0**-scale if scale else x
+        split = 1.5 * 2.0**(52 + unit - scale)
+        np.add(y, split, out=out)
+        out -= split
+        self._level(unit, np.ldexp(ones @ out, scale - unit))
+        if scale:
+            out[...] = np.where(out == 0.0, x, (y - out) * 2.0**scale)
+        else:
+            np.subtract(x, out, out=out)
+        return out
 
     def _level(self, unit: int, sums: np.ndarray) -> None:
         """Add a level's column sums, integers of at most 2**53 in units of
@@ -187,14 +233,78 @@ class _ColumnSums:
     def result(self) -> np.ndarray:
         """The correctly rounded column sums of every row added so far."""
         self._fold()
-        unit = 1 << _UNIT_BITS
-        out = np.empty(self.d, dtype=np.float64)
-        for j, total in enumerate(self.totals):
-            try:
-                out[j] = total / unit
-            except OverflowError:
-                raise InputError(f"the sum of column {j} overflows float64") from None
+        return np.array([_rounded(total, j) for j, total in enumerate(self.totals)], dtype=np.float64)
+
+
+class _CertifiedSums(_ColumnSums):
+    """``exact_column_sums`` of the array ``a``, fed each of its rows once, in
+    blocks of any size and order.
+
+    A block gives one level of exact sums, as in ``_ColumnSums``. Its
+    remainder is not extracted further: only its float column sums and the
+    float column sums of its absolute values are kept, which bound the error
+    of the former. ``result`` rounds both ends of the interval that holds the
+    exact sum; where they round to one float, that float is the correctly
+    rounded sum. The other columns (a tie within the bound, a sum that
+    cancels exactly, or one beyond float64) are summed again, block by block,
+    by the exact ``_ColumnSums``.
+    """
+
+    def __init__(self, a: np.ndarray) -> None:
+        super().__init__(a.shape[1])
+        self.a = a
+        self.rest = np.zeros(self.d)  # float sums of the remainders
+        self.size = np.zeros(self.d)  # float sums of their absolute values
+        self.blocks = self.tallest = 0  # blocks added, and the most rows in one
+
+    def _add(self, part: np.ndarray, top: float) -> None:
+        if top == 0.0:
+            return
+        hi, _, ones = self._buffers(part.shape[0])
+        rest = self._extract(part, top, hi, ones)
+        self.rest += ones @ rest
+        self.size += ones @ np.abs(rest, out=rest)
+        self.blocks += 1
+        self.tallest = max(self.tallest, part.shape[0])
+
+    def result(self) -> np.ndarray:
+        self._fold()
+        # The error bound, with eps = 2**-53 and g(n) = n·eps / (1 - n·eps).
+        # Float sums have no underflow error, and in any order they are off
+        # by at most g(n - 1) times the sum of the n terms' sizes. So a block
+        # of at most m rows with remainders r sums them to within
+        # g(m - 1)·Σ|r|, and float-summing its own Σ|r| finds at least
+        # (1 - g(m - 1))·Σ|r|. Summing B blocks' values adds g(B - 1) of the
+        # same kind. In all, the float sum of the remainders is within
+        # (g(m - 1) + g(B - 1)·(1 + g(m - 1))) / ((1 - g(m - 1))·(1 - g(B - 1)))
+        # times ``size`` of their exact sum, which is below
+        # 1.01·(m + B)·eps·``size`` while (m + B)·eps <= 2**-10. The bound
+        # used, (m + B)·2**-51·``size``, is four times that, enough to cover
+        # its own rounding. Where it underflows, the error, a multiple of
+        # 2**-1074 at most the exact bound, is at most its rounding too.
+        n = self.tallest + self.blocks
+        factor = n * 2.0**-51 if n <= 2**43 else math.inf
+        out, fallen = np.empty(self.d), []
+        for j, (total, rest, size) in enumerate(zip(self.totals, self.rest.tolist(), self.size.tolist())):
+            value = _rounded_if_certain(total, rest, factor * size)
+            if value is None:
+                fallen.append(j)
+            else:
+                out[j] = value
+        if fallen:
+            for j, total in zip(fallen, self._exact_totals(fallen)):
+                out[j] = _rounded(total, j)
         return out
+
+    def _exact_totals(self, cols: list[int]) -> list[int]:
+        """The exact totals of columns ``cols``, summed again block by block."""
+        n, rows = self.a.shape[0], _block_rows(self.d)
+        exact, buffer = _ColumnSums(len(cols)), np.empty((min(n, rows), len(cols)))
+        for lo in range(0, n, rows):
+            block = self.a[lo:lo + rows]
+            exact.add(np.take(block, cols, axis=1, out=buffer[:block.shape[0]], mode="clip"))
+        exact._fold()
+        return exact.totals
 
 
 def exact_column_sums(points: np.ndarray) -> np.ndarray:
@@ -204,22 +314,22 @@ def exact_column_sums(points: np.ndarray) -> np.ndarray:
     partial sums overflow but whose exact sum fits returns that sum.
 
     Rows are taken in blocks of about ``_BLOCK_ELEMENTS`` = 2**16 values, so
-    scratch memory does not grow with n. Each block is split by error-free
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation",
-    2008) into levels: a level rounds every entry to a multiple of a power of
-    two, its unit, chosen from the block's largest |x| so that all column
-    sums of the rounded entries are exact, and passes the exact remainders
-    on, until none are left. Each level's exact sums go to float64 buckets
-    keyed by its unit, as two limbs of at most 2**26 units, so that every
-    bucket sum is exact too; the buckets are folded into Python ints every
-    ``_FOLD_ROWS`` = 2**25 rows and at the end, and one correctly rounded int
-    division per column gives the result. The sums are exact, so neither the
-    blocks nor the summation order change them.
+    scratch memory does not grow with n. Error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation", 2008) rounds a block's
+    entries to multiples of a power of two, its unit, chosen from the
+    block's largest |x| so that the column sums of the rounded entries are
+    exact; they are added as integers. The exact remainders are only summed
+    in float64, with a certified bound on the error of that sum, and a
+    column is done where both ends of the interval round to one float. The
+    others (a tie within the bound, a column that cancels exactly) are
+    summed again by extraction level after level until no remainder is
+    left. The sums are exact, so neither the blocks nor the summation order
+    change them.
 
     Raises InputError when a column's correctly rounded sum overflows.
     """
     a = np.asarray(points, dtype=np.float64)
-    sums = _ColumnSums(a.shape[1])
+    sums = _CertifiedSums(a)
     if a.size:
         sums.add(a)
     return sums.result()
@@ -254,7 +364,7 @@ def _sample_rows(samples) -> np.ndarray:
 
 def _require_finite(a: np.ndarray, message: str = "sample array has non-finite entries") -> None:
     # NaN propagates through min and max, so a nonempty array needs no n×d temporary
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    if not math.isfinite(_top(a)):
         raise InputError(message)
 
 
@@ -269,10 +379,16 @@ class _RowStatistics(NamedTuple):
     mean: np.ndarray
 
 
-def _finite_norms(block: np.ndarray, kind: NormKind,
-                  message: str = "sample array has non-finite entries") -> np.ndarray:
-    """Per-row norms of a block that must be finite; an overflowing norm is inf."""
-    _require_finite(block, message)
+def _block_statistics(block: np.ndarray, kind: NormKind, sums: _ColumnSums,
+                      message: str = "sample array has non-finite entries") -> np.ndarray:
+    """One step of a statistics walk: check that a block's entries are finite,
+    add its column sums to ``sums`` and return its per-row norms, an
+    overflowing norm as inf. The block's one min and one max serve both as
+    the finiteness check and as the top of its first extraction level."""
+    top = _top(block)
+    if not math.isfinite(top):
+        raise InputError(message)
+    sums.add(block, top)
     with np.errstate(over="ignore"):
         return norms(block, kind)
 
@@ -290,21 +406,21 @@ def _row_statistics(per_row: np.ndarray, kind: NormKind, mean) -> _RowStatistics
 def _sample_statistics(a: np.ndarray, kind: NormKind) -> _RowStatistics:
     """The statistics of a ``_sample_rows`` array.
 
-    One pass over blocks of about ``_BLOCK_ELEMENTS`` values checks that the
-    entries are finite and fills the norms, and ``exact_mean`` walks the rows
-    in blocks too, so no temporary grows with the array: the extra memory is
-    two n-vectors plus fixed block scratch. Raises InputError for non-finite
-    entries, then for a norm that overflows float64.
+    One walk over blocks of about ``_BLOCK_ELEMENTS`` values checks that the
+    entries are finite, fills the norms and adds the column sums, so no
+    temporary grows with the array: the extra memory is two n-vectors plus
+    fixed block scratch. Raises InputError for non-finite entries, then for
+    a norm that overflows float64, then for a column sum that does.
     """
     if not isinstance(kind, NormKind):  # non-finite entries are reported first
         _require_finite(a)
         raise _not_a_norm(kind)
     n, d = a.shape
     rows = _block_rows(d)
-    per_row = np.empty(n)
+    per_row, sums = np.empty(n), _CertifiedSums(a)
     for lo in range(0, n, rows):
-        per_row[lo:lo + rows] = _finite_norms(a[lo:lo + rows], kind)
-    return _row_statistics(per_row, kind, lambda: exact_mean(a))
+        per_row[lo:lo + rows] = _block_statistics(a[lo:lo + rows], kind, sums)
+    return _row_statistics(per_row, kind, lambda: sums.result() / n)
 
 
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:

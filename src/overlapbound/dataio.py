@@ -18,8 +18,8 @@ from .core import (
     NormKind,
     SampleSet,
     _block_rows,
+    _block_statistics,
     _ColumnSums,
-    _finite_norms,
     _require_finite,
     _row_statistics,
     _sample_statistics,
@@ -54,8 +54,11 @@ def _read_samples_binary(path, norm: NormKind | None = None):
     SampleSet keeps (``_RowStatistics``).
 
     Statistics are gathered from blocks of about ``_BLOCK_ELEMENTS`` values,
-    each read into one reused buffer, so no more than a block of rows is in
-    memory at a time. Non-finite values are an InputError naming the file.
+    each read into one reused buffer and passed through the same
+    ``_block_statistics`` step as an in-memory array, so no more than a block
+    of rows is in memory at a time. The file is read once, so its column sums
+    go to the exact ``_ColumnSums``, which needs no second walk. Non-finite
+    values are an InputError naming the file.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -84,8 +87,7 @@ def _read_samples_binary(path, norm: NormKind | None = None):
                                  f"found {(lo * d * 8 + got) // 8}")
             if norm is None:  # the whole array, read as one block
                 return buffer
-            per_row[lo:lo + len(block)] = _finite_norms(block, norm, non_finite)
-            sums.add(block)
+            per_row[lo:lo + len(block)] = _block_statistics(block, norm, sums, non_finite)
     return _row_statistics(per_row, norm, lambda: sums.result() / n)
 
 
@@ -112,6 +114,23 @@ def _parse_csv_rows(path) -> np.ndarray:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
+    # Most files are numbers only: parse them in one comprehension. float()
+    # ignores the spaces around a cell as strip() does, so the array is the
+    # one _parse_csv_lines builds. A header, a blank line, a bad cell or a
+    # ragged row is a ValueError, and _parse_csv_lines reports it.
+    try:
+        array = np.array([list(map(float, line.split(","))) for line in lines])
+        if array.size:
+            return array
+    except ValueError:
+        pass
+    return _parse_csv_lines(path, lines)
+
+
+def _parse_csv_lines(path, lines: list[str]) -> np.ndarray:
+    """The rows of a CSV file's lines, one at a time: blank lines are
+    skipped, a first row with no numeric cell is a header, and any other
+    row must hold as many numbers as the first."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

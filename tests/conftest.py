@@ -139,3 +139,26 @@ def laid_out_samples(draw):
     if draw(st.booleans()):
         a = a[rng.integers(0, n, size=n)]
     return _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](a)
+
+
+@st.composite
+def full_range_arrays(draw):
+    """Arrays up to 400 x 5 whose entries run from 5e-324 to the largest
+    float64 in size, mixed within one block, often with a column's second
+    half negating its first, so that its partial sums overflow while its
+    exact sum fits."""
+    n, d = draw(st.integers(1, 400)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-1074, 1023))
+    high = draw(st.integers(low, 1023))
+    exponents = rng.integers(low, high + 1, size=(n, d))
+    a = np.ldexp(rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(1.0, 2.0, size=(n, d)), exponents)
+    a[rng.random((n, d)) < draw(st.floats(0, 0.5))] = 0.0
+    extremes = st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                                2.0**1023, 2.0**1015, -(2.0**1014) * 1.5, 2.2250738585072014e-308])
+    for value in draw(st.lists(extremes, max_size=12)):
+        a[rng.integers(n), rng.integers(d)] = value
+    if draw(st.booleans()):
+        half = n // 2
+        a[n - half:] = -a[:half][::-1]
+    return a

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -449,6 +450,48 @@ def test_oracle_builds_the_joint_and_its_norms_once_with_the_same_json(tmp_path,
     assert (code, err) == (0, "")
     assert out == json.dumps(want, indent=2) + "\n"
     assert counts == {"of": 1, "support_norms": 1}
+
+
+def test_oracle_takes_its_support_norms_and_mean_gap_once(tmp_path, monkeypatch):
+    from overlapbound import oracle
+
+    rng = np.random.default_rng(11)
+    for name, rows in (("p.json", rng.normal(size=(40, 3))), ("q.json", rng.normal(size=(30, 3)) + 0.5)):
+        (tmp_path / name).write_text(json.dumps(
+            {"dimension": 3, "points": rows.tolist(), "masses": [1.0 / len(rows)] * len(rows)}))
+    argv = ["oracle", str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--k", "50"]
+    want = _main_with_warnings_as_errors(argv)
+    calls = []
+    real = core.norms
+
+    def counting_norms(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    for module in (core, oracle):  # every namespace that calls it by name
+        monkeypatch.setattr(module, "norms", counting_norms)
+    assert _main_with_warnings_as_errors(argv) == want and want[0] == 0
+    # the support's norms and the one-row mean gap; each ball's mask is read
+    # off the support's norms
+    assert sorted(calls) == [1, 70], calls
+
+
+def test_summary_means_are_exact_means_of_the_score_columns(tmp_path, capsys, rng):
+    train, queries, model = tmp_path / "train.csv", tmp_path / "queries.csv", tmp_path / "model.json"
+    write_csv(train, rng.normal(size=(300, 3)))
+    write_csv(queries, 1.5 * rng.normal(size=(700, 3)))
+    assert run_cli(capsys, "fit", str(train), "--out", str(model))[0] == 0
+    scores, summary = tmp_path / "scores.csv", tmp_path / "summary.json"
+    code, _, _ = run_cli(capsys, "classify", str(model), str(queries), "--threshold", "0.5",
+                         "--iterative", "--fit-data", str(train),
+                         "--scores-out", str(scores), "--out", str(summary))
+    assert code == 0
+    header, *lines = scores.read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+    doc = json.loads(summary.read_text())
+    for key, column in (("mean_score", "score"), ("mean_iterative_score", "iterative")):
+        values = [float(v) for v in columns[column]]
+        assert doc[key] == math.fsum(values) / len(values), key
 
 
 @pytest.mark.parametrize("command", ["score", "classify"])
@@ -939,7 +982,9 @@ def test_any_argv_exits_0_2_3_or_4_with_at_most_one_error_line(tmp_path_factory,
     files["MISSING"].unlink(missing_ok=True)
     argv = [str(files.get(w, w)) for w in ([command] if command else []) + words]
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # in the folder, so that an --out or --scores-out word such as "nan" is written there
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            contextlib.chdir(folder):
         warnings.simplefilter("error")
         try:
             code = main(argv)

@@ -23,7 +23,7 @@ from overlapbound import (
     norms,
     subset_bound,
 )
-from conftest import ALL_NORMS, _LAYOUTS, laid_out_samples
+from conftest import ALL_NORMS, _LAYOUTS, full_range_arrays, laid_out_samples
 from oracles import exact_square_sum, exact_sum, norm_of
 
 # coordinate magnitudes stay above the range where squaring underflows to 0
@@ -255,29 +255,6 @@ def test_exact_column_sums_overflow():
     assert core.exact_column_sums(np.array([[1e308], [1e308], [-1e308]]))[0] == 1e308
 
 
-@st.composite
-def full_range_arrays(draw):
-    """Arrays up to 400 x 5 whose entries run from 5e-324 to the largest
-    float64 in size, mixed within one block, often with a column's second
-    half negating its first, so that its partial sums overflow while its
-    exact sum fits."""
-    n, d = draw(st.integers(1, 400)), draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    low = draw(st.integers(-1074, 1023))
-    high = draw(st.integers(low, 1023))
-    exponents = rng.integers(low, high + 1, size=(n, d))
-    a = np.ldexp(rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(1.0, 2.0, size=(n, d)), exponents)
-    a[rng.random((n, d)) < draw(st.floats(0, 0.5))] = 0.0
-    extremes = st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                                2.0**1023, 2.0**1015, -(2.0**1014) * 1.5, 2.2250738585072014e-308])
-    for value in draw(st.lists(extremes, max_size=12)):
-        a[rng.integers(n), rng.integers(d)] = value
-    if draw(st.booleans()):
-        half = n // 2
-        a[n - half:] = -a[:half][::-1]
-    return a
-
-
 @given(full_range_arrays(), st.lists(st.integers(0, 400), max_size=6))
 @example(np.array([[1.7976931348623157e308], [1.7976931348623157e308], [-1.7976931348623157e308]]), [])
 @example(np.array([[1.7976931348623157e308, 5e-324], [-5e-324, 2.0**1023]]), [1])
@@ -311,6 +288,49 @@ def test_exact_column_sums_over_the_full_float64_range(a, cuts):
 def test_exact_column_sums_refuse_non_finite_entries(bad):
     with pytest.raises(InputError, match="finite"):
         core.exact_column_sums(np.array([[1.0, 2.0], [bad, 0.5]]))
+
+
+@pytest.fixture
+def fallen(monkeypatch):
+    """The columns that the certified sums hand to the exact fallback, in order."""
+    cols = []
+    real = core._CertifiedSums._exact_totals
+    monkeypatch.setattr(core._CertifiedSums, "_exact_totals",
+                        lambda self, wanted: cols.extend(wanted) or real(self, wanted))
+    return cols
+
+
+def test_certified_sums_of_gaussian_data_never_fall_back(fallen):
+    a = np.random.default_rng(17).standard_normal((20000, 64))
+    assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
+    assert_same_bits(fit(a, k=50).mean, fsum_columns(a) / len(a))
+    assert fallen == []
+
+
+def _huge_with_a_remainder():
+    """A huge float whose lowest bit is set, so it leaves a remainder at any unit above its ulp."""
+    return math.ldexp(1.0 + 2.0**-52, 996)
+
+
+@pytest.mark.parametrize(
+    "a, cols",
+    [
+        # exactly cancelling columns: the certified interval holds 0 and its neighbours
+        (np.concatenate([(c := np.random.default_rng(3).normal(size=(150, 3))), -c[::-1]]), [0, 1, 2]),
+        # column 1's exact sum 1 + 2**-53 is a tie between 1 and its successor;
+        # its entries below the level's unit (2**-50 here) are nonzero remainders
+        (np.array([[0.5, 1.0], [0.25, 2.0**-54], [0.125, 2.0**-54]]), [1]),
+        # tiny entries beside huge ones that cancel: the bound is set by the huge remainders
+        (np.array([[_huge_with_a_remainder()], [1e-300], [-_huge_with_a_remainder()], [3e-300]]), [0]),
+    ],
+    ids=["cancelling", "tie", "tiny-beside-huge"],
+)
+def test_certified_sums_fall_back_where_the_interval_rounds_two_ways(fallen, a, cols):
+    assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
+    assert fallen == cols
+    fallen.clear()
+    assert_same_bits(SampleSet(a, NormKind.LINF).mean, fsum_columns(a) / len(a))
+    assert fallen == cols
 
 
 def test_sample_set_rejects_overflowing_norms():
@@ -437,8 +457,16 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch):
 
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1 << 12)
     a = np.random.default_rng(5).standard_normal((20000, 64))
+    # every column of this one sums to exactly 0, so each falls back to the
+    # exact sums, which copy one block-sized slice of its columns at a time
+    cancelling = np.concatenate([a[:10000], -a[9999::-1]])
+    fallen = []
+    real = core._CertifiedSums._exact_totals
+    monkeypatch.setattr(core._CertifiedSums, "_exact_totals",
+                        lambda self, cols: fallen.extend(cols) or real(self, cols))
     peaks = {}
-    for name, build in (("fit", lambda: fit(a, k=50)), ("make_sample_set", lambda: make_sample_set(a))):
+    for name, build in (("fit", lambda: fit(a, k=50)), ("fit falling back", lambda: fit(cancelling, k=50)),
+                        ("make_sample_set", lambda: make_sample_set(a))):
         tracemalloc.start()
         try:
             built = build()
@@ -446,8 +474,10 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch):
         finally:
             tracemalloc.stop()
         del built
+    assert fallen == list(range(64))
     # fit keeps two n-vectors of norms and block scratch; a SampleSet adds its copy
     assert peaks["fit"] <= 0.1, peaks
+    assert peaks["fit falling back"] <= 0.1, peaks
     assert peaks["make_sample_set"] <= 1.1, peaks
 
 
