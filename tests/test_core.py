@@ -452,7 +452,7 @@ def test_non_finite_entries_are_reported_before_a_bad_norm(monkeypatch):
         SampleSet(np.ones((10, 2)), "l2")
 
 
-def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch):
+def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch, fallen):
     import tracemalloc
 
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1 << 12)
@@ -460,10 +460,6 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch):
     # every column of this one sums to exactly 0, so each falls back to the
     # exact sums, which copy one block-sized slice of its columns at a time
     cancelling = np.concatenate([a[:10000], -a[9999::-1]])
-    fallen = []
-    real = core._CertifiedSums._exact_totals
-    monkeypatch.setattr(core._CertifiedSums, "_exact_totals",
-                        lambda self, cols: fallen.extend(cols) or real(self, cols))
     peaks = {}
     for name, build in (("fit", lambda: fit(a, k=50)), ("fit falling back", lambda: fit(cancelling, k=50)),
                         ("make_sample_set", lambda: make_sample_set(a))):
