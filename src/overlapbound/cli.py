@@ -226,7 +226,6 @@ def cmd_oracle(args) -> None:
     else:
         support = joint.support_norms(norm)
         conditions = RadiusFamily(args.k, float(support.max()), norm).indicators()
-    gap = joint.mean_gap(norm)
     per_radius = []
     for g in conditions:
         mask = support <= g.radius  # g's acceptances, read off the support's norms
@@ -235,13 +234,13 @@ def cmd_oracle(args) -> None:
                                        ("bound_complement_radius", False)):
             try:
                 entry[key] = oracle.subset_bound(joint, mask, norm, use_domain_radius,
-                                                 support_norms=support, mean_gap=gap)
+                                                 support_norms=support)
             except DegenerateDomainError:
                 entry[key] = None
         per_radius.append(entry)
     try:
         family_bound = oracle.indicator_bound(p, q, conditions, norm, joint=joint,
-                                              support_norms=support, mean_gap=gap)
+                                              support_norms=support)
     except DegenerateDomainError:
         family_bound = None
     _emit(

@@ -110,6 +110,18 @@ def _top(x: np.ndarray) -> float:
     return max(-float(x.min()), float(x.max()))
 
 
+def _unit(top: float, m: int) -> int:
+    """The exponent of the unit of an extraction level of m rows whose
+    largest |x| is at most ``top``: with top < 2**e, the unit is
+    2**(e - bits), so that m multiples of it below 2**e sum to less than
+    2**53 units, or 2**-_UNIT_BITS if that is larger. A non-finite top is
+    an InputError."""
+    if not math.isfinite(top):
+        raise InputError("column sums need finite entries")
+    bits = 53 - max(2, (m - 1).bit_length())  # 2**(53 - bits) >= m rows
+    return max(math.frexp(top)[1] - bits, -_UNIT_BITS)
+
+
 def _units(x: float) -> int:
     """A finite float as an integer in units of 2**-_UNIT_BITS, exactly."""
     p, q = x.as_integer_ratio()  # q is a power of two of at most 2**_UNIT_BITS
@@ -135,6 +147,33 @@ def _rounded_if_certain(total: int, rest: float, error: float) -> float | None:
     except (OverflowError, ValueError):
         return None
     return low if low == high else None
+
+
+def _split(x: np.ndarray, unit: int, out: np.ndarray, ones: np.ndarray | None = None):
+    """Round x to multiples of u = 2**``unit``, a unit from ``_unit``; write
+    the remainder, at most u/2, to ``out`` and return it, with the column
+    sums of the rounded entries in units of u when ``ones`` is given.
+
+    (x + S) - S with S = 1.5 * 2**52 * u rounds x to a multiple of u, and x
+    minus that is exact too. The unit makes every partial sum of a rounded
+    column exact, in any order, so one BLAS product with a ones vector sums
+    them.
+    """
+    # Near float64's maximum, round x * 2**-scale. Scaling rounds only
+    # entries that round to 0 there; they pass on unscaled.
+    scale, y = max(0, unit - _TOP_UNIT), x
+    if scale:
+        with np.errstate(under="ignore"):
+            y = x * 2.0**-scale
+    split = 1.5 * 2.0**(52 + unit - scale)
+    np.add(y, split, out=out)
+    out -= split
+    sums = None if ones is None else np.ldexp(ones @ out, scale - unit)
+    if scale:
+        out[...] = np.where(out == 0.0, x, (y - out) * 2.0**scale)
+    else:
+        np.subtract(x, out, out=out)
+    return out, sums
 
 
 class _ColumnSums:
@@ -178,39 +217,16 @@ class _ColumnSums:
         hi, spare, ones = self._buffers(part.shape[0])
         x = part
         while top != 0.0:  # NaN enters
-            x = self._extract(x, top, hi, ones)
+            x = self._extract(x, _unit(top, x.shape[0]), hi, ones)
             hi, spare = spare, hi
             top = _top(x)
 
-    def _extract(self, x: np.ndarray, top: float, out: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """Add one level of the column sums of x, whose largest |x| is at
-        most ``top``, and return the remainder, written to ``out``.
-
-        With top < 2**e, the level's unit is u = 2**(e - bits), so that m
-        multiples of u below 2**e sum to less than 2**53 units: every partial
-        sum of a column is exact, in any order, so one BLAS product with a
-        ones vector sums them. (x + S) - S with S = 1.5 * 2**52 * u rounds x
-        to a multiple of u, and x minus that is exact too; the remainder is at
-        most u/2.
-        """
-        if not math.isfinite(top):
-            raise InputError("column sums need finite entries")
-        bits = 53 - max(2, (x.shape[0] - 1).bit_length())  # 2**(53 - bits) >= m rows
-        unit = max(math.frexp(top)[1] - bits, -_UNIT_BITS)
-        # Near float64's maximum, extract from x * 2**-scale. Scaling rounds
-        # only entries that round to 0 there; they pass on unscaled.
-        scale = max(0, unit - _TOP_UNIT)
-        with np.errstate(under="ignore"):
-            y = x * 2.0**-scale if scale else x
-        split = 1.5 * 2.0**(52 + unit - scale)
-        np.add(y, split, out=out)
-        out -= split
-        self._level(unit, np.ldexp(ones @ out, scale - unit))
-        if scale:
-            out[...] = np.where(out == 0.0, x, (y - out) * 2.0**scale)
-        else:
-            np.subtract(x, out, out=out)
-        return out
+    def _extract(self, x: np.ndarray, unit: int, out: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Add the level of the column sums of x in units of 2**``unit``, from
+        ``_unit``, and return the remainder, written to ``out``."""
+        rest, sums = _split(x, unit, out, ones)
+        self._level(unit, sums)
+        return rest
 
     def _level(self, unit: int, sums: np.ndarray) -> None:
         """Add a level's column sums, integers of at most 2**53 in units of
@@ -218,7 +234,8 @@ class _ColumnSums:
         2**27 (at most 2**26 such multiples) and the rest (at most 2**26)."""
         high = sums + _LIMB_SPLIT
         high -= _LIMB_SPLIT
-        acc = self.acc.setdefault(unit, np.zeros((2, self.d)))
+        if (acc := self.acc.get(unit)) is None:
+            acc = self.acc[unit] = np.zeros((2, self.d))
         acc[0] += high
         acc[1] += sums - high
 
@@ -237,17 +254,19 @@ class _ColumnSums:
 
 
 class _CertifiedSums(_ColumnSums):
-    """``exact_column_sums`` of the array ``a``, fed each of its rows once, in
-    blocks of any size and order.
+    """``exact_column_sums`` of the array ``a``. ``add`` must be fed its rows
+    in order, each once, in blocks of any size, before ``result`` is read:
+    the columns that fall back are summed again from ``a`` part by part.
 
-    A block gives one level of exact sums, as in ``_ColumnSums``. Its
+    A part gives one level of exact sums, as in ``_ColumnSums``. Its
     remainder is not extracted further: only its float column sums and the
     float column sums of its absolute values are kept, which bound the error
     of the former. ``result`` rounds both ends of the interval that holds the
     exact sum; where they round to one float, that float is the correctly
     rounded sum. The other columns (a tie within the bound, a sum that
-    cancels exactly, or one beyond float64) are summed again, block by block,
-    by the exact ``_ColumnSums``.
+    cancels, or one small next to its remainders, as in centred data) fall
+    back: they keep their first level's exact sums, and their remainders are
+    taken again and summed exactly by ``_ColumnSums``.
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -255,26 +274,26 @@ class _CertifiedSums(_ColumnSums):
         self.a = a
         self.rest = np.zeros(self.d)  # float sums of the remainders
         self.size = np.zeros(self.d)  # float sums of their absolute values
-        self.blocks = self.tallest = 0  # blocks added, and the most rows in one
+        self.parts = []  # each part's rows and first-level unit, None if all 0
 
     def _add(self, part: np.ndarray, top: float) -> None:
-        if top == 0.0:
-            return
-        hi, _, ones = self._buffers(part.shape[0])
-        rest = self._extract(part, top, hi, ones)
-        self.rest += ones @ rest
-        self.size += ones @ np.abs(rest, out=rest)
-        self.blocks += 1
-        self.tallest = max(self.tallest, part.shape[0])
+        m = part.shape[0]
+        unit = None if top == 0.0 else _unit(top, m)
+        self.parts.append((m, unit))
+        if unit is not None:
+            hi, _, ones = self._buffers(m)
+            rest = self._extract(part, unit, hi, ones)
+            self.rest += ones @ rest
+            self.size += ones @ np.abs(rest, out=rest)
 
     def result(self) -> np.ndarray:
         self._fold()
         # The error bound, with eps = 2**-53 and g(n) = n·eps / (1 - n·eps).
         # Float sums have no underflow error, and in any order they are off
-        # by at most g(n - 1) times the sum of the n terms' sizes. So a block
+        # by at most g(n - 1) times the sum of the n terms' sizes. So a part
         # of at most m rows with remainders r sums them to within
         # g(m - 1)·Σ|r|, and float-summing its own Σ|r| finds at least
-        # (1 - g(m - 1))·Σ|r|. Summing B blocks' values adds g(B - 1) of the
+        # (1 - g(m - 1))·Σ|r|. Summing B parts' values adds g(B - 1) of the
         # same kind. In all, the float sum of the remainders is within
         # (g(m - 1) + g(B - 1)·(1 + g(m - 1))) / ((1 - g(m - 1))·(1 - g(B - 1)))
         # times ``size`` of their exact sum, which is below
@@ -282,7 +301,7 @@ class _CertifiedSums(_ColumnSums):
         # used, (m + B)·2**-51·``size``, is four times that, enough to cover
         # its own rounding. Where it underflows, the error, a multiple of
         # 2**-1074 at most the exact bound, is at most its rounding too.
-        n = self.tallest + self.blocks
+        n = max((m for m, _ in self.parts), default=0) + len(self.parts)
         factor = n * 2.0**-51 if n <= 2**43 else math.inf
         out, fallen = np.empty(self.d), []
         for j, (total, rest, size) in enumerate(zip(self.totals, self.rest.tolist(), self.size.tolist())):
@@ -297,14 +316,23 @@ class _CertifiedSums(_ColumnSums):
         return out
 
     def _exact_totals(self, cols: list[int]) -> list[int]:
-        """The exact totals of columns ``cols``, summed again block by block."""
-        n, rows = self.a.shape[0], _block_rows(self.d)
-        exact, buffer = _ColumnSums(len(cols)), np.empty((min(n, rows), len(cols)))
-        for lo in range(0, n, rows):
-            block = self.a[lo:lo + rows]
-            exact.add(np.take(block, cols, axis=1, out=buffer[:block.shape[0]], mode="clip"))
-        exact._fold()
-        return exact.totals
+        """The exact totals of columns ``cols``: their first level's sums,
+        plus the exact sums of their remainders, split off again part by
+        part with the first walk's units."""
+        width, tallest = len(cols), max(m for m, _ in self.parts)
+        rest = _ColumnSums(width)
+        gathered, spare = np.empty((tallest, width)), np.empty((tallest, width))
+        lo = 0
+        for m, unit in self.parts:
+            if unit is not None:
+                x = self.a[lo:lo + m]
+                if width < self.d:
+                    x = np.take(x, cols, axis=1, out=gathered[:m], mode="clip")
+                # the remainders are at most 2**(unit - 1), which tops the next level
+                rest.add(_split(x, unit, spare[:m])[0], math.ldexp(1.0, unit - 1))
+            lo += m
+        rest._fold()
+        return [self.totals[j] + total for j, total in zip(cols, rest.totals)]
 
 
 def exact_column_sums(points: np.ndarray) -> np.ndarray:
@@ -321,10 +349,12 @@ def exact_column_sums(points: np.ndarray) -> np.ndarray:
     exact; they are added as integers. The exact remainders are only summed
     in float64, with a certified bound on the error of that sum, and a
     column is done where both ends of the interval round to one float. The
-    others (a tie within the bound, a column that cancels exactly) are
-    summed again by extraction level after level until no remainder is
-    left. The sums are exact, so neither the blocks nor the summation order
-    change them.
+    others (a tie within the bound, or a sum that is small next to the
+    remainders, as in a centred or cancelling column) fall back: a second
+    walk splits their remainders off again with the same units and sums
+    them by extraction level after level until none is left. That walk
+    makes such columns slower than the rest. The sums are exact, so neither
+    the blocks nor the summation order change them.
 
     Raises InputError when a column's correctly rounded sum overflows.
     """

@@ -114,23 +114,6 @@ def _parse_csv_rows(path) -> np.ndarray:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
-    # Most files are numbers only: parse them in one comprehension. float()
-    # ignores the spaces around a cell as strip() does, so the array is the
-    # one _parse_csv_lines builds. A header, a blank line, a bad cell or a
-    # ragged row is a ValueError, and _parse_csv_lines reports it.
-    try:
-        array = np.array([list(map(float, line.split(","))) for line in lines])
-        if array.size:
-            return array
-    except ValueError:
-        pass
-    return _parse_csv_lines(path, lines)
-
-
-def _parse_csv_lines(path, lines: list[str]) -> np.ndarray:
-    """The rows of a CSV file's lines, one at a time: blank lines are
-    skipped, a first row with no numeric cell is a header, and any other
-    row must hold as many numbers as the first."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

@@ -220,7 +220,6 @@ def subset_bound(
     use_domain_radius: bool = True,
     *,
     support_norms: np.ndarray | None = None,
-    mean_gap: float | None = None,
 ) -> float:
     """Exact upper bound on the overlap built from one subset.
 
@@ -228,9 +227,8 @@ def subset_bound(
     on the subset, each scaled by max-norm radii taken exactly over the joint
     support. ``use_domain_radius`` selects the denominator: the max norm over
     the whole support (True) or over the subset's complement (False).
-    ``support_norms`` and ``mean_gap``, when given, must be
-    ``joint.support_norms(norm)`` and ``joint.mean_gap(norm)``, so that a
-    caller bounding many subsets of one joint computes them once.
+    ``support_norms``, when given, must be ``joint.support_norms(norm)``, so
+    that a caller bounding many subsets of one joint computes them once.
     """
     mask = joint.membership(subset)
     if support_norms is None:
@@ -244,8 +242,7 @@ def subset_bound(
             f"max norm over the {what} is 0; the bound is undefined (overlap is 1 "
             "whenever both distributions are the same point mass at the origin)"
         )
-    if mean_gap is None:
-        mean_gap = joint.mean_gap(norm)
+    mean_gap = joint.mean_gap(norm)
     dv = subset_variation(joint, mask)
     return 1.0 - 0.5 * (mean_gap / r_denom) - ((r_denom - r_region) / r_denom) * dv
 
@@ -258,16 +255,15 @@ def indicator_bound(
     *,
     joint: JointSupport | None = None,
     support_norms: np.ndarray | None = None,
-    mean_gap: float | None = None,
 ) -> float:
     """Exact upper bound on the overlap over a family of condition functions.
 
     Uses exact acceptance probabilities instead of the per-subset variation
     mass, taking the best (largest) separation term across the family.
-    ``joint``, ``support_norms`` and ``mean_gap``, when given, must be
-    ``JointSupport.of(p, q)``, its ``support_norms(norm)`` and its
-    ``mean_gap(norm)``, so that a caller that holds them does not compute
-    them again. A ball in ``norm`` is read off the support's norms.
+    ``joint`` and ``support_norms``, when given, must be
+    ``JointSupport.of(p, q)`` and its ``support_norms(norm)``, so that a
+    caller that holds them does not build them again. A ball in ``norm`` is
+    read off the support's norms.
     """
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
@@ -281,8 +277,7 @@ def indicator_bound(
             "max norm over the joint support is 0; both distributions are a "
             "point mass at the origin and the overlap is exactly 1"
         )
-    if mean_gap is None:
-        mean_gap = joint.mean_gap(norm)
+    mean_gap = joint.mean_gap(norm)
     best = 0.0
     for g in conditions:
         if isinstance(g, RadiusIndicator) and g.norm is norm:

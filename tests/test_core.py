@@ -317,13 +317,17 @@ def _huge_with_a_remainder():
     [
         # exactly cancelling columns: the certified interval holds 0 and its neighbours
         (np.concatenate([(c := np.random.default_rng(3).normal(size=(150, 3))), -c[::-1]]), [0, 1, 2]),
+        # centred columns: each sum is far below the bound set by the remainders
+        ((c := np.random.default_rng(4).normal(size=(300, 3))) - c.mean(axis=0), [0, 1, 2]),
         # column 1's exact sum 1 + 2**-53 is a tie between 1 and its successor;
         # its entries below the level's unit (2**-50 here) are nonzero remainders
         (np.array([[0.5, 1.0], [0.25, 2.0**-54], [0.125, 2.0**-54]]), [1]),
         # tiny entries beside huge ones that cancel: the bound is set by the huge remainders
         (np.array([[_huge_with_a_remainder()], [1e-300], [-_huge_with_a_remainder()], [3e-300]]), [0]),
+        # the same near float64's maximum, where the level rounds scaled entries
+        (np.array([[1.7e308], [1e-300], [-1.7e308], [3e-300]]), [0]),
     ],
-    ids=["cancelling", "tie", "tiny-beside-huge"],
+    ids=["cancelling", "centred", "tie", "tiny-beside-huge", "tiny-beside-the-largest"],
 )
 def test_certified_sums_fall_back_where_the_interval_rounds_two_ways(fallen, a, cols):
     assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
@@ -457,11 +461,11 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch, fallen)
 
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1 << 12)
     a = np.random.default_rng(5).standard_normal((20000, 64))
-    # every column of this one sums to exactly 0, so each falls back to the
-    # exact sums, which copy one block-sized slice of its columns at a time
-    cancelling = np.concatenate([a[:10000], -a[9999::-1]])
+    # every column of this one is centred, so each falls back to exact sums of
+    # its remainders, split off again one block-sized slice at a time
+    centred = a - a.mean(axis=0)
     peaks = {}
-    for name, build in (("fit", lambda: fit(a, k=50)), ("fit falling back", lambda: fit(cancelling, k=50)),
+    for name, build in (("fit", lambda: fit(a, k=50)), ("fit falling back", lambda: fit(centred, k=50)),
                         ("make_sample_set", lambda: make_sample_set(a))):
         tracemalloc.start()
         try:

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core
 from overlapbound.dataio import (
-    _parse_csv_lines,
-    _parse_csv_rows,
     _read_finite_samples,
     read_sample_array,
     read_samples,
@@ -65,53 +63,6 @@ def test_csv_empty_rejected(tmp_path):
     path.write_text("\n")
     with pytest.raises(InputError, match="no data rows"):
         read_sample_array(path)
-
-
-_CELLS = st.one_of(
-    st.floats(allow_nan=False).map(repr),
-    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda x: f"{x:.6e}"),
-    st.integers(-10**6, 10**6).map(lambda i: f"{i:_}"),  # underscores, as float() reads them
-    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "NaN", "1e999", "0x1p3", "abc", ""]),
-)
-
-
-@st.composite
-def csv_texts(draw):
-    """CSV text that is mostly numbers only, with cells padded by spaces or
-    tabs, and sometimes a header, blank lines, CRLF line ends, a bad cell or
-    a ragged row."""
-    width = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), min_size=0, max_size=6))
-    if draw(st.booleans()):  # usually numbers only
-        rows = [[cell if cell and cell[0] in "-0123456789n" else "1.5" for cell in row] for row in rows]
-    pad = draw(st.sampled_from(["", " ", "\t", " \t "]))
-    lines = [",".join(pad + cell + pad for cell in row) for row in rows]
-    if draw(st.booleans()):
-        lines.insert(0, ",".join(draw(st.lists(st.sampled_from(["x", "y", "a b", "score"]),
-                                               min_size=width, max_size=width))))
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
-    if lines and draw(st.booleans()):  # a ragged row
-        lines.append(",".join(["2.0"] * (width + 1)))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
-
-
-@given(csv_texts())
-@settings(max_examples=300, deadline=None)
-def test_csv_fast_parse_equals_the_line_parser(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "fast.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-    def outcome(parse):
-        try:
-            got = parse()
-        except InputError as exc:
-            return str(exc)
-        return got.dtype, got.shape, got.tobytes()
-
-    lines = text.replace("\r\n", "\n").splitlines()
-    assert outcome(lambda: _parse_csv_rows(path)) == outcome(lambda: _parse_csv_lines(path, lines))
 
 
 def test_binary_round_trip(tmp_path, rng):
