@@ -32,14 +32,7 @@ from .oracle import (
     subset_variation,
     total_variation,
 )
-from .shift import (
-    accuracy_ceiling,
-    backdoor_ceiling,
-    fixed_accuracy_rule,
-    mixture_overlap_bound,
-    simulate_accuracy,
-    sweep_sigma,
-)
+from .shift import fixed_accuracy_rule, simulate_accuracy, sweep_sigma
 
 __version__ = "0.1.0"
 
@@ -60,17 +53,14 @@ __all__ = [
     "RadiusIndicator",
     "SampleSet",
     "ScoreRecord",
-    "accuracy_ceiling",
     "aupr",
     "auroc",
-    "backdoor_ceiling",
     "compute_bound",
     "fit",
     "fixed_accuracy_rule",
     "indicator_bound",
     "iterative_scores_batch",
     "make_sample_set",
-    "mixture_overlap_bound",
     "norms",
     "overlap",
     "pooled_radius_family",

@@ -217,14 +217,13 @@ def cmd_oracle(args) -> None:
     q = oracle.DiscreteDistribution.from_json_file(args.q)
     norm = NormKind.from_string(args.norm)
     joint = oracle.JointSupport.of(p, q)
+    support = joint.support_norms(norm)
     if args.radius:
         try:
             conditions = [RadiusIndicator(float(r), norm) for r in args.radius]
         except ValueError as exc:
             raise InputError(f"bad --radius: {exc}") from None
-        support = joint.support_norms(norm)
     else:
-        support = joint.support_norms(norm)
         conditions = RadiusFamily(args.k, float(support.max()), norm).indicators()
     per_radius = []
     for g in conditions:

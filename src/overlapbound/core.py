@@ -136,13 +136,13 @@ def _rounded(total: int, j: int) -> float:
         raise InputError(f"the sum of column {j} overflows float64") from None
 
 
-def _rounded_if_certain(total: int, rest: float, error: float) -> float | None:
-    """The float that every point within ``error`` of total + rest rounds to,
-    with total in units of 2**-_UNIT_BITS, or None if there is none: the two
-    ends round apart, ``rest`` or ``error`` is not finite, or an end is
+def _rounded_if_certain(total: int, rest: float, width: int) -> float | None:
+    """The float that every point within ``width`` of total + rest rounds to,
+    with total and width in units of 2**-_UNIT_BITS, or None if there is
+    none: the two ends round apart, ``rest`` is not finite, or an end is
     beyond float64."""
     try:
-        centre, width = total + _units(rest), _units(error)
+        centre = total + _units(rest)
         low, high = (centre - width) / (1 << _UNIT_BITS), (centre + width) / (1 << _UNIT_BITS)
     except (OverflowError, ValueError):
         return None
@@ -259,21 +259,23 @@ class _CertifiedSums(_ColumnSums):
     the columns that fall back are summed again from ``a`` part by part.
 
     A part gives one level of exact sums, as in ``_ColumnSums``. Its
-    remainder is not extracted further: only its float column sums and the
-    float column sums of its absolute values are kept, which bound the error
-    of the former. ``result`` rounds both ends of the interval that holds the
-    exact sum; where they round to one float, that float is the correctly
-    rounded sum. The other columns (a tie within the bound, a sum that
-    cancels, or one small next to its remainders, as in centred data) fall
-    back: they keep their first level's exact sums, and their remainders are
-    taken again and summed exactly by ``_ColumnSums``.
+    remainder is not extracted further: only its float column sums are
+    kept. A part of m rows with unit u has remainders of at most u/2, so
+    m·u/2 bounds the sum of their absolute values in every column, which
+    bounds the error of the float sums without a pass over them. ``result``
+    rounds both ends of the interval that holds the exact sum; where they
+    round to one float, that float is the correctly rounded sum. The other
+    columns (a tie within the bound, a sum that cancels, or one small next
+    to its remainders, as in centred data) fall back: they keep their first
+    level's exact sums, and their remainders are taken again and summed
+    exactly by ``_ColumnSums``.
     """
 
     def __init__(self, a: np.ndarray) -> None:
         super().__init__(a.shape[1])
         self.a = a
         self.rest = np.zeros(self.d)  # float sums of the remainders
-        self.size = np.zeros(self.d)  # float sums of their absolute values
+        self.size = 0  # sum of m·u over the parts, in units of 2**-_UNIT_BITS
         self.parts = []  # each part's rows and first-level unit, None if all 0
 
     def _add(self, part: np.ndarray, top: float) -> None:
@@ -282,30 +284,28 @@ class _CertifiedSums(_ColumnSums):
         self.parts.append((m, unit))
         if unit is not None:
             hi, _, ones = self._buffers(m)
-            rest = self._extract(part, unit, hi, ones)
-            self.rest += ones @ rest
-            self.size += ones @ np.abs(rest, out=rest)
+            self.rest += ones @ self._extract(part, unit, hi, ones)
+            self.size += m << (unit + _UNIT_BITS)
 
     def result(self) -> np.ndarray:
         self._fold()
         # The error bound, with eps = 2**-53 and g(n) = n·eps / (1 - n·eps).
         # Float sums have no underflow error, and in any order they are off
-        # by at most g(n - 1) times the sum of the n terms' sizes. So a part
-        # of at most m rows with remainders r sums them to within
-        # g(m - 1)·Σ|r|, and float-summing its own Σ|r| finds at least
-        # (1 - g(m - 1))·Σ|r|. Summing B parts' values adds g(B - 1) of the
-        # same kind. In all, the float sum of the remainders is within
-        # (g(m - 1) + g(B - 1)·(1 + g(m - 1))) / ((1 - g(m - 1))·(1 - g(B - 1)))
-        # times ``size`` of their exact sum, which is below
-        # 1.01·(m + B)·eps·``size`` while (m + B)·eps <= 2**-10. The bound
-        # used, (m + B)·2**-51·``size``, is four times that, enough to cover
-        # its own rounding. Where it underflows, the error, a multiple of
-        # 2**-1074 at most the exact bound, is at most its rounding too.
+        # by at most g(n - 1) times the sum of the n terms' sizes. A part of
+        # at most m rows with unit u has remainders r of at most u/2, so its
+        # float column sums are within g(m - 1)·T of their exact value and at
+        # most (1 + g(m - 1))·T in size, with T = m·u/2 >= Σ|r|. Summing B
+        # parts' values adds g(B - 1) of their sizes. In all, the float sum
+        # of the remainders is within (g(m - 1) + g(B - 1)·(1 + g(m - 1)))
+        # times S = Σ T = ``size``/2 of their exact sum, which is below
+        # 1.01·(m + B)·eps·S while (m + B)·eps <= 2**-10. S is exact, and
+        # the width used, (m + B)·2**-51·S rounded up to a unit of
+        # 2**-_UNIT_BITS, is four times that.
         n = max((m for m, _ in self.parts), default=0) + len(self.parts)
-        factor = n * 2.0**-51 if n <= 2**43 else math.inf
+        width = -(-n * self.size >> 52)
         out, fallen = np.empty(self.d), []
-        for j, (total, rest, size) in enumerate(zip(self.totals, self.rest.tolist(), self.size.tolist())):
-            value = _rounded_if_certain(total, rest, factor * size)
+        for j, (total, rest) in enumerate(zip(self.totals, self.rest.tolist())):
+            value = _rounded_if_certain(total, rest, width) if n <= 2**43 else None
             if value is None:
                 fallen.append(j)
             else:

@@ -19,7 +19,8 @@ from .core import InputError, MetricUndefinedError, freeze
 
 @dataclass(frozen=True)
 class LabeledScores:
-    """Parallel score and label arrays; True labels mark in-class samples.
+    """Parallel score and label arrays; True (or 1) labels mark in-class
+    samples, and any label other than a boolean, 0 or 1 is an InputError.
 
     The descending sweep that every metric reads is built once, at
     construction: per distinct score, highest first, the threshold, the
@@ -34,12 +35,17 @@ class LabeledScores:
 
     def __post_init__(self) -> None:
         s = np.array(self.scores, dtype=np.float64, copy=True)
-        y = np.array(self.labels, dtype=bool, copy=True)
+        y = np.array(self.labels, copy=True)
         if s.ndim != 1 or y.ndim != 1 or s.shape != y.shape or s.size == 0:
             raise InputError(
                 f"scores and labels must be nonempty 1-D arrays of equal length, "
                 f"got {s.shape} and {y.shape}"
             )
+        if y.dtype != bool:  # a -1, 0.5 or NaN label would count as in-class
+            bad = y[(y != 0) & (y != 1)]
+            if bad.size:
+                raise InputError(f"labels must be booleans or 0/1, got {bad[0].item()!r}")
+            y = y == 1
         if not np.isfinite(s).all():
             raise InputError("scores must be finite")
         # The sort need not be stable: a tie group's counts at its last row

@@ -1,10 +1,13 @@
 """Accuracy ceilings under distribution shift and clean/poisoned test mixtures.
 
 A model trained on one distribution cannot beat, on a shifted test
-distribution, an affine function of the overlap between the two. These
-helpers turn the finite-sample overlap bound into that ceiling, specialize
-it to test sets mixing clean data with a disjoint contaminated component,
-and provide a simulator to check measured accuracy against the ceiling.
+distribution, an affine function of the overlap between the two. That
+ceiling is affine in the clean fraction sigma of a test set that mixes
+clean data with a disjoint contaminated component, and ``sweep_sigma``
+evaluates it for any list of sigmas from one finite-sample bound.
+``fixed_accuracy_rule`` builds a classifier stand-in of known accuracy, and
+``simulate_accuracy`` measures it on a sigma-mixture, to check measured
+accuracy against the ceiling.
 """
 
 from __future__ import annotations
@@ -30,55 +33,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def accuracy_ceiling(
-    train: SampleSet,
-    test: SampleSet,
-    p: float,
-    q: float,
-    conditions: Conditions,
-) -> float:
-    """Ceiling on test accuracy for a model with accuracy p on the training
-    distribution and q off it.
-
-    (p - q) times the raw overlap bound between the two sample sets, plus q.
-    The bound is used unclamped so the ceiling matches the closed form
-    exactly.
-    """
-    return sweep_sigma(train, test, p, [0.0], conditions, q=q)[0][1]
-
-
-def mixture_overlap_bound(
-    clean: SampleSet,
-    poisoned: SampleSet,
-    sigma: float,
-    conditions: Conditions,
-) -> float:
-    """Overlap bound between the clean distribution and a sigma-mixture of it.
-
-    The test distribution blends a sigma fraction of clean data with a
-    (1 - sigma) fraction of the poisoned component, which scales both the
-    mean-gap and separation terms of the pooled bound by (1 - sigma). The
-    pooled ball and per-condition region radii come from clean and poisoned
-    samples pooled exactly as in the plain bound.
-    """
-    return sweep_sigma(clean, poisoned, 1.0, [sigma], conditions)[0][1]
-
-
-def backdoor_ceiling(
-    clean: SampleSet,
-    poisoned: SampleSet,
-    sigma: float,
-    p: float,
-    conditions: Conditions,
-) -> float:
-    """Accuracy ceiling when the model scores zero on the poisoned component.
-
-    At sigma = 1 the ceiling is p; at sigma = 0 it collapses to p times the
-    raw clean-vs-poisoned bound. Affine in sigma in between.
-    """
-    return sweep_sigma(clean, poisoned, p, [sigma], conditions)[0][1]
-
-
 def sweep_sigma(
     clean: SampleSet,
     poisoned: SampleSet,
@@ -89,10 +43,18 @@ def sweep_sigma(
 ) -> list[tuple[float, float]]:
     """Ceiling per mixture fraction, ordered as given; plot-ready.
 
-    With q = 0 each entry is the zero-accuracy-off-distribution ceiling;
-    a nonzero q adds the off-distribution floor: (p - q) * bound + q. The
-    mixture bound is affine in sigma, so one clean-vs-poisoned bound serves
-    every sigma; an all-origin pool makes it 1.
+    A model with accuracy p on the clean distribution and q off it scores
+    at most (p - q) * bound + q on the sigma-mixture, where bound is the
+    overlap bound between the clean distribution and the mixture: the
+    pooled clean-vs-poisoned bound with its mean-gap and separation terms
+    scaled by (1 - sigma). It is used unclamped, so the ceiling matches the
+    closed form exactly, and it is affine in sigma, so one clean-vs-poisoned
+    bound serves every sigma; an all-origin pool makes it 1. So
+    ``sweep_sigma(train, test, p, [0.0], g, q=q)`` is the ceiling between
+    two sample sets, ``sweep_sigma(clean, poisoned, 1.0, [sigma], g)`` the
+    mixture's overlap bound, and ``sweep_sigma(clean, poisoned, p, [sigma],
+    g)`` the ceiling of a model that scores zero on the poisoned component:
+    p at sigma = 1, p times the raw bound at sigma = 0.
     """
     _check_unit("p", p)
     _check_unit("q", q)

@@ -18,10 +18,8 @@ from overlapbound import (
     NormKind,
     RadiusIndicator,
     SampleSet,
-    accuracy_ceiling,
     aupr,
     auroc,
-    backdoor_ceiling,
     compute_bound,
     fit,
     fixed_accuracy_rule,
@@ -203,9 +201,9 @@ def test_criterion_7_shift_ceiling_and_affinity():
         assert measured <= ceiling + tol, (sigma, measured, ceiling)
         # the general ceiling evaluated on a realized mixture also dominates
         mixture = mixture_samples(clean, poisoned, sigma, 10_000, seed=3)
-        assert measured <= accuracy_ceiling(clean, mixture, p, 0.0, conditions) + tol
+        assert measured <= sweep_sigma(clean, mixture, p, [0.0], conditions, q=0.0)[0][1] + tol
 
-    f = lambda s: backdoor_ceiling(clean, poisoned, s, p, conditions)
+    f = lambda s: sweep_sigma(clean, poisoned, p, [s], conditions)[0][1]
     a, b, c = f(0.0), f(0.5), f(1.0)
     assert abs((a + c) / 2.0 - b) <= TOL_EXACT
     assert c == pytest.approx(p, abs=1e-15)

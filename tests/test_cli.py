@@ -982,14 +982,20 @@ def test_any_argv_exits_0_2_3_or_4_with_at_most_one_error_line(tmp_path_factory,
     files["MISSING"].unlink(missing_ok=True)
     argv = [str(files.get(w, w)) for w in ([command] if command else []) + words]
     out, err = io.StringIO(), io.StringIO()
-    # in the folder, so that an --out or --scores-out word such as "nan" is written there
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            contextlib.chdir(folder):
-        warnings.simplefilter("error")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # only --help exits: it prints its text and exits 0
-            code = exc.code if {"-h", "--help"} & set(argv) else ("SystemExit", exc.code)
+    # in the folder, so that an --out or --scores-out word such as "nan" is written
+    # there; os.chdir, as contextlib.chdir is new in Python 3.11
+    cwd = os.getcwd()
+    os.chdir(folder)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # only --help exits: it prints its text and exits 0
+                code = exc.code if {"-h", "--help"} & set(argv) else ("SystemExit", exc.code)
+    finally:
+        os.chdir(cwd)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     text = err.getvalue()
     assert text == "" or (text.count("\n") == 1 and text.startswith("error: ")), (argv, text)

@@ -255,3 +255,27 @@ def test_extreme_scores_rank_without_warning():
         warnings.simplefilter("error")
         ls = labeled([1.7e308, -1.7e308, 0.0], [1, 0, 0])
         assert (auroc(ls), aupr(ls), tpr_at_in_rate(ls, 0.5)) == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("labels, shown", [
+    ([1, 1, -1, -1], "-1"), ([1.0, 0.5, 0.0, 1.0], "0.5"), ([0, 2, 1, 0], "2"),
+    ([1.0, float("nan"), 0.0, 0.0], "nan"),
+])
+def test_labels_other_than_booleans_or_0_1_are_refused(labels, shown):
+    # numpy casts any nonzero label, NaN included, to True: a ±1-labelled set
+    # would have no negatives and an AUPR of 1.0
+    with pytest.raises(InputError, match=rf"^labels must be booleans or 0/1, got {shown}$"):
+        LabeledScores([0.9, 0.8, 0.2, 0.1], labels)
+
+
+@given(tied_scores())
+@settings(max_examples=100, deadline=None)
+def test_bool_and_0_1_labels_give_the_same_sweep(data):
+    scores, labels = data
+    thresholds, tps, predicted = float_sweep(scores, labels)
+    for given_labels in (labels, labels.tolist(), labels.astype(np.int64), labels.astype(np.float64)):
+        ls = LabeledScores(scores, given_labels)
+        assert ls.labels.dtype == bool and ls.labels.tobytes() == labels.tobytes()
+        assert ls.thresholds.tobytes() == thresholds.tobytes()
+        assert ls.tps.astype(np.float64).tobytes() == tps.tobytes()
+        assert ls.predicted.astype(np.float64).tobytes() == predicted.tobytes()

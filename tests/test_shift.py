@@ -7,12 +7,9 @@ from overlapbound import (
     InputError,
     RadiusIndicator,
     SampleSet,
-    accuracy_ceiling,
-    backdoor_ceiling,
     compute_bound,
     fixed_accuracy_rule,
     make_sample_set,
-    mixture_overlap_bound,
     simulate_accuracy,
     sweep_sigma,
 )
@@ -37,30 +34,30 @@ def worked_mix():
 
 def test_accuracy_ceiling_equal_p_q(worked_mix):
     clean, poisoned, gs = worked_mix
-    assert accuracy_ceiling(clean, poisoned, 0.7, 0.7, gs) == pytest.approx(0.7, abs=1e-15)
+    assert sweep_sigma(clean, poisoned, 0.7, [0.0], gs, q=0.7)[0][1] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_accuracy_ceiling_identical_sets(worked_mix):
     clean, _, gs = worked_mix
-    assert accuracy_ceiling(clean, clean, 0.98, 0.0, gs) == pytest.approx(0.98, abs=1e-15)
+    assert sweep_sigma(clean, clean, 0.98, [0.0], gs, q=0.0)[0][1] == pytest.approx(0.98, abs=1e-15)
 
 
 def test_accuracy_ceiling_worked_example(worked_mix):
     clean, poisoned, gs = worked_mix
-    assert accuracy_ceiling(clean, poisoned, 0.9, 0.0, gs) == pytest.approx(0.54, abs=1e-12)
+    assert sweep_sigma(clean, poisoned, 0.9, [0.0], gs, q=0.0)[0][1] == pytest.approx(0.54, abs=1e-12)
 
 
 def test_backdoor_ceiling_endpoints(worked_mix):
     clean, poisoned, gs = worked_mix
-    assert backdoor_ceiling(clean, poisoned, 1.0, 0.9, gs) == pytest.approx(0.9, abs=1e-15)
+    assert sweep_sigma(clean, poisoned, 0.9, [1.0], gs)[0][1] == pytest.approx(0.9, abs=1e-15)
     raw = compute_bound(clean, poisoned, gs).raw_bound
-    assert backdoor_ceiling(clean, poisoned, 0.0, 0.9, gs) == pytest.approx(0.9 * raw, abs=1e-15)
+    assert sweep_sigma(clean, poisoned, 0.9, [0.0], gs)[0][1] == pytest.approx(0.9 * raw, abs=1e-15)
 
 
 def test_backdoor_ceiling_worked_midpoint(worked_mix):
     clean, poisoned, gs = worked_mix
     # halving the contaminated fraction halves both shift terms
-    assert backdoor_ceiling(clean, poisoned, 0.5, 0.9, gs) == pytest.approx(0.72, abs=1e-12)
+    assert sweep_sigma(clean, poisoned, 0.9, [0.5], gs)[0][1] == pytest.approx(0.72, abs=1e-12)
 
 
 def test_sweep_endpoints_and_order(worked_mix):
@@ -87,7 +84,7 @@ def test_sweep_evaluates_bound_once(rng, monkeypatch):
     poisoned = SampleSet(rng.normal(size=(30, 3)) + 0.7)
     gs = [RadiusIndicator(float(r)) for r in np.linspace(0.3, 4.0, 9)]
     sigmas = np.linspace(0, 1, 11)
-    want = [(float(s), (0.9 - 0.1) * mixture_overlap_bound(clean, poisoned, s, gs) + 0.1) for s in sigmas]
+    want = [(float(s), (0.9 - 0.1) * sweep_sigma(clean, poisoned, 1.0, [s], gs)[0][1] + 0.1) for s in sigmas]
     calls = []
     monkeypatch.setattr(mod, "compute_bound", lambda *a: calls.append(a) or compute_bound(*a))
     assert sweep_sigma(clean, poisoned, 0.9, sigmas, gs, q=0.1) == want
@@ -100,7 +97,7 @@ def test_ceiling_affine_in_sigma(rng):
         poisoned = SampleSet(rng.normal(size=(12, 2)) + 2.5)
         gs = [RadiusIndicator(float(r)) for r in rng.uniform(0.2, 4, size=5)]
         p = float(rng.uniform(0.5, 1.0))
-        f = lambda s: backdoor_ceiling(clean, poisoned, s, p, gs)
+        f = lambda s: sweep_sigma(clean, poisoned, p, [s], gs)[0][1]
         a, b, c = f(0.0), f(0.5), f(1.0)
         assert abs((a + c) / 2 - b) <= 1e-12
 
@@ -121,7 +118,7 @@ def test_simulate_half_mixture_matches_expectation():
     measured = simulate_accuracy(clean, poisoned, 0.5, rule, 40_000, seed=3)
     assert measured == pytest.approx(0.45, abs=0.02)
     gs = [RadiusIndicator(float(r)) for r in np.linspace(0.5, 6, 8)]
-    assert measured <= backdoor_ceiling(clean, poisoned, 0.5, 0.9, gs) + 1e-12
+    assert measured <= sweep_sigma(clean, poisoned, 0.9, [0.5], gs)[0][1] + 1e-12
 
 
 def test_measured_below_ceiling_across_sweep():
@@ -147,8 +144,8 @@ def test_component_vs_mixture_statistics_agree():
     p = 0.9
     for sigma in (0.0, 0.3, 0.7, 1.0):
         mixture = mixture_samples(clean, poisoned, sigma, 50_000, seed=10)
-        via_mixture = accuracy_ceiling(clean, mixture, p, 0.0, gs)
-        via_components = backdoor_ceiling(clean, poisoned, sigma, p, gs)
+        via_mixture = sweep_sigma(clean, mixture, p, [0.0], gs, q=0.0)[0][1]
+        via_components = sweep_sigma(clean, poisoned, p, [sigma], gs)[0][1]
         assert via_mixture == pytest.approx(via_components, abs=0.02)
 
 
@@ -157,7 +154,7 @@ def test_mixture_counts(worked_mix):
     clean, poisoned, _ = worked_mix
     rule = fixed_accuracy_rule(clean, poisoned, 1.0, 0.0)
     assert simulate_accuracy(clean, poisoned, 0.61, rule, 100, seed=0) == 0.61
-    assert mixture_overlap_bound(clean, poisoned, 1.0, [RadiusIndicator(0.5)]) == 1.0
+    assert sweep_sigma(clean, poisoned, 1.0, [1.0], [RadiusIndicator(0.5)])[0][1] == 1.0
 
 
 def test_fixed_accuracy_rule_exact_fractions(rng):
@@ -171,9 +168,9 @@ def test_fixed_accuracy_rule_exact_fractions(rng):
 def test_validation(worked_mix):
     clean, poisoned, gs = worked_mix
     with pytest.raises(InputError):
-        accuracy_ceiling(clean, poisoned, 1.2, 0.0, gs)
+        sweep_sigma(clean, poisoned, 1.2, [0.0], gs, q=0.0)
     with pytest.raises(InputError):
-        backdoor_ceiling(clean, poisoned, -0.1, 0.9, gs)
+        sweep_sigma(clean, poisoned, 0.9, [-0.1], gs)
     with pytest.raises(InputError):
         simulate_accuracy(clean, poisoned, 0.5, fixed_accuracy_rule(clean, poisoned, 0.9, 0.1), 0)
 
@@ -199,11 +196,11 @@ def test_ceilings_and_raw_bound_equal_retired_forms(data, d, kind):
     separations, best_index, raw = retired_bound_terms(report)
     assert [c.separation for c in report.conditions] == separations
     assert (report.best_index, report.raw_bound) == (best_index, raw)
-    assert accuracy_ceiling(clean, poisoned, p, q, gs) == (p - q) * raw + q
+    assert sweep_sigma(clean, poisoned, p, [0.0], gs, q=q)[0][1] == (p - q) * raw + q
     for sigma in sigmas:
         want = retired_mixture_bound(report, sigma)
-        assert mixture_overlap_bound(clean, poisoned, sigma, gs) == want
-        assert backdoor_ceiling(clean, poisoned, sigma, p, gs) == p * want
+        assert sweep_sigma(clean, poisoned, 1.0, [sigma], gs)[0][1] == want
+        assert sweep_sigma(clean, poisoned, p, [sigma], gs)[0][1] == p * want
     assert sweep_sigma(clean, poisoned, p, sigmas, gs, q=q) == [
         (s, (p - q) * retired_mixture_bound(report, s) + q) for s in sigmas
     ]

@@ -8,18 +8,16 @@ PUBLIC_NAMES = [
     "BoundReport", "ConditionFunction", "ConditionStat", "DegenerateDomainError",
     "DimensionMismatchError", "DiscreteDistribution", "FittedScorer", "InputError",
     "JointSupport", "LabeledScores", "MetricUndefinedError", "NormKind", "RadiusFamily",
-    "RadiusIndicator", "SampleSet", "ScoreRecord", "accuracy_ceiling", "aupr", "auroc",
-    "backdoor_ceiling", "compute_bound", "fit",
+    "RadiusIndicator", "SampleSet", "ScoreRecord", "aupr", "auroc", "compute_bound", "fit",
     "fixed_accuracy_rule", "indicator_bound", "iterative_scores_batch", "make_sample_set",
-    "mixture_overlap_bound", "norms", "overlap", "pooled_radius_family",
-    "roc_curve", "score", "simulate_accuracy", "subset_bound", "subset_variation", "sweep_sigma",
-    "total_variation", "tpr_at_in_rate",
+    "norms", "overlap", "pooled_radius_family", "roc_curve", "score", "simulate_accuracy",
+    "subset_bound", "subset_variation", "sweep_sigma", "total_variation", "tpr_at_in_rate",
 ]
 
 
 def test_public_names_are_pinned():
     names = overlapbound.__all__
-    assert names == PUBLIC_NAMES and len(names) == 38
+    assert names == PUBLIC_NAMES and len(names) == 35
     assert names == sorted(names) and len(set(names)) == len(names)
     for name in names:
         assert getattr(overlapbound, name) is not None
