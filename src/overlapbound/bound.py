@@ -80,15 +80,18 @@ def _acceptance(side: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np
     """Per condition: how many samples of ``side`` it accepts, and the largest
     accepted norm (0 if none). The radius indicators in the side's own norm
     are read off the sorted norms in one ``ball_stats`` call; any other
-    condition is evaluated on the samples, which a set that keeps only its
-    statistics refuses with an InputError."""
+    condition is evaluated on the samples and their norms, taken once, which
+    a set that keeps only its statistics refuses with an InputError."""
     counts, region = np.empty(len(conditions)), np.empty(len(conditions))
     balls = np.array([isinstance(g, RadiusIndicator) and g.norm is side.norm for g in conditions])
     radii = [g.radius for g, ball in zip(conditions, balls) if ball]
     counts[balls], region[balls] = ball_stats(side.sorted_norms, radii)
+    if not balls.all():
+        rows = _sample_rows(side)
+        row_norms = norms(rows, side.norm)  # finite: the set refused overflowing norms
     for i in np.flatnonzero(~balls):
-        accepted = np.asarray(conditions[i].evaluate_many(_sample_rows(side)), dtype=bool)
-        counts[i], region[i] = np.count_nonzero(accepted), side.norms[accepted].max(initial=0.0)
+        accepted = np.asarray(conditions[i].evaluate_many(rows), dtype=bool)
+        counts[i], region[i] = np.count_nonzero(accepted), row_norms[accepted].max(initial=0.0)
     return counts, region
 
 

@@ -364,7 +364,7 @@ def fit(
         family = RadiusFamily(k=k, top=max_norm, norm=kind).radii
     counts, region = ball_stats(stats.sorted_norms, family)
     return FittedScorer(norm=kind, mean=stats.mean, fit_radius=max_norm, radii=family,
-                        accept_rates=counts / len(stats.norms), region_radii=region)
+                        accept_rates=counts / len(stats.sorted_norms), region_radii=region)
 
 
 def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecord:

@@ -403,54 +403,45 @@ class _RowStatistics(NamedTuple):
     the shift ceilings read."""
 
     norm: NormKind
-    norms: np.ndarray  # per row, in row order
     sorted_norms: np.ndarray
     max_norm: float
     mean: np.ndarray
 
 
-def _block_statistics(block: np.ndarray, kind: NormKind, sums: _ColumnSums,
-                      message: str = "sample array has non-finite entries") -> np.ndarray:
-    """One step of a statistics walk: check that a block's entries are finite,
-    add its column sums to ``sums`` and return its per-row norms, an
-    overflowing norm as inf. The block's one min and one max serve both as
-    the finiteness check and as the top of its first extraction level."""
-    top = _top(block)
-    if not math.isfinite(top):
-        raise InputError(message)
-    sums.add(block, top)
-    with np.errstate(over="ignore"):
-        return norms(block, kind)
-
-
-def _row_statistics(per_row: np.ndarray, kind: NormKind, mean) -> _RowStatistics:
-    """Sort the per-row norms and refuse an overflowing one, then call ``mean``,
-    so that a norm overflow is reported before a column sum overflow."""
-    ordered = np.sort(per_row)
-    max_norm = float(ordered[-1])
+def _walk_statistics(blocks, n: int, kind: NormKind, sums: _ColumnSums, message: str):
+    """The ``_RowStatistics`` of n rows fed in ``blocks``. A block's one min
+    and one max serve both as the finiteness check and as the top of its
+    first extraction level; its column sums go to ``sums`` and its norms into
+    one n-vector, sorted in place at the end, so the extra memory is that
+    n-vector plus fixed block scratch. Raises InputError with ``message`` for
+    non-finite entries, then for a norm that overflows float64, then for a
+    column sum that does."""
+    sorted_norms, lo = np.empty(n), 0
+    for block in blocks:
+        top = _top(block)
+        if not math.isfinite(top):
+            raise InputError(message)
+        sums.add(block, top)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            sorted_norms[lo:lo + len(block)] = norms(block, kind)
+        lo += len(block)
+    sorted_norms.sort()
+    max_norm = float(sorted_norms[-1])
     if not math.isfinite(max_norm):
         raise InputError(f"sample {kind.value} norms overflow float64")
-    return _RowStatistics(kind, per_row, ordered, max_norm, mean())
+    return _RowStatistics(kind, sorted_norms, max_norm, sums.result() / n)
 
 
-def _sample_statistics(a: np.ndarray, kind: NormKind) -> _RowStatistics:
-    """The statistics of a ``_sample_rows`` array.
-
-    One walk over blocks of about ``_BLOCK_ELEMENTS`` values checks that the
-    entries are finite, fills the norms and adds the column sums, so no
-    temporary grows with the array: the extra memory is two n-vectors plus
-    fixed block scratch. Raises InputError for non-finite entries, then for
-    a norm that overflows float64, then for a column sum that does.
-    """
+def _sample_statistics(a: np.ndarray, kind: NormKind,
+                       message: str = "sample array has non-finite entries") -> _RowStatistics:
+    """The statistics of a ``_sample_rows`` array, walked in blocks of about
+    ``_BLOCK_ELEMENTS`` values (see ``_walk_statistics``)."""
     if not isinstance(kind, NormKind):  # non-finite entries are reported first
-        _require_finite(a)
+        _require_finite(a, message)
         raise _not_a_norm(kind)
-    n, d = a.shape
-    rows = _block_rows(d)
-    per_row, sums = np.empty(n), _CertifiedSums(a)
-    for lo in range(0, n, rows):
-        per_row[lo:lo + rows] = _block_statistics(a[lo:lo + rows], kind, sums)
-    return _row_statistics(per_row, kind, lambda: sums.result() / n)
+    rows = _block_rows(a.shape[1])
+    blocks = (a[lo:lo + rows] for lo in range(0, a.shape[0], rows))
+    return _walk_statistics(blocks, a.shape[0], kind, _CertifiedSums(a), message)
 
 
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -469,10 +460,10 @@ def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]
 class SampleSet:
     """A nonempty batch of same-dimension vectors plus the norm that scores them.
 
-    Holds one copy of the samples. Per-sample norms (also kept sorted, for
-    ``ball_stats``), the pooled max norm, and the empirical mean are computed
-    once at construction. ``norm`` must be a NormKind (``norms`` rejects
-    anything else).
+    Holds one copy of the samples. The sample norms in ascending order (for
+    ``ball_stats``), the max norm, and the empirical mean are computed once
+    at construction; ``norms(samples, norm)`` gives the norms in row order.
+    ``norm`` must be a NormKind (``norms`` rejects anything else).
 
     A set built from the private ``_RowStatistics`` of a block-wise file read
     keeps no rows: ``samples`` is None, and only radius indicators in its own
@@ -481,7 +472,6 @@ class SampleSet:
 
     samples: np.ndarray | None
     norm: NormKind = NormKind.L2
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
     sorted_norms: np.ndarray = field(init=False, repr=False, compare=False)
     max_norm: float = field(init=False, compare=False)
     mean: np.ndarray = field(init=False, repr=False, compare=False)
@@ -498,7 +488,7 @@ class SampleSet:
         freeze(self, samples=rows, **stats._asdict())
 
     def __len__(self) -> int:
-        return self.norms.shape[0]
+        return self.sorted_norms.shape[0]
 
     @property
     def dimension(self) -> int:

@@ -18,11 +18,10 @@ from .core import (
     NormKind,
     SampleSet,
     _block_rows,
-    _block_statistics,
     _ColumnSums,
     _require_finite,
-    _row_statistics,
     _sample_statistics,
+    _walk_statistics,
 )
 
 BINARY_MAGIC = b"OVLB"
@@ -38,8 +37,8 @@ def write_samples_binary(path, samples) -> None:
     straight from its own memory and any other array needs only block scratch.
     """
     a = np.asarray(samples)
-    if a.ndim != 2:
-        raise InputError(f"expected a (n, d) array, got shape {a.shape}")
+    if a.ndim != 2 or a.size == 0:  # the reader refuses a file with no values
+        raise InputError(f"expected a (n, d) array with at least one value, got shape {a.shape}")
     if a.dtype.kind not in "biuf":  # convert up front, so a bad value leaves no file
         a = a.astype(np.float64)
     rows = _block_rows(a.shape[1])
@@ -53,12 +52,12 @@ def _read_samples_binary(path, norm: NormKind | None = None):
     """An OVLB file's (n, d) array or, given a norm, only the statistics a
     SampleSet keeps (``_RowStatistics``).
 
-    Statistics are gathered from blocks of about ``_BLOCK_ELEMENTS`` values,
-    each read into one reused buffer and passed through the same
-    ``_block_statistics`` step as an in-memory array, so no more than a block
-    of rows is in memory at a time. The file is read once, so its column sums
-    go to the exact ``_ColumnSums``, which needs no second walk. Non-finite
-    values are an InputError naming the file.
+    Statistics come from blocks of about ``_BLOCK_ELEMENTS`` values read into
+    one reused buffer and fed to ``_walk_statistics``, as an in-memory array's
+    are, so no more than a block of rows is in memory at a time. The file is
+    read once, so its column sums go to the exact ``_ColumnSums``. A payload
+    of other than n·d float64 values, or a non-finite value, is an InputError
+    naming the file.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -71,24 +70,28 @@ def _read_samples_binary(path, norm: NormKind | None = None):
             raise InputError(f"{path}: unsupported binary version {version}")
         if n * d == 0:
             raise InputError(f"{path}: no data values ({n} rows, {d} columns)")
-        # check the declared size before reading, so a corrupt header cannot
-        # ask numpy for more memory than the file holds
-        found = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
-        if found < n * d:
-            raise InputError(f"{path}: expected {n * d} float64 values, found {found}")
-        per_row, sums = np.empty(0 if norm is None else n), _ColumnSums(d)
-        non_finite = f"{path}: non-finite sample values"
-        buffer = np.empty((n if norm is None else min(n, _block_rows(d)), d), dtype="<f8")
-        for lo in range(0, n, buffer.shape[0]):
-            block = buffer[:n - lo]
-            got = fh.readinto(block)
-            if got != block.nbytes:  # the file shrank after the size check
-                raise InputError(f"{path}: expected {n * d} float64 values, "
-                                 f"found {(lo * d * 8 + got) // 8}")
-            if norm is None:  # the whole array, read as one block
-                return buffer
-            per_row[lo:lo + len(block)] = _block_statistics(block, norm, sums, non_finite)
-    return _row_statistics(per_row, norm, lambda: sums.result() / n)
+        # check the size before reading, so a corrupt header cannot ask numpy
+        # for more memory than the file holds, and no data goes unread
+        found, stray = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, 8)
+        if (found, stray) != (n * d, 0):
+            tail = f" and {stray} stray bytes" if stray and found >= n * d else ""
+            raise InputError(f"{path}: expected {n * d} float64 values, found {found}{tail}")
+        blocks = _read_blocks(fh, path, n, d, n if norm is None else min(n, _block_rows(d)))
+        if norm is None:  # the whole array, read as one block
+            return next(blocks)
+        return _walk_statistics(blocks, n, norm, _ColumnSums(d), f"{path}: non-finite sample values")
+
+
+def _read_blocks(fh, path, n: int, d: int, rows: int):
+    """Yield the file's n rows of width d, ``rows`` at a time, in one buffer."""
+    buffer = np.empty((rows, d), dtype="<f8")
+    for lo in range(0, n, rows):
+        block = buffer[:n - lo]
+        got = fh.readinto(block)
+        if got != block.nbytes:  # the file shrank after the size check
+            raise InputError(f"{path}: expected {n * d} float64 values, "
+                             f"found {(lo * d * 8 + got) // 8}")
+        yield block
 
 
 def read_json(path, what: str):
@@ -175,7 +178,7 @@ def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
     if _is_binary(path):
         stats = _read_samples_binary(path, norm)
     else:
-        stats = _sample_statistics(_read_finite_samples(path), norm)
+        stats = _sample_statistics(_parse_csv_rows(path), norm, f"{path}: non-finite sample values")
     return SampleSet(stats, norm)
 
 

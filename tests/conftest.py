@@ -111,7 +111,7 @@ def repeated_rows(draw, d: int | None = None) -> np.ndarray:
 
 def radii_on_norms(data, *sample_sets) -> list[float]:
     """Strictly increasing radii, drawn mostly from the sets' exact norms."""
-    exact = sorted({v for ss in sample_sets for v in ss.norms.tolist()})
+    exact = sorted({v for ss in sample_sets for v in ss.sorted_norms.tolist()})
     values = data.draw(st.lists(st.sampled_from(exact) | st.floats(0.0, 8.0), min_size=1, max_size=8))
     return sorted(set(values))
 

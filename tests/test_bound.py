@@ -16,6 +16,7 @@ from overlapbound import (
     fit,
     indicator_bound,
     make_sample_set,
+    norms,
     overlap,
     pooled_radius_family,
 )
@@ -117,7 +118,7 @@ def test_score_threshold_condition_in_bound(rng):
     g = ScoreAtMostHalf()
     report = compute_bound(pos, neg, [g])
     accepted = g.evaluate_many(np.vstack([pos.samples, neg.samples]))
-    pooled_norms = np.concatenate([pos.norms, neg.norms])
+    pooled_norms = norms(np.vstack([pos.samples, neg.samples]), pos.norm)
     want_region = float(pooled_norms[accepted].max()) if accepted.any() else 0.0
     stat = report.conditions[0]
     assert stat.region_radius == want_region
@@ -276,9 +277,9 @@ def test_ball_statistics_equal_mask_loop(data, rows, kind):
     neg = SampleSet(data.draw(repeated_rows(rows.shape[1])), kind)
     radii = radii_on_norms(data, pos, neg)
     report = compute_bound(pos, neg, [RadiusIndicator(r, kind) for r in radii])
-    pos_counts, _ = mask_ball_stats(pos.norms, radii)
-    neg_counts, _ = mask_ball_stats(neg.norms, radii)
-    _, region = mask_ball_stats(np.concatenate([pos.norms, neg.norms]), radii)
+    pos_counts, _ = mask_ball_stats(pos.sorted_norms, radii)
+    neg_counts, _ = mask_ball_stats(neg.sorted_norms, radii)
+    _, region = mask_ball_stats(np.concatenate([pos.sorted_norms, neg.sorted_norms]), radii)
     for i, c in enumerate(report.conditions):
         assert c.pos_rate == pos_counts[i] / len(pos)
         assert c.neg_rate == neg_counts[i] / len(neg)

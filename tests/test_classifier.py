@@ -372,12 +372,12 @@ def test_fit_norm_override():
 def test_fit_ball_statistics_equal_mask_loop(data, rows, kind):
     ss = SampleSet(rows, kind)
     radii = radii_on_norms(data, ss)
-    counts, region = mask_ball_stats(ss.norms, radii)
+    counts, region = mask_ball_stats(ss.sorted_norms, radii)
     s = fit(ss, radii=radii)
     assert s.accept_rates == tuple(c / len(ss) for c in counts)
     assert s.region_radii == tuple(region)
     k = data.draw(st.integers(1, 12))
-    counts, region = mask_ball_stats(ss.norms, RadiusFamily(k, ss.max_norm).radii)
+    counts, region = mask_ball_stats(ss.sorted_norms, RadiusFamily(k, ss.max_norm).radii)
     s = fit(ss, k=k)
     assert s.accept_rates == tuple(c / len(ss) for c in counts)
     assert s.region_radii == tuple(region)
@@ -493,7 +493,7 @@ def test_statistics_models_and_scores_depend_only_on_values(a, kind):
     # layout applied to the fit rows and to the queries alike
     queries = a[::-1]
     c, c_queries = np.ascontiguousarray(a), np.ascontiguousarray(queries)
-    assert SampleSet(a, kind).norms.tobytes() == SampleSet(c, kind).norms.tobytes()
+    assert SampleSet(a, kind).sorted_norms.tobytes() == SampleSet(c, kind).sorted_norms.tobytes()
     s = fit(c, k=5, norm=kind)
     assert fit(a, k=5, norm=kind).to_json_text() == s.to_json_text()
     want = s.raw_scores(c_queries)

@@ -636,6 +636,24 @@ def test_ovlb_header_beyond_file_size_exit_2(tmp_path, capsys, n, d, payload, me
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (8 * 30 + 3, "expected 9 float64 values, found 30 and 3 stray bytes"),
+        (8 * 10, "expected 9 float64 values, found 10"),
+        (8 * 9 + 1, "expected 9 float64 values, found 9 and 1 stray bytes"),
+    ],
+)
+def test_ovlb_payload_longer_than_its_header_exit_2(tmp_path, capsys, payload, message):
+    # a header of 3 rows must not fit the first 3 rows of a longer file
+    data, model = tmp_path / "long.ovlb", tmp_path / "model.json"
+    data.write_bytes(_ovlb(3, 3, np.ones(payload // 8).tobytes() + bytes(payload % 8)))
+    code, out, err = run_cli(capsys, "fit", str(data), "--out", str(model))
+    assert (code, out) == (2, "")
+    assert err == f"error: {data}: {message}\n"
+    assert not model.exists()
+
+
 def _mostly(common, *rare):
     """``common`` three times in four, else one of ``rare``."""
     return st.integers(0, 3).flatmap(lambda i: common if i else st.one_of(*rare))

@@ -420,13 +420,11 @@ def test_blockwise_statistics_equal_one_shot_bitwise(a, kind, block_elements):
     # blocks of a few rows, so rows cross block boundaries; the one-shot
     # expressions run on a copy, as a SampleSet holds one
     copy = np.array(a)
-    want_norms = norms(copy, kind)
-    want_sorted = np.sort(want_norms)
+    want_sorted = np.sort(norms(copy, kind))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
         ss = SampleSet(a, kind)
         fitted = fit(a, k=5, norm=kind)
-    assert_same_bits(ss.norms, want_norms)
     assert_same_bits(ss.sorted_norms, want_sorted)
     assert ss.max_norm == float(want_sorted[-1]) == fitted.fit_radius
     assert_same_bits(ss.mean, fsum_columns(copy) / len(copy))
@@ -475,7 +473,7 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch, fallen)
             tracemalloc.stop()
         del built
     assert fallen == list(range(64))
-    # fit keeps two n-vectors of norms and block scratch; a SampleSet adds its copy
+    # fit keeps one n-vector of sorted norms and block scratch; a SampleSet adds its copy
     assert peaks["fit"] <= 0.1, peaks
     assert peaks["fit falling back"] <= 0.1, peaks
     assert peaks["make_sample_set"] <= 1.1, peaks

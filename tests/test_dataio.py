@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core
+from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core, fit
 from overlapbound.dataio import (
     _read_finite_samples,
     read_sample_array,
@@ -190,7 +190,7 @@ def test_statistics_read_in_blocks_equal_those_of_the_whole_array_bitwise(
         got = read_samples(path, kind)
     assert got.samples is None and got.norm is kind
     assert (len(got), got.dimension) == (len(whole), whole.dimension)
-    for name in ("norms", "sorted_norms", "mean"):
+    for name in ("sorted_norms", "mean"):
         assert getattr(got, name).tobytes() == getattr(whole, name).tobytes(), name
     assert got.max_norm == whole.max_norm
 
@@ -210,7 +210,7 @@ def test_statistics_of_full_range_data_read_in_blocks_equal_those_of_the_whole_a
             got = build()
         except InputError as exc:
             return str(exc)
-        return [getattr(got, name).tobytes() for name in ("norms", "sorted_norms", "mean")]
+        return [getattr(got, name).tobytes() for name in ("sorted_norms", "mean")]
 
     whole = statistics(lambda: SampleSet(a, kind))
     with pytest.MonkeyPatch.context() as mp:
@@ -226,19 +226,63 @@ def test_statistics_of_full_range_data_read_in_blocks_equal_those_of_the_whole_a
         ([[1.0, 2.0]] * 9 + [[1e200, 1.0]], NormKind.L2, "sample l2 norms overflow float64"),
         ([[1e308, 1.0]] * 2, NormKind.L1, "the sum of column 0 overflows float64"),
         ([[1e308, 1e308]] * 2, NormKind.L1, "sample l1 norms overflow float64"),
+        ([[1.0, 2.0]] * 9 + [[1.5e308, 0.0]] * 2, NormKind.LINF, "the sum of column 0 overflows float64"),
+        # the last block's fault is reported before those of the first blocks
+        ([[1e308, 0.0]] * 2 + [[1.0, 2.0]] * 9 + [[np.nan, 1.0]], NormKind.L2, "non-finite sample values"),
+        ([[1.5e308, 0.0]] * 2 + [[1.0, 2.0]] * 9 + [[1e308, 1e308]], NormKind.L1,
+         "sample l1 norms overflow float64"),
     ],
 )
 def test_a_bad_value_in_any_block_is_the_same_error_as_in_csv(tmp_path, monkeypatch, rows, norm,
                                                               message):
+    # blocks of two rows; the files and the array share one statistics walk
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)
     binary, text = tmp_path / "data.ovlb", tmp_path / "data.csv"
     write_samples_binary(binary, np.array(rows))
     text.write_text("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    non_finite = message.startswith("non-finite")
     for path in (binary, text):
         with pytest.raises(InputError) as caught:
             read_samples(path, norm)
-        want = f"{path}: {message}" if message.startswith("non-finite") else message
-        assert str(caught.value) == want
+        assert str(caught.value) == (f"{path}: {message}" if non_finite else message)
+    for build in (lambda a: SampleSet(a, norm), lambda a: fit(a, norm=norm)):
+        with pytest.raises(InputError) as caught:
+            build(np.array(rows))
+        assert str(caught.value) == ("sample array has non-finite entries" if non_finite else message)
+
+
+def test_statistics_hold_one_n_vector_beyond_block_scratch(tmp_path, monkeypatch):
+    # fit on an array and read_samples on an OVLB file keep the sorted norms,
+    # one n-vector, and scratch of a few blocks; two n-vectors would not fit
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1 << 12)
+    n = 100_000
+    a = np.random.default_rng(3).standard_normal((n, 4))
+    path = tmp_path / "data.ovlb"
+    write_samples_binary(path, a)
+    for build in (lambda: fit(a, k=50), lambda: read_samples(path)):
+        peak = _traced_peak(build)
+        assert peak <= 8 * n + 8 * 8 * core._BLOCK_ELEMENTS, peak / (8 * n)
+
+
+def test_a_payload_longer_than_its_header_is_refused(tmp_path, rng):
+    path = tmp_path / "data.ovlb"
+    write_samples_binary(path, rng.normal(size=(10, 3)))
+    raw = path.read_bytes()
+    header = struct.pack("<4sIQQ", b"OVLB", 1, 3, 3)
+    for payload, found in ((raw[24:] + b"xyz", "30 and 3 stray bytes"), (raw[24:24 + 80], "10"),
+                           (raw[24:24 + 72] + b"x", "9 and 1 stray bytes")):
+        path.write_bytes(header + payload)
+        for reader in (read_samples, read_sample_array):
+            with pytest.raises(InputError, match=rf"data.ovlb: expected 9 float64 values, found {found}$"):
+                reader(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+def test_writing_an_array_with_no_values_is_refused_and_leaves_no_file(tmp_path, shape):
+    path = tmp_path / "empty.ovlb"
+    with pytest.raises(InputError, match=rf"with at least one value, got shape \({shape[0]}, {shape[1]}\)"):
+        write_samples_binary(path, np.zeros(shape))
+    assert not path.exists()
 
 
 def test_a_file_that_shrinks_while_read_in_blocks_is_an_input_error(tmp_path, monkeypatch, rng):
