@@ -356,10 +356,8 @@ def fit(
     else:
         stats = _sample_statistics(_sample_rows(in_class), kind)
     max_norm = stats.max_norm
-    if radii is not None:
+    if radii is not None:  # FittedScorer refuses radii that break its rules
         family = tuple(float(r) for r in radii)
-        if any(b <= a for a, b in zip(family, family[1:])):
-            raise InputError("custom radii must be strictly increasing")
     else:
         family = RadiusFamily(k=k, top=max_norm, norm=kind).radii
     counts, region = ball_stats(stats.sorted_norms, family)

@@ -272,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, k_default=50):
+    def add_common(p):
         p.add_argument("--norm", default="l2", help="l1, l2, or linf (default l2)")
-        p.add_argument("--k", type=int, default=k_default,
-                       help=f"number of nested-ball conditions (default {k_default})")
+        p.add_argument("--k", type=int, default=50,
+                       help="number of nested-ball conditions (default 50)")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_bound = sub.add_parser("bound", help="overlap upper bound between two sample files")
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("q", help="distribution JSON")
     p_or.add_argument("--radius", action="append", default=None,
                       help="ball radius for the subset quantities (repeatable)")
-    add_common(p_or, k_default=50)
+    add_common(p_or)
     p_or.set_defaults(func=cmd_oracle)
 
     return parser

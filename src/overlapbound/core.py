@@ -402,7 +402,6 @@ class _RowStatistics(NamedTuple):
     """All that a SampleSet keeps of its rows: what the bound, the scorer and
     the shift ceilings read."""
 
-    norm: NormKind
     sorted_norms: np.ndarray
     max_norm: float
     mean: np.ndarray
@@ -429,7 +428,7 @@ def _walk_statistics(blocks, n: int, kind: NormKind, sums: _ColumnSums, message:
     max_norm = float(sorted_norms[-1])
     if not math.isfinite(max_norm):
         raise InputError(f"sample {kind.value} norms overflow float64")
-    return _RowStatistics(kind, sorted_norms, max_norm, sums.result() / n)
+    return _RowStatistics(sorted_norms, max_norm, sums.result() / n)
 
 
 def _sample_statistics(a: np.ndarray, kind: NormKind,
@@ -477,11 +476,8 @@ class SampleSet:
     mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.samples, _RowStatistics):
+        if isinstance(self.samples, _RowStatistics):  # taken in this set's norm
             rows, stats = None, self.samples
-            if stats.norm is not self.norm:
-                raise InputError(f"statistics in the {stats.norm.value} norm cannot serve "
-                                 f"a sample set in norm {self.norm!r}")
         else:
             rows = _sample_rows(np.array(self.samples, dtype=np.float64, copy=True))
             stats = _sample_statistics(rows, self.norm)

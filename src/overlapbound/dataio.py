@@ -112,9 +112,9 @@ def _is_number(cell: str) -> bool:
 
 
 def _parse_csv_rows(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    try:  # decoded whole: a text-mode read takes a file holding part of a byte-order mark as empty
+        with open(path, "rb") as fh:
+            lines = fh.read().decode("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
     rows: list[list[float]] = []
@@ -122,28 +122,21 @@ def _parse_csv_rows(path) -> np.ndarray:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
-        parsed = []
-        for col, cell in enumerate(cells, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                if width is None and not any(map(_is_number, cells)):
-                    parsed = None  # header row: first row, every cell non-numeric
-                    break
-                raise InputError(
-                    f"{path}:{lineno}:{col}: not a number: {cell!r}"
-                ) from None
-        if parsed is None:
-            width = len(cells)
-            continue
+        cells = [c.strip() for c in line.split(",")]  # float() refuses U+001F; strip drops it
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            numeric = list(map(_is_number, cells))
+            if width is None and not any(numeric):
+                width = len(cells)  # a header: the first row, with no numeric cell
+                continue
+            col = numeric.index(False)
+            raise InputError(f"{path}:{lineno}:{col + 1}: not a number: {cells[col]!r}") from None
         if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
-            raise InputError(
-                f"{path}:{lineno}:1: row has {len(parsed)} columns, expected {width}"
-            )
-        rows.append(parsed)
+            width = len(row)
+        elif len(row) != width:
+            raise InputError(f"{path}:{lineno}:1: row has {len(row)} columns, expected {width}")
+        rows.append(row)
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)

@@ -5,8 +5,8 @@ Python (explicit loops over points, pairs, and thresholds) so it shares no
 code path with the package. The retired-paths section keeps earlier package
 code paths (per-radius and per-query loops, the k-wide scoring sweep, the former
 closed forms, the
-by-value accuracy rule with its per-row simulator, the per-call ranking sorts
-and the per-call joint support), which the code that replaced them must match
+by-value accuracy rule with its per-row simulator, the per-call ranking sorts,
+the per-call joint support and the per-cell CSV parser), which the code that replaced them must match
 bitwise, and the removed helpers that tests still use to build their data or
 to state a property.
 """
@@ -354,3 +354,51 @@ def per_call_subset_bound(p, q, subset, norm: NormKind = NormKind.L2,
     mean_gap = float(norms((p.mean() - q.mean()).reshape(1, -1), norm)[0])
     dv = 0.5 * math.fsum(np.abs(joint.p_masses - joint.q_masses)[mask].tolist())
     return 1.0 - 0.5 * (mean_gap / r_denom) - ((r_denom - r_region) / r_denom) * dv
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def per_cell_csv_rows(path) -> np.ndarray:
+    """The former CSV parser: one cell at a time, a header marked by a
+    ``parsed = None`` sentinel. It decodes the file as the package does."""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().decode("utf-8-sig").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read file: {exc}") from exc
+    rows: list[list[float]] = []
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        parsed = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                if width is None and not any(map(_is_number, cells)):
+                    parsed = None  # header row: first row, every cell non-numeric
+                    break
+                raise InputError(
+                    f"{path}:{lineno}:{col}: not a number: {cell!r}"
+                ) from None
+        if parsed is None:
+            width = len(cells)
+            continue
+        if width is None:
+            width = len(parsed)
+        elif len(parsed) != width:
+            raise InputError(
+                f"{path}:{lineno}:1: row has {len(parsed)} columns, expected {width}"
+            )
+        rows.append(parsed)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)

@@ -358,6 +358,28 @@ def test_fit_and_score_validation(rng):
         s.raw_scores(rng.normal(size=(4, 3)))
 
 
+def test_custom_radii_follow_the_scorers_rule():
+    with pytest.raises(InputError, match="'radii' must be nondecreasing, and strictly increasing"):
+        fit([[0.2], [1.0]], radii=[2.0, 1.0])
+    # the default family of an all-origin fit is k zero radii
+    origin = np.zeros((3, 2))
+    assert fit(origin, radii=[0.0, 0.0]).to_json_text() == fit(origin, k=2).to_json_text()
+
+
+def test_iterative_k2_below_one_is_refused():
+    s = fit([[1.0, 2.0], [0.5, 0.0]], k=3)
+    with pytest.raises(InputError, match="k2 must be >= 1, got 0"):
+        iterative_scores_batch(s, [[1.0, 2.0]], [[1.0, 1.0]], k2=0)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "1", '"model"'])
+def test_model_json_that_is_not_an_object_is_refused(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(InputError, match=f"^{path}: model JSON must be an object$"):
+        FittedScorer.load(path)
+
+
 def test_fit_norm_override():
     s = fit([[1.0, -1.0]], k=2, norm="l1")
     assert s.norm is NormKind.L1

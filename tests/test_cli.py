@@ -89,6 +89,32 @@ def test_bound_dimension_mismatch_exit_3(tmp_path, capsys, worked_files):
     assert "pos.csv" in err and "wide.csv" in err
 
 
+@pytest.mark.parametrize("command", ["score", "classify"])
+def test_score_queries_of_another_dimension_exit_3(tmp_path, capsys, worked_files, command):
+    pos, _ = worked_files
+    model, wide = tmp_path / "model.json", tmp_path / "wide.csv"
+    assert main(["fit", str(pos), "--k", "3", "--out", str(model)]) == 0
+    write_csv(wide, [[1.0, 2.0]])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, command, str(model), str(wide), "--threshold", "0.5")
+    assert (code, out, err) == (3, "", f"error: {wide} has dimension 2, model {model} expects 1\n")
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"1,2\n3,4\n5,7\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    models = []
+    for data in (plain, marked):
+        models.append(tmp_path / f"{data.stem}.json")
+        code, _, err = run_cli(capsys, "fit", str(data), "--k", "4", "--out", str(models[-1]))
+        assert (code, err) == (0, "")
+    assert models[0].read_bytes() == models[1].read_bytes()
+    code, out, err = run_cli(capsys, "bound", str(marked), str(plain))
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "bound", str(plain), str(plain)) == (code, out, err)
+
+
 def test_fit_score_round_trip_bitwise(tmp_path, capsys, rng):
     train = tmp_path / "train.csv"
     queries = tmp_path / "queries.csv"
@@ -333,6 +359,14 @@ def test_eval_command(tmp_path, capsys):
     assert doc["n_pos"] == 2 and doc["n_neg"] == 2
 
 
+def test_eval_labels_of_two_columns_exit_2(tmp_path, capsys):
+    scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+    scores.write_text("0.9\n0.1\n")
+    labels.write_text("1,0\n0,1\n")
+    code, out, err = run_cli(capsys, "eval", str(scores), "--labels", str(labels))
+    assert (code, out, err) == (2, "", f"error: {labels}: expected a single label column, got 2\n")
+
+
 def test_eval_single_class_exit_4(tmp_path, capsys):
     scored = tmp_path / "scored.csv"
     scored.write_text("0.9,1\n0.8,1\n")
@@ -350,6 +384,18 @@ def test_oracle_identical_distributions(tmp_path, capsys):
     got = json.loads(out)
     assert got["overlap"] == 1.0
     assert got["total_variation"] == 0.0
+
+
+def test_oracle_on_two_point_masses_at_the_origin_has_no_bound(tmp_path, capsys):
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(json.dumps({"dimension": 2, "points": [[0.0, 0.0]], "masses": [1.0]}))
+    q.write_text(json.dumps({"dimension": 2, "points": [[-0.0, 0.0]], "masses": [1.0]}))
+    code, out, err = run_cli(capsys, "oracle", str(p), str(q), "--k", "2")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert (got["overlap"], got["total_variation"], got["indicator_bound"]) == (1.0, 0.0, None)
+    assert got["per_radius"] == 2 * [{"radius": 0.0, "delta_a": 0.0, "bound_domain_radius": None,
+                                      "bound_complement_radius": None}]
 
 
 def test_oracle_worked_pair(tmp_path, capsys):
@@ -756,6 +802,17 @@ def test_negative_seed_exit_2(worked_files):
     assert (code, err) == (2, "error: seed must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("sigma, message", [
+    ("x", "bad --sigma list 'x': could not convert string to float: 'x'"),
+    (",", "--sigma list is empty"),
+])
+def test_shift_bad_sigma_list_exit_2(worked_files, sigma, message):
+    clean, poisoned = worked_files
+    code, out, err = _main_with_warnings_as_errors(
+        ["shift", "--clean", str(clean), "--poisoned", str(poisoned), "--p", "0.9", "--sigma", sigma])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("p_doc, q_doc, norm, message", [
     ('{"dimension": 1e400, "points": [[1, 2]], "masses": [1]}', None, "l2",
      "'dimension' must be an integer >= 1, got inf"),
@@ -769,6 +826,9 @@ def test_negative_seed_exit_2(worked_files):
     ('{"dimension": 2, "points": [[1.7e308, 1e300]], "masses": [1]}',
      '{"dimension": 2, "points": [[-1.7e308, 0]], "masses": [1]}', "linf",
      "the linf gap between the distribution means overflows float64"),
+    # Python's json module reads the NaN literal
+    ('{"dimension": 1, "points": [[NaN]], "masses": [1]}', None, "l2",
+     "support points have non-finite coordinates"),
 ])
 def test_oracle_bad_dimension_or_overflow_exit_2(tmp_path, p_doc, q_doc, norm, message):
     p, q = tmp_path / "p.json", tmp_path / "q.json"

@@ -83,6 +83,16 @@ def test_radius_indicator_boundary_is_closed():
     assert not RadiusIndicator(0.5, NormKind.L2).evaluate_many(np.array([[0.6, 0.8]]))[0]
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: norms(np.ones(3), NormKind.L2), r"expected a 2-D array of row vectors, got shape \(3,\)"),
+    (lambda: RadiusIndicator(-1.0), "radius must be finite and >= 0, got -1.0"),
+    (lambda: RadiusIndicator(math.nan, NormKind.LINF), "radius must be finite and >= 0, got nan"),
+])
+def test_norms_of_a_vector_and_a_radius_below_zero_or_nan_are_refused(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 @given(vectors, st.floats(min_value=0, max_value=10), st.sampled_from(ALL_NORMS))
 def test_indicator_always_zero_or_one(coords, radius, kind):
     verdicts = RadiusIndicator(radius, kind).evaluate_many(np.array([coords]))

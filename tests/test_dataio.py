@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core, fit
 from overlapbound.dataio import (
+    _parse_csv_rows,
     _read_finite_samples,
     read_sample_array,
     read_samples,
@@ -16,6 +17,7 @@ from overlapbound.dataio import (
     write_samples_binary,
 )
 from conftest import ALL_NORMS, full_range_arrays, laid_out_samples
+from oracles import per_cell_csv_rows
 
 
 def test_csv_plain_rows(tmp_path):
@@ -63,6 +65,82 @@ def test_csv_empty_rejected(tmp_path):
     path.write_text("\n")
     with pytest.raises(InputError, match="no data rows"):
         read_sample_array(path)
+
+
+def test_csv_skips_one_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"x,y\n1,2\n3,4\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_sample_array(marked).tobytes() == read_sample_array(plain).tobytes()
+    assert read_sample_array(marked).shape == (2, 2)
+    twice = tmp_path / "twice.csv"  # only the first mark is skipped
+    twice.write_bytes(b"\xef\xbb\xbf" * 2 + b"1,2\n")
+    with pytest.raises(InputError, match=r"twice.csv:1:1: not a number: '\\ufeff1'"):
+        read_sample_array(twice)
+
+
+@pytest.mark.parametrize("content", [b"\xef", b"\xef\xbb", b"1\n\xff\n"])
+def test_csv_that_is_not_utf_8_cannot_be_read(tmp_path, content):
+    # a file holding only part of a byte-order mark is not UTF-8 either
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match="bad.csv: cannot read file: 'utf-8' codec can't decode"):
+        read_sample_array(path)
+
+
+# CSV text for the parser property: a byte-order mark (whole, partial or
+# none), a header, blank and whitespace-only lines, numeric, empty and bad
+# cells padded with whitespace that float() accepts or refuses (U+001F),
+# ragged rows, CR, LF and CRLF endings and, at times, the other line breaks
+# of str.splitlines. Half the files hold no bad cell and half no ragged row,
+# so that most of them parse.
+_PAD = st.text(st.sampled_from(" \t\x1f\xa0\u2000\u3000"), max_size=2)
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e400", "-0", "nan", "+inf", "1_0", "\u0661\u0662"]),
+)
+_NOT_A_NUMBER = st.sampled_from(["", "x", "oops", "1.0.0", "0x10", "1 2", "\ufeff1"])
+
+
+@st.composite
+def _csv_bytes(draw) -> bytes:
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(_NUMBER, _NUMBER, _NOT_A_NUMBER) if draw(st.booleans()) else _NUMBER
+    padded = st.tuples(_PAD, cell, _PAD).map("".join)
+    widths = st.integers(1, 5) if draw(st.booleans()) else st.just(width)
+    row = widths.flatmap(lambda w: st.lists(padded, min_size=w, max_size=w)).map(",".join)
+    line = st.one_of(row, row, row, st.sampled_from(["", " ", "\t", "\x1f", "\xa0"]))
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(draw(st.lists(st.sampled_from(["x", "y", "name", "", " a "]),
+                                              min_size=1, max_size=5))))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"] * 3 + list("\x0b\x1c\x85\u2028")),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, endings))
+    if lines and draw(st.booleans()):
+        text = text[:-len(endings[-1])]  # no final line break
+    mark = draw(st.sampled_from([b""] * 6 + [b"\xef\xbb\xbf", b"\xef\xbb", b"\xff"]))
+    return mark + text.encode("utf-8")
+
+
+def _parse_outcome(parse, path):
+    """The shape and bytes of a parsed array, or the InputError text."""
+    try:
+        a = parse(path)
+    except InputError as exc:
+        return str(exc)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+@given(_csv_bytes())
+@example(content=b"")  # an empty file
+@example(content=b"\xef\xbb\xbfx, y\r\n\n")  # only a header
+@settings(deadline=None)
+def test_csv_rows_equal_those_of_the_per_cell_parser(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(content)
+    assert _parse_outcome(_parse_csv_rows, path) == _parse_outcome(per_cell_csv_rows, path)
 
 
 def test_binary_round_trip(tmp_path, rng):

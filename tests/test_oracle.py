@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapbound import (
+    ConditionFunction,
     DegenerateDomainError,
     DimensionMismatchError,
     DiscreteDistribution,
@@ -20,12 +21,14 @@ from overlapbound import (
     subset_variation,
     total_variation,
 )
-from conftest import ALL_NORMS, as_mass_dict, random_pair
+from conftest import ALL_NORMS, as_mass_dict, integer_count_pair, random_pair
 from oracles import (
+    brute_bound,
     brute_overlap,
     brute_subset_variation,
     brute_total_variation,
     expectation,
+    norm_of,
     per_call_subset_bound,
 )
 
@@ -136,6 +139,28 @@ def test_indicator_bound_dominates_overlap_everywhere():
         radii = sorted(rng.uniform(0, 3, size=int(rng.integers(1, 6))))
         conditions = [RadiusIndicator(float(r), kind) for r in radii]
         assert indicator_bound(p, q, conditions, kind) >= overlap(p, q) - 1e-12
+
+
+class _FirstCoordinateAtMost(ConditionFunction):
+    def __init__(self, t: float):
+        self.t, self.label = t, f"x0<={t!r}"
+
+    def evaluate_many(self, points):
+        return np.asarray(points)[:, 0] <= self.t
+
+
+def test_indicator_bound_on_conditions_that_are_not_balls_in_its_norm_equals_brute_force(rng):
+    # a ball in another norm and a half-space are evaluated on the support
+    # points; replicating each point by its count gives the brute-force samples
+    for trial in range(60):
+        p, q, rep_p, rep_q = integer_count_pair(rng)
+        kind, other = ALL_NORMS[trial % 3], ALL_NORMS[(trial + 1) % 3]
+        r, t = float(rng.uniform(0.0, 3.0)), float(rng.uniform(-2.0, 2.0))
+        conditions = [RadiusIndicator(r, other), _FirstCoordinateAtMost(t)]
+        brute = [lambda x: norm_of(x, other.value) <= r, lambda x: x[0] <= t]
+        want = brute_bound([tuple(x) for x in rep_p.tolist()], [tuple(x) for x in rep_q.tolist()],
+                           brute, kind.value)
+        assert indicator_bound(p, q, conditions, kind) == pytest.approx(want, abs=1e-12)
 
 
 def test_rate_gap_never_exceeds_subset_variation():
