@@ -31,6 +31,7 @@ from .core import (
     _require_finite,
     _sample_rows,
     _sample_statistics,
+    _vector_norm,
     ball_stats,
     clamp_unit,
     freeze,
@@ -111,7 +112,7 @@ def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
     if not (math.isfinite(top) and top >= 0.0):
         return "'rFit' must be a finite number >= 0"
     with np.errstate(over="ignore"):
-        mean_norm = float(norms(mean[None], norm)[0])
+        mean_norm = _vector_norm(mean, norm)
     if top == 0.0:
         # every fitted norm is 0, so the mean's is too (an l2 mean of tiny
         # entries may be nonzero where every square underflows)
@@ -209,16 +210,19 @@ class FittedScorer:
         qn, gaps = np.empty(n), np.empty(n)
         rows = _block_rows(self.dimension)
         # One block of scratch per call, so that a shared scorer stays
-        # safe to use from several threads.
-        scratch = np.empty((min(rows, n), self.dimension))
+        # safe to use from several threads. The mean is tiled to a block's
+        # shape, so that each gap is one flat subtraction, not one per row.
+        tiled_mean = np.tile(self.mean, (min(rows, n), 1))
+        scratch = np.empty_like(tiled_mean)
         # A non-finite entry or an overflowing norm leaves a non-finite
         # score, which is caught below.
         with np.errstate(all="ignore"):
             for lo in range(0, n, rows):
                 block = queries[lo : lo + rows]
+                m = len(block)
                 qn[lo : lo + rows] = norms(block, self.norm)
                 gaps[lo : lo + rows] = norms(
-                    np.subtract(block, self.mean, out=scratch[: len(block)]), self.norm)
+                    np.subtract(block, tiled_mean[:m], out=scratch[:m]), self.norm)
             pool = np.maximum(qn, self.fit_radius)
             # Ball j holds the query iff j >= first. Over those balls the
             # pooled region radius max(qn, gMaxNorms_j) never decreases and
@@ -371,12 +375,12 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
     Equal to running the pooled-bound computation between the singleton {x}
     and the full fit set, evaluated from the cached statistics alone, and
     bitwise equal to ``scorer.raw_scores(x[None])[0]``. A query within the
-    fit ball costs one two-row ``norms`` call and the ``raw_scores`` formula
-    on Python floats; every other query (beyond the fit ball, against an
-    all-origin fit, non-finite or overflowing) is a one-row ``raw_scores``
-    call, which also reports its errors. With a threshold, the verdict is
-    "in" iff the score reaches it (the boundary counts as in); a non-finite
-    threshold is an InputError.
+    fit ball costs two 1-D norms (two BLAS dot products for l2) and the
+    ``raw_scores`` formula on Python floats; every other query (beyond the
+    fit ball, against an all-origin fit, non-finite or overflowing) is a
+    one-row ``raw_scores`` call, which also reports its errors. With a
+    threshold, the verdict is "in" iff the score reaches it (the boundary
+    counts as in); a non-finite threshold is an InputError.
     """
     if threshold is not None and not math.isfinite(threshold):
         raise InputError(f"threshold must be finite, got {threshold!r}")
@@ -385,11 +389,11 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
         raise InputError(f"expected a nonempty 1-D vector, got shape {vec.shape}")
     if vec.size != scorer.dimension:
         raise DimensionMismatchError(f"expected dimension {scorer.dimension}, got {vec.size}")
-    # A row's norm has the same bits alone, in this pair or in a batch, so
-    # both are bitwise those of raw_scores; what is non-finite here goes to
+    # A row's norm has the same bits as a 1-D vector or in a batch, so both
+    # are bitwise those of raw_scores; what is non-finite here goes to
     # raw_scores below.
     with np.errstate(all="ignore"):
-        qn, gap = norms(np.array((vec, vec - scorer.mean)), scorer.norm).tolist()
+        qn, gap = _vector_norm(vec, scorer.norm), _vector_norm(vec - scorer.mean, scorer.norm)
     top, raw = scorer.fit_radius, math.nan
     if 0.0 < top and qn <= top:
         # raw_scores's in-ball case: bisect_left is searchsorted's side="left"

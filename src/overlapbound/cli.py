@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -37,13 +41,51 @@ EXIT_CODES = {InputError: 2, OSError: 2, MemoryError: 2, DimensionMismatchError:
               DegenerateDomainError: 3, MetricUndefinedError: 4}
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """One writer per output path (stdout for None or ""), all opened before
+    any is written. When a path cannot be opened, the files created for the
+    paths before it are removed and existing ones are left as they were, so
+    that the run leaves no output. A writer takes an iterable of strings; it
+    empties its file first, as open(path, "w") would, and flushes after, so
+    outputs are written one after another even if two paths name one file."""
+    with contextlib.ExitStack() as stack:
+        files, created = [], []
+        try:
+            for path in paths:
+                if not path:
+                    files.append(None)
+                    continue
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    created.append(path)
+                except FileExistsError:  # an existing file, or a device such as /dev/stdout
+                    fd = os.open(path, os.O_WRONLY)
+                files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
+        except OSError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        yield [sys.stdout.writelines if fh is None else functools.partial(_rewrite, fh)
+               for fh in files]
+
+
+def _rewrite(fh, chunks) -> None:
+    """Write an output file from its start, as open(path, "w") would, and flush."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        os.ftruncate(fh.fileno(), 0)
+    fh.writelines(chunks)
+    fh.flush()
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _outputs(out_path) as (write,):
+        write([_json_text(doc)])
 
 
 def _parse_sigma_list(text: str) -> list[float]:
@@ -104,13 +146,13 @@ def cmd_fit(args) -> None:
     )
 
 
-def _write_scores_csv(path, columns: dict) -> None:
-    """Per-query CSV: row_index, then each column (floats, or a list of str) in
-    order, written one row at a time as it is formatted."""
+def _write_scores_csv(write, columns: dict) -> None:
+    """Per-query CSV through an ``_outputs`` writer: row_index, then each
+    column (floats, or a list of str) in order, one row at a time as it is
+    formatted."""
     cells = [v if isinstance(v, list) else map(repr, v.tolist()) for v in columns.values()]
-    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(",".join(["row_index", *columns]) + "\n")
-        fh.writelines(",".join([str(i), *row]) + "\n" for i, row in enumerate(zip(*cells)))
+    write(itertools.chain([",".join(["row_index", *columns]) + "\n"],
+                          (",".join([str(i), *row]) + "\n" for i, row in enumerate(zip(*cells)))))
 
 
 def _mean(column: np.ndarray) -> float:
@@ -142,9 +184,9 @@ def _score_command(args) -> None:
     if threshold is not None:
         decide_on = columns.get("iterative", raw).tolist()
         columns["verdict"] = ["in" if s >= threshold else "out" for s in decide_on]
-    _write_scores_csv(args.scores_out, columns)
     if args.scores_out is None and args.out is None:
-        return  # the CSV already went to stdout; keep the stream parseable
+        _write_scores_csv(sys.stdout.writelines, columns)
+        return  # the CSV alone goes to stdout; keep the stream parseable
     summary = {
         "n_queries": int(queries.shape[0]),
         "model": args.model,
@@ -161,7 +203,9 @@ def _score_command(args) -> None:
         summary["threshold"] = threshold
         summary["n_in"] = columns["verdict"].count("in")
         summary["n_out"] = columns["verdict"].count("out")
-    _emit(summary, args.out)
+    with _outputs(args.scores_out, args.out) as (write_scores, write_summary):
+        _write_scores_csv(write_scores, columns)
+        write_summary([_json_text(summary)])
 
 
 def cmd_score(args) -> None:

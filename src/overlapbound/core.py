@@ -74,6 +74,22 @@ def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
     raise _not_a_norm(kind)
 
 
+def _vector_norm(v: np.ndarray, kind: NormKind) -> float:
+    """The norm of one 1-D float64 vector as a float, bitwise
+    ``norms(v[None], kind)[0]`` without building a 2-D array."""
+    if kind is NormKind.L1:
+        return float(np.abs(v, order="C").sum())
+    if kind is NormKind.L2:
+        # np.dot of a contiguous vector runs the dot loop that np.vecdot runs
+        # per row; a strided vector is copied first, as in ``norms``.
+        if v.strides[0] != v.itemsize:
+            v = np.ascontiguousarray(v)
+        return math.sqrt(np.dot(v, v))
+    if kind is NormKind.LINF:
+        return float(np.abs(v, order="C").max())
+    raise _not_a_norm(kind)
+
+
 def freeze(obj, **fields) -> None:
     """Set fields on a frozen dataclass, making each ndarray among them read-only."""
     for name, value in fields.items():

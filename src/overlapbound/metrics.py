@@ -112,7 +112,8 @@ def aupr(ls: LabeledScores) -> float:
     recall = ls.tps / ls.n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     terms = (recall - prev_recall) * (ls.tps / ls.predicted)
-    return math.fsum(terms.tolist())
+    # a group without positives adds an exact 0, so only the steps are summed
+    return math.fsum(terms[terms != 0.0].tolist())
 
 
 def tpr_at_in_rate(ls: LabeledScores, in_rate: float = 0.95) -> float:

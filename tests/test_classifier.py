@@ -287,7 +287,7 @@ def test_per_query_work_independent_of_fit_size(rng, monkeypatch):
 
     queries = rng.normal(size=(37, 6))
     rows_seen = []
-    real_norms = mod.norms
+    real_norms, real_vector_norm = mod.norms, mod._vector_norm
 
     def counting_norms(points, kind):
         rows_seen.append(np.asarray(points).shape[0])
@@ -303,15 +303,23 @@ def test_per_query_work_independent_of_fit_size(rng, monkeypatch):
         finally:
             monkeypatch.setattr(mod, "norms", real_norms)
         counts[n] = (len(rows_seen), sum(rows_seen))
-        # one scalar call inside the fit ball: one norms call over the query
-        # and its gap to the mean
+        # one scalar call inside the fit ball: no norms call, and one 1-D norm
+        # each of the query and of its gap to the mean
         rows_seen.clear()
+        vectors_seen = []
+
+        def counting_vector_norm(v, kind):
+            vectors_seen.append(np.shape(v))
+            return real_vector_norm(v, kind)
+
         monkeypatch.setattr(mod, "norms", counting_norms)
+        monkeypatch.setattr(mod, "_vector_norm", counting_vector_norm)
         try:
             score(scorer, 0.01 * queries[0])
         finally:
             monkeypatch.setattr(mod, "norms", real_norms)
-        assert rows_seen == [2], n
+            monkeypatch.setattr(mod, "_vector_norm", real_vector_norm)
+        assert rows_seen == [] and vectors_seen == [(6,), (6,)], n
     assert counts[20] == counts[20_000]
     assert counts[20][1] == 2 * len(queries)  # query norms + mean-gap rows
 
@@ -421,6 +429,12 @@ def test_scalar_score_is_one_row_batch(data, rows, kind, k):
         x = np.zeros_like(x)
         x[data.draw(st.integers(0, len(x) - 1))] = data.draw(
             st.sampled_from(s.radii + (s.fit_radius,))) * data.draw(st.sampled_from([1.0, -1.0]))
+    # the query as it comes, as a row of a Fortran-order array, or as a strided slice
+    layout = data.draw(st.sampled_from(["C", "F row", "strided"]))
+    if layout == "F row":
+        x = np.asfortranarray(np.stack([x, -x]))[0]
+    elif layout == "strided":
+        x = np.repeat(x, 2)[::2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, want = score(s, x).score, s.raw_scores(x[None])[0]

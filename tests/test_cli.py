@@ -100,6 +100,50 @@ def test_score_queries_of_another_dimension_exit_3(tmp_path, capsys, worked_file
     assert (code, out, err) == (3, "", f"error: {wide} has dimension 2, model {model} expects 1\n")
 
 
+@pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize("unopenable", ["--scores-out", "--out"])
+@pytest.mark.parametrize("other", ["file", "existing file", "stdout"])
+def test_an_output_that_cannot_be_opened_leaves_no_output(tmp_path, capsys, worked_files,
+                                                          command, unopenable, other):
+    # whichever of the two outputs cannot be opened, the other is not written:
+    # a file this run created is removed, an existing one keeps its bytes, and
+    # stdout stays empty
+    pos, _ = worked_files
+    model = tmp_path / "model.json"
+    assert main(["fit", str(pos), "--k", "3", "--out", str(model)]) == 0
+    other_flag = "--out" if unopenable == "--scores-out" else "--scores-out"
+    argv = [command, str(model), str(pos), "--threshold", "0.5",
+            unopenable, str(tmp_path / "missing" / "x")]
+    if other != "stdout":
+        argv += [other_flag, str(tmp_path / "other")]
+        if other == "existing file":
+            (tmp_path / "other").write_text("earlier\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if other == "existing file":
+        assert (tmp_path / "other").read_text() == "earlier\n"
+
+
+def test_scores_out_may_be_dev_stdout(tmp_path, worked_files):
+    # and an existing --out file longer than the summary is overwritten whole
+    pos, _ = worked_files
+    model, summary = tmp_path / "model.json", tmp_path / "summary.json"
+    assert main(["fit", str(pos), "--k", "3", "--out", str(model)]) == 0
+    summary.write_text("x" * 10_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "overlapbound", "score", str(model), str(pos),
+         "--scores-out", "/dev/stdout", "--out", str(summary)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "row_index,score,clamped"
+    assert json.loads(summary.read_text())["n_queries"] == 2
+
+
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(b"1,2\n3,4\n5,7\n")

@@ -492,7 +492,8 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch, fallen)
 def assert_norms_of_rows_ignore_layout_start_and_company(c, kind):
     """The norms of a C-order (n, d) array are bitwise those of every layout
     of its values, of a copy that starts one element into a larger buffer,
-    and of each row alone and in a two-row array such as ``score`` builds."""
+    of each row alone and in a two-row array, and of each row as a 1-D
+    vector through ``_vector_norm``, the scalar ``score``'s helper."""
     want = norms(c, kind)
     for name, lay_out in _LAYOUTS.items():
         # "broadcast" repeats row 0
@@ -504,6 +505,14 @@ def assert_norms_of_rows_ignore_layout_start_and_company(c, kind):
     for i in range(len(c)):
         assert_same_bits(norms(c[i : i + 1], kind), want[i : i + 1])
         assert_same_bits(norms(np.array((c[i], c[i - 1])), kind), want[[i, i - 1]])
+    # rows of every layout (contiguous, strided, reversed or broadcast) and of
+    # the shifted copy, as 1-D vectors
+    laid_out = {name: lay_out(c) for name, lay_out in _LAYOUTS.items()}
+    for name, a in [*laid_out.items(), ("shifted", shifted)]:
+        for i, row in enumerate(a):
+            got = core._vector_norm(row, kind)
+            assert type(got) is float
+            assert_same_bits(np.float64(got), want[0 if name == "broadcast" else i])
 
 
 def assert_l2_within_exact(row, value):
