@@ -22,6 +22,7 @@ from .core import (
     _sample_rows,
     ball_stats,
     clamp_unit,
+    make_sample_set,
     norms,
     require_compatible,
 )
@@ -76,19 +77,19 @@ def _separation(region_radius, rate_gap, pool_radius):
     return (1.0 - region_radius / pool_radius) * abs(rate_gap)
 
 
-def _acceptance(side: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np.ndarray]:
+def _acceptance(side, stats: SampleSet, conditions: Conditions) -> tuple[np.ndarray, np.ndarray]:
     """Per condition: how many samples of ``side`` it accepts, and the largest
-    accepted norm (0 if none). The radius indicators in the side's own norm
-    are read off the sorted norms in one ``ball_stats`` call; any other
-    condition is evaluated on the samples and their norms, taken once, which
-    a set that keeps only its statistics refuses with an InputError."""
+    accepted norm (0 if none); ``stats`` is side's SampleSet. The radius
+    indicators in its norm are read off the sorted norms in one
+    ``ball_stats`` call; any other condition is evaluated on side's rows and
+    their norms, taken once, which a SampleSet refuses with an InputError."""
     counts, region = np.empty(len(conditions)), np.empty(len(conditions))
-    balls = np.array([isinstance(g, RadiusIndicator) and g.norm is side.norm for g in conditions])
+    balls = np.array([isinstance(g, RadiusIndicator) and g.norm is stats.norm for g in conditions])
     radii = [g.radius for g, ball in zip(conditions, balls) if ball]
-    counts[balls], region[balls] = ball_stats(side.sorted_norms, radii)
+    counts[balls], region[balls] = ball_stats(stats.sorted_norms, radii)
     if not balls.all():
         rows = _sample_rows(side)
-        row_norms = norms(rows, side.norm)  # finite: the set refused overflowing norms
+        row_norms = norms(rows, stats.norm)  # finite: the set refused overflowing norms
     for i in np.flatnonzero(~balls):
         accepted = np.asarray(conditions[i].evaluate_many(rows), dtype=bool)
         counts[i], region[i] = np.count_nonzero(accepted), row_norms[accepted].max(initial=0.0)
@@ -102,8 +103,12 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     mean gap with the best separation achieved by any condition function.
     Ties in the best separation go to the smallest index so reports are
     deterministic across platforms and parallel schedules. Raises InputError
-    when the norm of the gap between the two means overflows float64.
+    when the norm of the gap between the two means overflows float64. Either
+    side may be rows, read in l2 as ``SampleSet(rows)`` reads them; a
+    condition other than a ball in the sets' own norm needs rows.
     """
+    sides = [s if isinstance(s, SampleSet) else _sample_rows(s) for s in (pos, neg)]
+    pos, neg = (make_sample_set(s) for s in sides)
     require_compatible(pos, neg)
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
@@ -114,8 +119,8 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     if not math.isfinite(mean_gap):
         raise InputError(f"the {pos.norm.value} gap between the sample means overflows float64")
 
-    pos_count, pos_region = _acceptance(pos, conditions)
-    neg_count, neg_region = _acceptance(neg, conditions)
+    pos_count, pos_region = _acceptance(sides[0], pos, conditions)
+    neg_count, neg_region = _acceptance(sides[1], neg, conditions)
     # the largest accepted pooled norm; an empty region has both rates 0
     region = np.maximum(pos_region, neg_region)
     pos_rate, neg_rate = pos_count / len(pos), neg_count / len(neg)

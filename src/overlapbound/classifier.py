@@ -349,8 +349,8 @@ def fit(
     """Cache the in-class statistics needed for constant-space scoring.
 
     One pass over the data. A float64 array is read in place, not copied; a
-    SampleSet in the requested norm (``norm=None`` keeps its own) supplies its
-    cached statistics, so a set that keeps only its statistics fits too.
+    SampleSet supplies its statistics in its own norm (``norm=None`` keeps
+    it), and another norm is an InputError, as a set keeps no rows.
     ``radii`` overrides the default evenly spaced family (j/k of the in-class
     max norm, j = 1..k); when given, k is its length.
     """
@@ -415,8 +415,8 @@ def iterative_scores_batch(
     |s| <= j/k2, then scores the queries' scores. Clamped scores are
     nonnegative, so those balls are the predicates score <= j/k2, and the
     result equals the pooled bound between each query's score and the
-    samples' scores. Fit rows whose norms overflow float64 are an
-    InputError, "sample <norm> norms overflow float64".
+    samples' scores. ``in_class`` is rows, not a SampleSet; rows whose norms
+    overflow float64 are an InputError, "sample <norm> norms overflow float64".
     """
     rows = _sample_rows(in_class)
     _require_finite(rows)

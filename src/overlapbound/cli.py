@@ -43,12 +43,13 @@ EXIT_CODES = {InputError: 2, OSError: 2, MemoryError: 2, DimensionMismatchError:
 
 @contextlib.contextmanager
 def _outputs(*paths):
-    """One writer per output path (stdout for None or ""), all opened before
-    any is written. When a path cannot be opened, the files created for the
-    paths before it are removed and existing ones are left as they were, so
-    that the run leaves no output. A writer takes an iterable of strings; it
-    empties its file first, as open(path, "w") would, and flushes after, so
-    outputs are written one after another even if two paths name one file."""
+    """One writer per output path (stdout for None or "", or for a path on
+    stdout's file such as /dev/stdout), all opened before any is written.
+    When a path cannot be opened, the files created for the paths before it
+    are removed and existing ones are left as they were, so that the run
+    leaves no output. A writer takes an iterable of strings; it empties its
+    file first, as open(path, "w") would, and flushes after, so outputs are
+    written one after another even if two paths name one file."""
     with contextlib.ExitStack() as stack:
         files, created = [], []
         try:
@@ -61,7 +62,12 @@ def _outputs(*paths):
                     created.append(path)
                 except FileExistsError:  # an existing file, or a device such as /dev/stdout
                     fd = os.open(path, os.O_WRONLY)
-                files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
+                fh = stack.enter_context(open(fd, "w", encoding="utf-8"))
+                # fd 1 is asked, not sys.stdout, which may have no descriptor
+                with contextlib.suppress(OSError):  # fd 1 is closed (and fd may be 1)
+                    if fd != 1 and os.path.samestat(os.fstat(fd), os.fstat(1)):
+                        fh = None  # write through stdout's own offset, not a second one
+                files.append(fh)
         except OSError:
             stack.close()
             for path in created:
@@ -316,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, out_help="write JSON here instead of stdout", out_required=False):
         p.add_argument("--norm", default="l2", help="l1, l2, or linf (default l2)")
         p.add_argument("--k", type=int, default=50,
                        help="number of nested-ball conditions (default 50)")
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+        p.add_argument("--out", default=None, required=out_required, help=out_help)
 
     p_bound = sub.add_parser("bound", help="overlap upper bound between two sample files")
     p_bound.add_argument("pos", help="first sample file (CSV or OVLB binary)")
@@ -330,10 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a one-class scorer and save the model JSON")
     p_fit.add_argument("data", help="in-class sample file")
-    p_fit.add_argument("--norm", default="l2", help="l1, l2, or linf (default l2)")
-    p_fit.add_argument("--k", type=int, default=50,
-                       help="number of nested-ball conditions (default 50)")
-    p_fit.add_argument("--out", required=True, help="model JSON path")
+    add_common(p_fit, "model JSON path", out_required=True)
     p_fit.set_defaults(func=cmd_fit)
 
     for name, func, needs_threshold in (

@@ -1,14 +1,14 @@
 """Shared domain types: norms, sample sets, and 0/1 condition functions.
 
 Everything in this module is immutable after construction and safe to share
-across threads. Arrays handed in are copied and marked read-only.
+across threads. A SampleSet keeps read-only statistics, not the rows it reads.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -393,13 +393,12 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
 
 
 def _sample_rows(samples) -> np.ndarray:
-    """A SampleSet's samples, or array-like data as a nonempty (n, d) float64
-    array with 1-D data as one column. A float64 array is used in place."""
+    """Array-like data as a nonempty (n, d) float64 array with 1-D data as one
+    column. A float64 array is used in place; a SampleSet, which keeps no
+    rows, is an InputError."""
     if isinstance(samples, SampleSet):
-        if samples.samples is None:
-            raise InputError("this sample set keeps only its statistics, not its rows; "
-                             "build it from the rows to use a condition or norm that needs them")
-        return samples.samples
+        raise InputError("a sample set keeps only its statistics, not its rows; "
+                         "pass the rows to use a condition or norm that needs them")
     a = np.asarray(samples, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
@@ -473,31 +472,23 @@ def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """A nonempty batch of same-dimension vectors plus the norm that scores them.
-
-    Holds one copy of the samples. The sample norms in ascending order (for
-    ``ball_stats``), the max norm, and the empirical mean are computed once
-    at construction; ``norms(samples, norm)`` gives the norms in row order.
-    ``norm`` must be a NormKind (``norms`` rejects anything else).
-
-    A set built from the private ``_RowStatistics`` of a block-wise file read
-    keeps no rows: ``samples`` is None, and only radius indicators in its own
-    norm can be evaluated on it.
+    """The statistics of a nonempty batch of same-dimension vectors in the
+    norm that scores them: the norms in ascending order (for ``ball_stats``),
+    the max norm and the mean. ``samples``, rows or the private
+    ``_RowStatistics`` of a file read in ``norm``, is read once, in place,
+    and not kept; what needs rows takes rows. ``norm`` must be a NormKind.
     """
 
-    samples: np.ndarray | None
+    samples: InitVar[np.ndarray | _RowStatistics]
     norm: NormKind = NormKind.L2
     sorted_norms: np.ndarray = field(init=False, repr=False, compare=False)
     max_norm: float = field(init=False, compare=False)
     mean: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.samples, _RowStatistics):  # taken in this set's norm
-            rows, stats = None, self.samples
-        else:
-            rows = _sample_rows(np.array(self.samples, dtype=np.float64, copy=True))
-            stats = _sample_statistics(rows, self.norm)
-        freeze(self, samples=rows, **stats._asdict())
+    def __post_init__(self, samples) -> None:
+        if not isinstance(samples, _RowStatistics):  # else taken in this set's norm
+            samples = _sample_statistics(_sample_rows(samples), self.norm)
+        freeze(self, **samples._asdict())
 
     def __len__(self) -> int:
         return self.sorted_norms.shape[0]
@@ -581,11 +572,11 @@ def make_sample_set(samples, norm: NormKind | str | None = None) -> SampleSet:
     """Convenience constructor accepting raw arrays, lists of rows, or 1-D data.
 
     ``norm=None`` keeps an existing SampleSet's norm and defaults raw data to
-    L2; passing a norm rebuilds a mismatched SampleSet under that norm.
+    L2. A SampleSet keeps no rows, so asking it for another norm is an InputError.
     """
     kind = _requested_norm(samples, norm)
-    if isinstance(samples, SampleSet):
-        return samples if samples.norm is kind else SampleSet(_sample_rows(samples), kind)
+    if isinstance(samples, SampleSet) and samples.norm is kind:
+        return samples
     return SampleSet(samples, kind)
 
 

@@ -165,9 +165,9 @@ def _read_finite_samples(path) -> np.ndarray:
 
 
 def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
-    """A sample file's SampleSet, keeping only its statistics (``samples`` is
-    None): an OVLB file is read in blocks and never held whole, and a CSV file
-    is parsed whole and its rows dropped once the statistics are taken."""
+    """A sample file's SampleSet: an OVLB file is read in blocks and never
+    held whole, and a CSV file is parsed whole and its rows dropped once the
+    statistics are taken."""
     if _is_binary(path):
         stats = _read_samples_binary(path, norm)
     else:

@@ -201,8 +201,8 @@ def iterative_scores_loop(scorer, in_class, queries, k2: int) -> np.ndarray:
     """Second-pass scores as one pooled bound per query: the query's clamped
     first-pass score against those of the fit samples, under the k2
     predicates score <= j/k2."""
-    samples = SampleSet(np.asarray(in_class, dtype=np.float64), scorer.norm)
-    neg = SampleSet(scorer.clamped_scores(samples.samples).reshape(-1, 1), NormKind.L2)
+    rows = np.asarray(in_class, dtype=np.float64)
+    neg = SampleSet(scorer.clamped_scores(rows).reshape(-1, 1), NormKind.L2)
     predicates = [RadiusIndicator(j / k2, NormKind.L2) for j in range(1, k2 + 1)]
     query_first = scorer.clamped_scores(queries)
     out = np.empty(query_first.shape[0], dtype=np.float64)
@@ -248,32 +248,32 @@ def mixture_row_indices(n_clean_rows: int, n_poisoned_rows: int, sigma: float,
     return clean_rows, poisoned_rows
 
 
-def value_rule(clean: SampleSet, poisoned: SampleSet, p: float, q: float, seed: int = 0):
+def value_rule(clean: np.ndarray, poisoned: np.ndarray, p: float, q: float, seed: int = 0):
     """The former fixed-accuracy rule: a callable that is right on rows whose
-    values were picked, an exact p and q fraction of each set's rows."""
+    values were picked, an exact p and q fraction of each array's rows."""
     rng = np.random.default_rng(seed)
     tagged: set[bytes] = set()
-    for samples, frac in ((clean.samples, p), (poisoned.samples, q)):
+    for samples, frac in ((clean, p), (poisoned, q)):
         n = samples.shape[0]
         for i in rng.permutation(n)[: round(frac * n)]:
             tagged.add(samples[i].tobytes())
     return lambda x: np.ascontiguousarray(x, dtype=np.float64).tobytes() in tagged
 
 
-def simulate_by_value(clean: SampleSet, poisoned: SampleSet, sigma: float, rule,
+def simulate_by_value(clean: np.ndarray, poisoned: np.ndarray, sigma: float, rule,
                       n_samples: int, seed: int = 0) -> float:
     """The former simulator: the rule applied to each drawn row in turn."""
     clean_rows, poisoned_rows = mixture_row_indices(len(clean), len(poisoned), sigma, n_samples, seed)
-    rows = list(clean.samples[clean_rows]) + list(poisoned.samples[poisoned_rows])
+    rows = list(clean[clean_rows]) + list(poisoned[poisoned_rows])
     return sum(1 for row in rows if rule(row)) / n_samples
 
 
-def mixture_samples(clean: SampleSet, poisoned: SampleSet, sigma: float, n_total: int,
+def mixture_samples(clean: np.ndarray, poisoned: np.ndarray, sigma: float, n_total: int,
                     seed: int) -> SampleSet:
-    """The former composed test mixture: the rows ``mixture_row_indices`` draws."""
+    """The former composed test mixture: an l2 SampleSet of the rows of two
+    arrays that ``mixture_row_indices`` draws."""
     clean_rows, poisoned_rows = mixture_row_indices(len(clean), len(poisoned), sigma, n_total, seed)
-    return SampleSet(np.vstack([clean.samples[clean_rows], poisoned.samples[poisoned_rows]]),
-                     clean.norm)
+    return SampleSet(np.vstack([clean[clean_rows], poisoned[poisoned_rows]]))
 
 
 def draw_points(dist, n: int, rng: np.random.Generator) -> np.ndarray:

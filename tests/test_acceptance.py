@@ -189,8 +189,8 @@ def test_criterion_6_complexity_contract(tmp_path):
 
 def test_criterion_7_shift_ceiling_and_affinity():
     rng = np.random.default_rng(7)
-    clean = SampleSet(rng.normal(size=(400, 3)))
-    poisoned = SampleSet(rng.normal(size=(400, 3)) + 3.0)
+    clean_rows, poisoned_rows = rng.normal(size=(400, 3)), rng.normal(size=(400, 3)) + 3.0
+    clean, poisoned = SampleSet(clean_rows), SampleSet(poisoned_rows)
     conditions = [RadiusIndicator(float(r)) for r in np.linspace(0.5, 7.0, 10)]
     p, n_sim = 0.9, 20_000
     rule = fixed_accuracy_rule(clean, poisoned, p=p, q=0.0, seed=1)
@@ -200,7 +200,7 @@ def test_criterion_7_shift_ceiling_and_affinity():
         measured = simulate_accuracy(clean, poisoned, sigma, rule, n_sim, seed=2)
         assert measured <= ceiling + tol, (sigma, measured, ceiling)
         # the general ceiling evaluated on a realized mixture also dominates
-        mixture = mixture_samples(clean, poisoned, sigma, 10_000, seed=3)
+        mixture = mixture_samples(clean_rows, poisoned_rows, sigma, 10_000, seed=3)
         assert measured <= sweep_sigma(clean, mixture, p, [0.0], conditions, q=0.0)[0][1] + tol
 
     f = lambda s: sweep_sigma(clean, poisoned, p, [s], conditions)[0][1]

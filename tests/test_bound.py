@@ -68,39 +68,39 @@ def test_matches_brute_force(rng):
     for trial in range(120):
         kind = ALL_NORMS[trial % 3]
         d = int(rng.integers(1, 4))
-        pos = SampleSet(rng.normal(size=(int(rng.integers(1, 12)), d)), kind)
-        neg = SampleSet(rng.normal(size=(int(rng.integers(1, 12)), d)), kind)
+        pos_rows = rng.normal(size=(int(rng.integers(1, 12)), d))
+        neg_rows = rng.normal(size=(int(rng.integers(1, 12)), d))
+        pos, neg = SampleSet(pos_rows, kind), SampleSet(neg_rows, kind)
         radii = [float(r) for r in rng.uniform(0, 2.5, size=int(rng.integers(1, 5)))]
         report = compute_bound(pos, neg, [RadiusIndicator(r, kind) for r in radii])
         conditions = [
             (lambda x, r=r, k=kind.value: 1 if norm_of(x, k) <= r else 0) for r in radii
         ]
         want = brute_bound(
-            [tuple(x) for x in pos.samples], [tuple(x) for x in neg.samples], conditions, kind.value
+            [tuple(x) for x in pos_rows], [tuple(x) for x in neg_rows], conditions, kind.value
         )
         assert report.raw_bound == pytest.approx(want, abs=1e-12)
 
 
 def test_mixed_norm_conditions_match_brute_force(rng):
     # conditions whose ball norm differs from the pool norm take the generic
-    # evaluation path; region radii stay measured in the pool norm
+    # evaluation path on rows, which compute_bound reads in l2; region radii
+    # stay measured in l2. Sets keep no rows, so they refuse such conditions.
     for trial in range(60):
-        pool_kind, ball_kind = ALL_NORMS[trial % 3], ALL_NORMS[(trial + 1) % 3]
+        ball_kind = (NormKind.L1, NormKind.LINF)[trial % 2]
         d = int(rng.integers(1, 4))
-        pos = SampleSet(rng.normal(size=(int(rng.integers(1, 10)), d)), pool_kind)
-        neg = SampleSet(rng.normal(size=(int(rng.integers(1, 10)), d)), pool_kind)
+        pos = rng.normal(size=(int(rng.integers(1, 10)), d))
+        neg = rng.normal(size=(int(rng.integers(1, 10)), d))
         radii = [float(r) for r in rng.uniform(0, 2.5, size=3)]
-        report = compute_bound(pos, neg, [RadiusIndicator(r, ball_kind) for r in radii])
+        balls = [RadiusIndicator(r, ball_kind) for r in radii]
+        report = compute_bound(pos, neg, balls)
         conditions = [
             (lambda x, r=r, k=ball_kind.value: 1 if norm_of(x, k) <= r else 0) for r in radii
         ]
-        want = brute_bound(
-            [tuple(x) for x in pos.samples],
-            [tuple(x) for x in neg.samples],
-            conditions,
-            pool_kind.value,
-        )
+        want = brute_bound([tuple(x) for x in pos], [tuple(x) for x in neg], conditions, "l2")
         assert report.raw_bound == pytest.approx(want, abs=1e-12)
+        with pytest.raises(InputError, match="keeps only its statistics"):
+            compute_bound(SampleSet(pos), neg, balls)
 
 
 def test_score_threshold_condition_in_bound(rng):
@@ -113,12 +113,12 @@ def test_score_threshold_condition_in_bound(rng):
         def evaluate_many(self, points):
             return reference.clamped_scores(points) <= 0.5
 
-    pos = SampleSet(rng.normal(size=(12, 2)))
-    neg = SampleSet(rng.normal(size=(10, 2)) + 2.0)
+    pos = rng.normal(size=(12, 2))
+    neg = rng.normal(size=(10, 2)) + 2.0
     g = ScoreAtMostHalf()
     report = compute_bound(pos, neg, [g])
-    accepted = g.evaluate_many(np.vstack([pos.samples, neg.samples]))
-    pooled_norms = norms(np.vstack([pos.samples, neg.samples]), pos.norm)
+    accepted = g.evaluate_many(np.vstack([pos, neg]))
+    pooled_norms = norms(np.vstack([pos, neg]), NormKind.L2)
     want_region = float(pooled_norms[accepted].max()) if accepted.any() else 0.0
     stat = report.conditions[0]
     assert stat.region_radius == want_region
@@ -225,6 +225,17 @@ def test_best_index_tie_breaks_low():
     assert rep.best_index == 0
 
 
+def test_rows_and_their_sets_give_equal_reports(rng):
+    # arrays of rows are read in l2 as SampleSet(rows) reads them
+    for _ in range(20):
+        d = int(rng.integers(1, 4))
+        pos, neg = rng.normal(size=(int(rng.integers(1, 12)), d)), rng.normal(size=(9, d)) + 0.5
+        gs = [RadiusIndicator(float(r)) for r in rng.uniform(0, 3, size=4)]
+        want = compute_bound(SampleSet(pos), SampleSet(neg), gs)
+        assert compute_bound(pos, neg, gs) == want
+        assert compute_bound(pos.tolist(), SampleSet(neg), gs) == want
+
+
 def test_rate_gap_lower_bound_values(worked_sets):
     pos, neg = worked_sets
     assert rate_gap_lower_bound(pos, pos, RadiusIndicator(0.5)) == 0.0
@@ -288,15 +299,15 @@ def test_ball_statistics_equal_mask_loop(data, rows, kind):
         assert gap == 0.5 * abs(pos_counts[i] / len(pos) - neg_counts[i] / len(neg))
 
 
-@given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS))
+@given(st.data(), repeated_rows())
 @settings(max_examples=100, deadline=None)
-def test_interleaved_conditions_equal_one_at_a_time(data, rows, kind):
-    # balls in the sets' own norm share one ball_stats call, the others are
-    # evaluated on the samples; each report row must be that condition alone
-    pos = SampleSet(rows, kind)
-    neg = SampleSet(data.draw(repeated_rows(rows.shape[1])), kind)
+def test_interleaved_conditions_equal_one_at_a_time(data, pos):
+    # on rows, read in l2, the l2 balls share one ball_stats call and the
+    # others are evaluated on the rows; each report row must be that
+    # condition alone
+    neg = data.draw(repeated_rows(pos.shape[1]))
     balls = [RadiusIndicator(r, data.draw(st.sampled_from(ALL_NORMS)))
-             for r in radii_on_norms(data, pos, neg)]
+             for r in radii_on_norms(data, SampleSet(pos), SampleSet(neg))]
     report = compute_bound(pos, neg, balls)
     for stat, g in zip(report.conditions, balls):
         assert stat == compute_bound(pos, neg, [g]).conditions[0]

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -232,13 +233,14 @@ def test_iterative_1d_fit_data_is_a_column():
 @given(laid_out_samples(), st.sampled_from(ALL_NORMS), st.integers(1, 8), st.integers(1, 20))
 @settings(max_examples=100, deadline=None)
 def test_iterative_scores_equal_for_every_layout_and_a_sample_set(rows, kind, k, k2):
-    # the fit data is read in place; the result is that of a copy, and of a SampleSet
+    # the fit data is read in place; the result is that of a copy, and a
+    # SampleSet, which keeps no rows, is refused
     s = fit(rows, k=k, norm=kind)
     queries = np.array(rows)[::-1] * 1.5
     want = iterative_scores_batch(s, np.array(rows), queries, k2=k2)
     assert want.tobytes() == iterative_scores_batch(s, rows, queries, k2=k2).tobytes()
-    got = iterative_scores_batch(s, SampleSet(rows, kind), queries, k2=k2)
-    assert want.tobytes() == got.tobytes()
+    with pytest.raises(InputError, match="keeps only its statistics"):
+        iterative_scores_batch(s, SampleSet(rows, kind), queries, k2=k2)
 
 
 def test_model_json_round_trip(tmp_path, rng):
@@ -392,9 +394,11 @@ def test_fit_norm_override():
     s = fit([[1.0, -1.0]], k=2, norm="l1")
     assert s.norm is NormKind.L1
     assert s.fit_radius == 2.0
+    # a set keeps no rows, so it fits only in its own norm
     ss = SampleSet(np.array([[1.0, -1.0]]), NormKind.L2)
-    s2 = fit(ss, k=2, norm=NormKind.L1)
-    assert s2.fit_radius == 2.0
+    assert fit(ss, k=2).fit_radius == math.sqrt(2.0)
+    with pytest.raises(InputError, match="keeps only its statistics"):
+        fit(ss, k=2, norm=NormKind.L1)
 
 
 @given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS))

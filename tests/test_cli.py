@@ -144,6 +144,24 @@ def test_scores_out_may_be_dev_stdout(tmp_path, worked_files):
     assert json.loads(summary.read_text())["n_queries"] == 2
 
 
+@pytest.mark.parametrize("command", ["score", "classify"])
+def test_scores_out_dev_stdout_into_a_file_keeps_every_row(tmp_path, capsys, worked_files, command):
+    # /dev/stdout opens a second offset on stdout's file; the scores go through
+    # stdout instead, so the summary follows them rather than overwriting them
+    pos, _ = worked_files
+    model, queries, out = tmp_path / "model.json", tmp_path / "queries.csv", tmp_path / "out.txt"
+    assert run_cli(capsys, "fit", str(pos), "--k", "3", "--out", str(model))[0] == 0
+    write_csv(queries, [[0.01 * i] for i in range(200)])
+    argv = [command, str(model), str(queries)] + (["--threshold", "0.5"] if command == "classify" else [])
+    code, want_scores, _ = run_cli(capsys, *argv, "--scores-out", str(tmp_path / "scores.csv"))
+    assert code == 0
+    with open(out, "w") as fh:
+        proc = subprocess.run([sys.executable, "-m", "overlapbound", *argv, "--scores-out", "/dev/stdout"],
+                              stdout=fh, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text() == (tmp_path / "scores.csv").read_text() + want_scores
+
+
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(b"1,2\n3,4\n5,7\n")
@@ -274,7 +292,8 @@ def test_iterative_reads_fit_data_without_a_sample_set(tmp_path, capsys, monkeyp
     run_cli(capsys, "fit", str(data), "--k", "5", "--out", str(model))
     calls = []
     original = SampleSet.__post_init__
-    monkeypatch.setattr(SampleSet, "__post_init__", lambda self: calls.append(self) or original(self))
+    monkeypatch.setattr(SampleSet, "__post_init__",
+                        lambda self, samples: calls.append(self) or original(self, samples))
     code, out, _ = run_cli(capsys, "score", str(model), str(data), "--iterative",
                            "--fit-data", str(data))
     assert code == 0 and calls == []

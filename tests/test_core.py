@@ -158,7 +158,8 @@ def test_sample_set_caches_and_validates():
     assert ss.max_norm == 1.0
     assert ss.mean[0] == pytest.approx(0.6)
     assert len(ss) == 2 and ss.dimension == 1
-    assert not ss.samples.flags.writeable
+    assert not hasattr(ss, "samples")  # a set keeps its statistics, not its rows
+    assert not ss.sorted_norms.flags.writeable and not ss.mean.flags.writeable
     with pytest.raises(InputError):
         SampleSet(np.empty((0, 2)))
     with pytest.raises(InputError):
@@ -167,7 +168,8 @@ def test_sample_set_caches_and_validates():
 
 def test_sample_set_1d_input_is_column():
     ss = make_sample_set([0.2, 1.0])
-    assert ss.samples.shape == (2, 1)
+    assert (len(ss), ss.dimension) == (2, 1)
+    assert ss.sorted_norms.tolist() == [0.2, 1.0]
 
 
 def test_indicator_vectorized_matches_scalar(rng):
@@ -464,7 +466,7 @@ def test_non_finite_entries_are_reported_before_a_bad_norm(monkeypatch):
         SampleSet(np.ones((10, 2)), "l2")
 
 
-def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch, fallen):
+def test_fit_and_a_sample_set_copy_nothing(monkeypatch, fallen):
     import tracemalloc
 
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1 << 12)
@@ -483,10 +485,32 @@ def test_fit_copies_nothing_and_a_sample_set_holds_one_copy(monkeypatch, fallen)
             tracemalloc.stop()
         del built
     assert fallen == list(range(64))
-    # fit keeps one n-vector of sorted norms and block scratch; a SampleSet adds its copy
+    # each keeps one n-vector of sorted norms and block scratch, not the rows
     assert peaks["fit"] <= 0.1, peaks
     assert peaks["fit falling back"] <= 0.1, peaks
-    assert peaks["make_sample_set"] <= 1.1, peaks
+    assert peaks["make_sample_set"] <= 0.1, peaks
+
+
+def test_a_sample_set_peaks_at_its_norms_plus_block_scratch():
+    import tracemalloc
+
+    block = 8 * core._BLOCK_ELEMENTS  # bytes of one block of rows
+    extra = {}
+    for n in (20_000, 100_000):
+        a = np.random.default_rng(n).standard_normal((n, 32))
+        # centred columns fall back to a second walk, with its own block scratch
+        for name, rows in (("gaussian", a), ("centred", a - a.mean(axis=0))):
+            tracemalloc.start()
+            try:
+                ss = SampleSet(rows)
+                extra[name, n] = tracemalloc.get_traced_memory()[1] - ss.sorted_norms.nbytes
+            finally:
+                tracemalloc.stop()
+            del ss
+    # beyond the n-vector of norms, a few blocks of scratch whatever n is
+    for name, bound in (("gaussian", 3 * block), ("centred", 7 * block)):
+        assert extra[name, 20_000] <= bound and extra[name, 100_000] <= bound, extra
+        assert abs(extra[name, 100_000] - extra[name, 20_000]) <= 64 * 1024, extra
 
 
 def assert_norms_of_rows_ignore_layout_start_and_company(c, kind):

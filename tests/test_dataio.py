@@ -266,7 +266,7 @@ def test_statistics_read_in_blocks_equal_those_of_the_whole_array_bitwise(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
         got = read_samples(path, kind)
-    assert got.samples is None and got.norm is kind
+    assert got.norm is kind
     assert (len(got), got.dimension) == (len(whole), whole.dimension)
     for name in ("sorted_norms", "mean"):
         assert getattr(got, name).tobytes() == getattr(whole, name).tobytes(), name

@@ -138,12 +138,12 @@ def test_component_vs_mixture_statistics_agree():
     # estimating from the composed mixture instead of the raw components
     # moves the ceiling by at most sampling noise
     rng = np.random.default_rng(9)
-    clean = SampleSet(rng.normal(size=(400, 2)))
-    poisoned = SampleSet(rng.normal(size=(400, 2)) + 3.0)
+    clean_rows, poisoned_rows = rng.normal(size=(400, 2)), rng.normal(size=(400, 2)) + 3.0
+    clean, poisoned = SampleSet(clean_rows), SampleSet(poisoned_rows)
     gs = [RadiusIndicator(float(r)) for r in np.linspace(0.5, 6, 8)]
     p = 0.9
     for sigma in (0.0, 0.3, 0.7, 1.0):
-        mixture = mixture_samples(clean, poisoned, sigma, 50_000, seed=10)
+        mixture = mixture_samples(clean_rows, poisoned_rows, sigma, 50_000, seed=10)
         via_mixture = sweep_sigma(clean, mixture, p, [0.0], gs, q=0.0)[0][1]
         via_components = sweep_sigma(clean, poisoned, p, [sigma], gs)[0][1]
         assert via_mixture == pytest.approx(via_components, abs=0.02)
@@ -212,15 +212,16 @@ def test_ceilings_and_raw_bound_equal_retired_forms(data, d, kind):
 def test_simulator_equals_by_value_simulator_on_distinct_rows(seed, n_clean, n_pois, d, p, q,
                                                               sigma, n_samples):
     rng = np.random.default_rng(seed)
-    clean = SampleSet(rng.normal(size=(n_clean, d)))
-    poisoned = SampleSet(rng.normal(size=(n_pois, d)) + 3.0)
-    assert len({r.tobytes() for r in np.vstack([clean.samples, poisoned.samples])}) == n_clean + n_pois
+    clean_rows, poisoned_rows = rng.normal(size=(n_clean, d)), rng.normal(size=(n_pois, d)) + 3.0
+    clean, poisoned = SampleSet(clean_rows), SampleSet(poisoned_rows)
+    assert len({r.tobytes() for r in np.vstack([clean_rows, poisoned_rows])}) == n_clean + n_pois
     rule = fixed_accuracy_rule(clean, poisoned, p, q, seed=seed)
-    by_value = value_rule(clean, poisoned, p, q, seed=seed)
-    assert rule[0].tolist() == [by_value(x) for x in clean.samples]
-    assert rule[1].tolist() == [by_value(x) for x in poisoned.samples]
+    by_value = value_rule(clean_rows, poisoned_rows, p, q, seed=seed)
+    assert rule[0].tolist() == [by_value(x) for x in clean_rows]
+    assert rule[1].tolist() == [by_value(x) for x in poisoned_rows]
     measured = simulate_accuracy(clean, poisoned, sigma, rule, n_samples, seed=seed + 1)
-    assert measured == simulate_by_value(clean, poisoned, sigma, by_value, n_samples, seed=seed + 1)
+    assert measured == simulate_by_value(clean_rows, poisoned_rows, sigma, by_value, n_samples,
+                                         seed=seed + 1)
 
 
 @given(st.data(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
