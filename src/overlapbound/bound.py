@@ -19,12 +19,11 @@ from .core import (
     RadiusFamily,
     RadiusIndicator,
     SampleSet,
+    _compatible_sets,
     _sample_rows,
     ball_stats,
     clamp_unit,
-    make_sample_set,
     norms,
-    require_compatible,
 )
 
 
@@ -108,8 +107,7 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
     condition other than a ball in the sets' own norm needs rows.
     """
     sides = [s if isinstance(s, SampleSet) else _sample_rows(s) for s in (pos, neg)]
-    pos, neg = (make_sample_set(s) for s in sides)
-    require_compatible(pos, neg)
+    pos, neg = _compatible_sets(*sides)
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
 
@@ -143,7 +141,8 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
 
 
 def pooled_radius_family(pos: SampleSet, neg: SampleSet, k: int) -> RadiusFamily:
-    """The default condition family: k closed balls scaled to the pooled max norm."""
-    require_compatible(pos, neg)
+    """The default condition family: k closed balls scaled to the pooled max
+    norm. Either side may be rows, read as ``compute_bound`` reads them."""
+    pos, neg = _compatible_sets(pos, neg)
     top = max(pos.max_norm, neg.max_norm)
     return RadiusFamily(k=k, top=top, norm=pos.norm)

@@ -20,8 +20,9 @@ import sys
 
 import numpy as np
 
-from . import classifier, dataio, metrics, oracle, shift
-from .bound import compute_bound, pooled_radius_family
+# Every command reads files and needs core; each imports the other modules it
+# runs when it runs, so that a start-up loads no module its command leaves unused.
+from . import dataio
 from .core import (
     DegenerateDomainError,
     DimensionMismatchError,
@@ -123,6 +124,8 @@ def _read_pair(path_a, path_b, norm: NormKind):
 
 
 def cmd_bound(args) -> None:
+    from .bound import compute_bound, pooled_radius_family
+
     norm = NormKind.from_string(args.norm)
     pos, neg = _read_pair(args.pos, args.neg, norm)
     conditions = pooled_radius_family(pos, neg, args.k).indicators()
@@ -134,6 +137,8 @@ def cmd_bound(args) -> None:
 
 
 def cmd_fit(args) -> None:
+    from . import classifier
+
     norm = NormKind.from_string(args.norm)
     samples = dataio.read_samples(args.data, norm)
     scorer = classifier.fit(samples, k=args.k, norm=norm)
@@ -168,6 +173,8 @@ def _mean(column: np.ndarray) -> float:
 
 
 def _score_command(args) -> None:
+    from . import classifier
+
     if not args.iterative and (args.fit_data is not None or args.k2 is not None):
         raise InputError("--fit-data and --k2 apply only with --iterative")
     threshold = args.threshold
@@ -223,6 +230,9 @@ def cmd_classify(args) -> None:  # argparse makes --threshold required here
 
 
 def cmd_shift(args) -> None:
+    from . import shift
+    from .bound import pooled_radius_family
+
     norm = NormKind.from_string(args.norm)
     clean, poisoned = _read_pair(args.clean, args.poisoned, norm)
     sigmas = _parse_sigma_list(args.sigma)
@@ -248,6 +258,8 @@ def cmd_shift(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    from . import metrics
+
     scores, labels = dataio.read_scores_and_labels(args.scores, args.labels)
     ls = metrics.LabeledScores(scores, labels)
     _emit(
@@ -263,6 +275,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    from . import oracle
+
     p = oracle.DiscreteDistribution.from_json_file(args.p)
     q = oracle.DiscreteDistribution.from_json_file(args.q)
     norm = NormKind.from_string(args.norm)

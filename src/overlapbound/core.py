@@ -597,4 +597,12 @@ def require_compatible(a: SampleSet, b: SampleSet) -> None:
         )
 
 
+def _compatible_sets(a, b) -> tuple[SampleSet, SampleSet]:
+    """The two inputs of one computation as SampleSets that agree on d and
+    norm: a SampleSet as it is, rows read in l2 as ``SampleSet(rows)`` reads them."""
+    sets = tuple(s if isinstance(s, SampleSet) else SampleSet(s) for s in (a, b))
+    require_compatible(*sets)
+    return sets
+
+
 Conditions = Sequence[ConditionFunction]

@@ -112,11 +112,38 @@ def _is_number(cell: str) -> bool:
 
 
 def _parse_csv_rows(path) -> np.ndarray:
+    """A CSV file's rows, tried first with numpy's C reader.
+
+    The header rule is applied to the first non-blank line, and the data
+    lines go to ``np.loadtxt``. Its result is kept only when it has one row
+    per data line and the first line's width; anything else, including a
+    cell numpy refuses but ``float`` reads (``1_0``), goes to the per-cell
+    parser, which owns the grammar and every error message.
+    """
     try:  # decoded whole: a text-mode read takes a file holding part of a byte-order mark as empty
         with open(path, "rb") as fh:
             lines = fh.read().decode("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
+    data = [line for line in lines if line.strip()]
+    if data:
+        first = data[0].split(",")
+        if not any(_is_number(c.strip()) for c in first):
+            del data[0]  # a header
+        if data:  # numpy warns on no data
+            try:
+                array = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+            except ValueError:
+                pass
+            else:
+                if array.shape == (len(data), len(first)):
+                    return array
+    return _parse_csv_cells(path, lines)
+
+
+def _parse_csv_cells(path, lines: list[str]) -> np.ndarray:
+    """The decoded lines of a CSV file, parsed one cell at a time with
+    ``float``; the source of the CSV grammar and of its errors."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bound import _closed_form, compute_bound
-from .core import Conditions, InputError, SampleSet, require_compatible
+from .core import Conditions, InputError, SampleSet, _compatible_sets
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -101,11 +101,12 @@ def simulate_accuracy(
 
     The composition is deterministic (floor(sigma*n) clean + remainder
     poisoned); the draws within each component are seeded resampling.
+    Either side may be rows, read as ``compute_bound`` reads them.
     """
+    clean, poisoned = _compatible_sets(clean, poisoned)
     clean_right, poisoned_right = rule
     if len(clean_right) != len(clean) or len(poisoned_right) != len(poisoned):
         raise InputError("the rule's masks do not match the sizes of the sample sets")
-    require_compatible(clean, poisoned)
     _check_unit("sigma", sigma)
     # numpy refuses a larger array of int64 row indices with a ValueError
     if not 1 <= n_samples <= np.iinfo(np.intp).max // 8:

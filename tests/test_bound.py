@@ -279,6 +279,26 @@ def test_pooled_radius_family(worked_sets):
     assert fam.radii == (0.25, 0.5, 0.75, 1.0)
 
 
+@given(st.data(), repeated_rows(), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_pooled_radius_family_reads_rows_as_compute_bound_does(data, pos, k):
+    neg = data.draw(repeated_rows(pos.shape[1]))
+    want = pooled_radius_family(SampleSet(pos), SampleSet(neg), k)
+    assert pooled_radius_family(pos, neg, k) == want
+    assert pooled_radius_family(pos, SampleSet(neg), k) == want
+    assert pooled_radius_family(pos.tolist(), neg, k) == want
+
+
+def test_pooled_radius_family_refuses_rows_that_do_not_pair():
+    rows = np.ones((3, 2))
+    with pytest.raises(DimensionMismatchError, match="different dimensions: 2 vs 3"):
+        pooled_radius_family(rows, np.ones((3, 3)), 4)
+    with pytest.raises(DimensionMismatchError, match="different norms: l2 vs l1"):
+        pooled_radius_family(rows, SampleSet(rows, NormKind.L1), 4)
+    with pytest.raises(InputError, match="nonempty"):
+        pooled_radius_family(rows, np.ones((0, 2)), 4)
+
+
 @given(st.data(), repeated_rows(), st.sampled_from(ALL_NORMS))
 @settings(max_examples=150, deadline=None)
 def test_ball_statistics_equal_mask_loop(data, rows, kind):

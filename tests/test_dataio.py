@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core, fit
+from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core, dataio, fit
 from overlapbound.dataio import (
     _parse_csv_rows,
     _read_finite_samples,
@@ -100,7 +100,7 @@ _NUMBER = st.one_of(
     st.integers(-10**20, 10**20).map(str),
     st.sampled_from(["1e400", "-0", "nan", "+inf", "1_0", "\u0661\u0662"]),
 )
-_NOT_A_NUMBER = st.sampled_from(["", "x", "oops", "1.0.0", "0x10", "1 2", "\ufeff1"])
+_NOT_A_NUMBER = st.sampled_from(["", "x", "oops", "1.0.0", "0x10", "1 2", "\ufeff1", "1#x"])
 
 
 @st.composite
@@ -133,14 +133,48 @@ def _parse_outcome(parse, path):
     return a.shape, a.dtype.str, a.tobytes()
 
 
+# 5000 x 32 normal values written as their shortest round-trip text
+_SHORTEST_REPR_CSV = "".join(
+    ",".join(map(repr, row)) + "\n"
+    for row in np.random.default_rng(23).standard_normal((5000, 32)).tolist()
+).encode()
+
+
 @given(_csv_bytes())
 @example(content=b"")  # an empty file
-@example(content=b"\xef\xbb\xbfx, y\r\n\n")  # only a header
+@example(content=b"\xef\xbb\xbfx, y\r\n\n")  # only a header: numpy would warn of no data
+@example(content=b"1,2#x\n3,4\n")  # not a comment: numpy's default would drop "#x"
+@example(content=b"x,y\n1,2\n3,4\n")  # a header, then data
+@example(content="\xa01\x1f,\x1f2\xa0\n\x1f3,4\xa0\n".encode())  # padding float() strips
+@example(content=b"1_0,2\n3,4\n")  # float() reads 1_0 and numpy does not
+@example(content=b"1,2,\n3,4,\n")  # a trailing comma: an empty last cell
+@example(content=_SHORTEST_REPR_CSV)
 @settings(deadline=None)
 def test_csv_rows_equal_those_of_the_per_cell_parser(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(content)
     assert _parse_outcome(_parse_csv_rows, path) == _parse_outcome(per_cell_csv_rows, path)
+
+
+@pytest.mark.parametrize("content", [
+    b"1.0,2.0\n3.5,-4.0\n",
+    b"x,y\r\n1,2\r\n\r\n3,4",
+    b"\xef\xbb\xbfscore,label\n0.5,1\n-0.0,0\n",
+    " 1 ,\t2\xa0\n\x1f3,4\x1f\n".encode(),
+    b"nan,+inf\n1e400,-1e-400\n",
+    _SHORTEST_REPR_CSV,
+])
+def test_a_well_formed_csv_never_reaches_the_per_cell_parser(tmp_path, monkeypatch, content):
+    entries = []
+    per_cell = dataio._parse_csv_cells
+    monkeypatch.setattr(dataio, "_parse_csv_cells", lambda *a: entries.append(a) or per_cell(*a))
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    assert _parse_outcome(_parse_csv_rows, path) == _parse_outcome(per_cell_csv_rows, path)
+    assert entries == []
+    path.write_bytes(b"1_0\n2\n")  # read only by float(), so the per-cell parser is reached
+    assert _parse_csv_rows(path).tolist() == [[10.0], [2.0]]
+    assert len(entries) == 1
 
 
 def test_binary_round_trip(tmp_path, rng):

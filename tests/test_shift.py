@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapbound import (
+    DimensionMismatchError,
     InputError,
     RadiusIndicator,
     SampleSet,
@@ -254,3 +255,25 @@ def test_simulator_rejects_masks_of_other_sets(worked_mix):
     rule = fixed_accuracy_rule(poisoned, clean, p=1.0, q=0.0)
     with pytest.raises(InputError, match="masks"):
         simulate_accuracy(clean, poisoned, 0.5, rule, 10)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40), st.integers(1, 3),
+       st.floats(0.0, 1.0), st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_the_simulator_reads_rows_as_compute_bound_does(seed, n_clean, n_pois, d, sigma, n_samples):
+    rng = np.random.default_rng(seed)
+    clean, poisoned = rng.normal(size=(n_clean, d)), rng.normal(size=(n_pois, d)) + 3.0
+    rule = fixed_accuracy_rule(clean, poisoned, 0.8, 0.3, seed=seed)
+    want = simulate_accuracy(SampleSet(clean), SampleSet(poisoned), sigma, rule, n_samples, seed=seed)
+    assert simulate_accuracy(clean, poisoned, sigma, rule, n_samples, seed=seed) == want
+    assert simulate_accuracy(clean.tolist(), SampleSet(poisoned), sigma, rule, n_samples,
+                             seed=seed) == want
+
+
+def test_the_simulator_refuses_rows_that_do_not_pair(rng):
+    clean = rng.normal(size=(10, 2))
+    rule = fixed_accuracy_rule(clean, clean, 0.5, 0.5)
+    with pytest.raises(DimensionMismatchError, match="different dimensions: 2 vs 3"):
+        simulate_accuracy(clean, rng.normal(size=(10, 3)), 0.5, rule, 10)
+    with pytest.raises(InputError, match="masks"):
+        simulate_accuracy(clean, clean[:4], 0.5, rule, 10)
