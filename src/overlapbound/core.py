@@ -80,11 +80,11 @@ def _vector_norm(v: np.ndarray, kind: NormKind) -> float:
     if kind is NormKind.L1:
         return float(np.abs(v, order="C").sum())
     if kind is NormKind.L2:
-        # np.dot of a contiguous vector runs the dot loop that np.vecdot runs
-        # per row; a strided vector is copied first, as in ``norms``.
+        # v.dot(v) of a contiguous vector runs the dot loop that np.vecdot
+        # runs per row; a strided vector is copied first, as in ``norms``.
         if v.strides[0] != v.itemsize:
             v = np.ascontiguousarray(v)
-        return math.sqrt(np.dot(v, v))
+        return math.sqrt(v.dot(v))
     if kind is NormKind.LINF:
         return float(np.abs(v, order="C").max())
     raise _not_a_norm(kind)
@@ -101,18 +101,15 @@ def freeze(obj, **fields) -> None:
 # Values per block of rows: each block temporary is about 512 KB, small enough
 # to stay in cache, and scratch memory does not grow with n.
 _BLOCK_ELEMENTS = 1 << 16
-# Rows summed in float64 buckets between folds into Python ints. Each block
-# adds at most one level to a bucket, as two limbs of at most 2**26 units (see
-# ``_ColumnSums._level``), so a bucket sum over up to 2**27 rows is at most
-# 2**53 units, which float64 holds exactly; 2**25 leaves a factor 4.
-_FOLD_ROWS = 1 << 25
+# Parts summed in int64 buckets between folds into Python ints. A part adds at
+# most one level of at most 2**53 units to a bucket (see ``_unit``), so 1023
+# parts sum to less than 2**63 units, which int64 holds exactly.
+_FOLD_PARTS = 1023
 # Level units are powers of two from 2**-1074, the smallest subnormal, so every
 # exact total is an integer in units of 2**-_UNIT_BITS.
 _UNIT_BITS = 1074
 # The largest level unit whose level sums, up to 2**53 units, fit in float64.
 _TOP_UNIT = 1023 - 53
-# (s + _LIMB_SPLIT) - _LIMB_SPLIT rounds an integer |s| <= 2**53 to a multiple of 2**27.
-_LIMB_SPLIT = 1.5 * 2.0**79
 
 
 def _block_rows(d: int) -> int:
@@ -129,7 +126,7 @@ def _top(x: np.ndarray) -> float:
 def _unit(top: float, m: int) -> int:
     """The exponent of the unit of an extraction level of m rows whose
     largest |x| is at most ``top``: with top < 2**e, the unit is
-    2**(e - bits), so that m multiples of it below 2**e sum to less than
+    2**(e - bits), so that m multiples of it of at most 2**e sum to at most
     2**53 units, or 2**-_UNIT_BITS if that is larger. A non-finite top is
     an InputError."""
     if not math.isfinite(top):
@@ -198,15 +195,15 @@ class _ColumnSums:
     block, in any order and of any size, then read ``result``. It needs each
     row only once, so a file read in blocks is summed with it.
 
-    Between blocks it keeps only d Python ints and the limb buckets of the
-    level units seen since the last fold, so its memory does not grow with n.
+    Each level unit's column sums go into an int64 bucket, folded into d
+    Python ints every ``_FOLD_PARTS`` parts, so its memory does not grow with n.
     """
 
     def __init__(self, d: int) -> None:
         self.d = d
         self.totals = [0] * d  # exact column sums in units of 2**-_UNIT_BITS
-        self.acc = {}  # level unit exponent -> (2, d) limb sums in that unit
-        self.pending = 0
+        self.acc = {}  # level unit exponent -> int64 column sums in that unit
+        self.pending = 0  # parts added since the last fold
         # Block scratch, reused so that each block allocates nothing of its
         # size: two buffers that take turns holding the remainder, and the
         # ones vector that sums their columns.
@@ -214,13 +211,13 @@ class _ColumnSums:
 
     def add(self, block: np.ndarray, top: float | None = None) -> None:
         """Add a block's rows; ``top``, when given, is at least its largest |x|."""
-        rows = min(_FOLD_ROWS, _block_rows(self.d))
+        rows = _block_rows(self.d)
         for start in range(0, block.shape[0], rows):
-            part = block[start:start + rows]
-            if self.pending + part.shape[0] > _FOLD_ROWS:
+            if self.pending >= _FOLD_PARTS:
                 self._fold()
+            part = block[start:start + rows]
             self._add(part, _top(part) if top is None else top)
-            self.pending += part.shape[0]
+            self.pending += 1
 
     def _buffers(self, m: int):
         if not self.scratch or self.scratch[0].shape[0] < m:
@@ -239,28 +236,19 @@ class _ColumnSums:
 
     def _extract(self, x: np.ndarray, unit: int, out: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """Add the level of the column sums of x in units of 2**``unit``, from
-        ``_unit``, and return the remainder, written to ``out``."""
+        ``_unit``, to its int64 bucket, and return the remainder, written to
+        ``out``. The level's sums are integers of at most 2**53 in that unit."""
         rest, sums = _split(x, unit, out, ones)
-        self._level(unit, sums)
+        if (acc := self.acc.get(unit)) is None:
+            acc = self.acc[unit] = np.zeros(self.d, dtype=np.int64)
+        acc += sums.astype(np.int64)
         return rest
 
-    def _level(self, unit: int, sums: np.ndarray) -> None:
-        """Add a level's column sums, integers of at most 2**53 in units of
-        2**unit, to its bucket as two limbs: the sums rounded to a multiple of
-        2**27 (at most 2**26 such multiples) and the rest (at most 2**26)."""
-        high = sums + _LIMB_SPLIT
-        high -= _LIMB_SPLIT
-        if (acc := self.acc.get(unit)) is None:
-            acc = self.acc[unit] = np.zeros((2, self.d))
-        acc[0] += high
-        acc[1] += sums - high
-
     def _fold(self) -> None:
-        """Add each bucket's limb sums, integers in units of 2**unit, to the int totals."""
+        """Add each bucket's sums, integers in units of 2**unit, to the int totals."""
         for unit, acc in self.acc.items():
-            cols = np.flatnonzero(acc.any(axis=0))
-            for j, h, l in zip(cols.tolist(), acc[0, cols].tolist(), acc[1, cols].tolist()):
-                self.totals[j] += (int(h) + int(l)) << (unit + _UNIT_BITS)
+            shift = unit + _UNIT_BITS
+            self.totals = [total + (s << shift) for total, s in zip(self.totals, acc.tolist())]
         self.acc, self.pending = {}, 0
 
     def result(self) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InputError, MetricUndefinedError, freeze
+from .core import InputError, MetricUndefinedError, exact_column_sums, freeze
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,14 @@ def roc_curve(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def aupr(ls: LabeledScores) -> float:
-    """Area under precision-recall via a step-wise descending sweep."""
+    """Area under precision-recall via a step-wise descending sweep, its
+    steps summed exactly by ``exact_column_sums``."""
     if ls.n_pos == 0:
         raise MetricUndefinedError("precision-recall area needs at least one positive")
     recall = ls.tps / ls.n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     terms = (recall - prev_recall) * (ls.tps / ls.predicted)
-    # a group without positives adds an exact 0, so only the steps are summed
-    return math.fsum(terms[terms != 0.0].tolist())
+    return float(exact_column_sums(terms[:, None])[0])
 
 
 def tpr_at_in_rate(ls: LabeledScores, in_rate: float = 0.95) -> float:

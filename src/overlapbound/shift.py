@@ -75,7 +75,9 @@ def fixed_accuracy_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic classifier stand-in: read-only boolean masks of the clean
     rows and of the poisoned rows it gets right, an exact p and q fraction of
-    each, picked by index from a seeded permutation (so repeated rows are fine)."""
+    each, picked by index from a seeded permutation (so repeated rows are fine).
+    Either side may be rows, read as ``compute_bound`` reads them."""
+    clean, poisoned = _compatible_sets(clean, poisoned)
     _check_unit("p", p)
     _check_unit("q", q)
     rng = _rng(seed)

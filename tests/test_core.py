@@ -231,10 +231,10 @@ def test_exact_column_sums_million_rows():
     assert_same_bits(core.exact_column_sums(a), fsum_columns(a))
 
 
-@pytest.mark.parametrize("block_elements,fold_rows", [(8, 1 << 25), (1 << 19, 3), (7, 5)])
-def test_exact_column_sums_across_blocks_and_folds(monkeypatch, rng, block_elements, fold_rows):
+@pytest.mark.parametrize("block_elements,fold_parts", [(8, 1 << 25), (1 << 19, 3), (7, 5)])
+def test_exact_column_sums_across_blocks_and_folds(monkeypatch, rng, block_elements, fold_parts):
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block_elements)
-    monkeypatch.setattr(core, "_FOLD_ROWS", fold_rows)
+    monkeypatch.setattr(core, "_FOLD_PARTS", fold_parts)
     # magnitudes drift between rows, so the bucket range grows both ways
     a = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-40, 40, size=(300, 1))
     a[100:120] = 0.0  # whole blocks of zeros
@@ -244,18 +244,30 @@ def test_exact_column_sums_across_blocks_and_folds(monkeypatch, rng, block_eleme
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
 @settings(max_examples=100, deadline=None)
-def test_column_sums_resume_over_blocks_of_any_size(seed, fold_rows, block_elements):
+def test_column_sums_resume_over_blocks_of_any_size(seed, fold_parts, block_elements):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-40, 40, size=(60, 1))
     cuts = np.sort(rng.integers(0, 61, size=int(rng.integers(0, 8))))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_FOLD_ROWS", fold_rows)
+        mp.setattr(core, "_FOLD_PARTS", fold_parts)
         mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
         sums = core._ColumnSums(3)
         for lo, hi in zip([0, *cuts], [*cuts, 60]):
             sums.add(a[lo:hi])
-            assert sums.pending <= fold_rows  # bucket sums stay exact in float64
+            assert sums.pending <= fold_parts  # bucket sums stay exact in int64
             assert_same_bits(sums.result(), fsum_columns(a[:hi]))  # and adding goes on
+
+
+@pytest.mark.parametrize("e", [-1000, -30, 0, 52, 1000])
+def test_an_int64_bucket_holds_fold_parts_of_the_largest_level(monkeypatch, e):
+    # A part of 4 rows has level unit 2**(e - 51), and 4 rows just below 2**e
+    # each round up to 2**51 units, so every part's first level sums to
+    # 2**53 units, the most a level holds: 1024 such parts overflow int64.
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)
+    a = np.full((4 * 1024, 1), np.nextafter(2.0**e, 0.0))
+    sums = core._ColumnSums(1)
+    sums.add(a)
+    assert_same_bits(sums.result(), fsum_columns(a))
 
 
 def test_exact_column_sums_overflow():

@@ -277,3 +277,13 @@ def test_the_simulator_refuses_rows_that_do_not_pair(rng):
         simulate_accuracy(clean, rng.normal(size=(10, 3)), 0.5, rule, 10)
     with pytest.raises(InputError, match="masks"):
         simulate_accuracy(clean, clean[:4], 0.5, rule, 10)
+
+
+@pytest.mark.parametrize("clean,poisoned,error,match", [
+    (np.empty((0, 2)), np.ones((3, 5)), InputError, "nonempty"),
+    (np.ones((3, 5)), np.ones((4, 2)), DimensionMismatchError, "different dimensions: 5 vs 2"),
+    (np.ones(3), 2.0, InputError, "nonempty"),
+], ids=["empty-side", "other-dimensions", "scalar-side"])
+def test_the_rule_reads_rows_as_compute_bound_does(clean, poisoned, error, match):
+    with pytest.raises(error, match=match):
+        fixed_accuracy_rule(clean, poisoned, 0.5, 0.5)
