@@ -21,6 +21,7 @@ from .core import (
     SampleSet,
     _compatible_sets,
     _sample_rows,
+    _vector_norm,
     ball_stats,
     clamp_unit,
     norms,
@@ -113,7 +114,7 @@ def compute_bound(pos: SampleSet, neg: SampleSet, conditions: Conditions) -> Bou
 
     pool_radius = max(pos.max_norm, neg.max_norm)
     with np.errstate(over="ignore"):
-        mean_gap = float(norms((pos.mean - neg.mean).reshape(1, -1), pos.norm)[0])
+        mean_gap = _vector_norm(pos.mean - neg.mean, pos.norm)
     if not math.isfinite(mean_gap):
         raise InputError(f"the {pos.norm.value} gap between the sample means overflows float64")
 

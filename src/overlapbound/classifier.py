@@ -415,8 +415,11 @@ def iterative_scores_batch(
     |s| <= j/k2, then scores the queries' scores. Clamped scores are
     nonnegative, so those balls are the predicates score <= j/k2, and the
     result equals the pooled bound between each query's score and the
-    samples' scores. ``in_class`` is rows, not a SampleSet; rows whose norms
-    overflow float64 are an InputError, "sample <norm> norms overflow float64".
+    samples' scores. ``in_class`` is the rows the scorer was fitted on, not a
+    SampleSet: norms that overflow float64 are an InputError, and a mean other
+    than the scorer's (a correctly rounded sum over n, the same bits on every
+    platform) a DimensionMismatchError. Rows with the same mean, such as a
+    permutation, are scored.
     """
     rows = _sample_rows(in_class)
     _require_finite(rows)
@@ -427,12 +430,10 @@ def iterative_scores_batch(
     k2 = scorer.k if k2 is None else k2
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
-    try:
-        first = scorer.clamped_scores(rows)
-    except InputError:  # the rows are finite, so a norm or a gap to the mean overflows
-        with np.errstate(over="ignore"):
-            if np.isinf(norms(rows, scorer.norm)).any():
-                raise InputError(f"sample {scorer.norm.value} norms overflow float64") from None
-        raise
+    mean = _sample_statistics(rows, scorer.norm).mean
+    first = scorer.clamped_scores(rows)  # the norms fit, so an overflow names the query
+    if mean.tobytes() != scorer.mean.tobytes():
+        raise DimensionMismatchError("fit set is not the data the model was fitted on: "
+                                     "its mean differs from the model's")
     second = fit(first, norm=NormKind.L2, radii=[j / k2 for j in range(1, k2 + 1)])
     return second.raw_scores(scorer.clamped_scores(queries))

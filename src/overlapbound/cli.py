@@ -193,7 +193,11 @@ def _score_command(args) -> None:
         if not args.fit_data:
             raise InputError("--iterative needs --fit-data (the model stores no samples)")
         fit_rows = dataio._read_finite_samples(args.fit_data)
-        columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_rows, queries, k2=args.k2)
+        try:
+            columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_rows, queries,
+                                                                     k2=args.k2)
+        except DimensionMismatchError as exc:  # the rows do not fit the model: name the file
+            raise DimensionMismatchError(f"{args.fit_data}: {exc}") from None
     if threshold is not None:
         decide_on = columns.get("iterative", raw).tolist()
         columns["verdict"] = ["in" if s >= threshold else "out" for s in decide_on]

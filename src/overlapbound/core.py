@@ -19,7 +19,8 @@ class InputError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    """Inputs that must agree on dimension or norm choice do not."""
+    """Inputs that must agree on dimension or norm choice do not, or data
+    that must be the rows a model was fitted on has other statistics."""
 
 
 class DegenerateDomainError(ValueError):
@@ -76,18 +77,14 @@ def norms(points: np.ndarray, kind: NormKind) -> np.ndarray:
 
 def _vector_norm(v: np.ndarray, kind: NormKind) -> float:
     """The norm of one 1-D float64 vector as a float, bitwise
-    ``norms(v[None], kind)[0]`` without building a 2-D array."""
-    if kind is NormKind.L1:
-        return float(np.abs(v, order="C").sum())
-    if kind is NormKind.L2:
-        # v.dot(v) of a contiguous vector runs the dot loop that np.vecdot
-        # runs per row; a strided vector is copied first, as in ``norms``.
-        if v.strides[0] != v.itemsize:
-            v = np.ascontiguousarray(v)
-        return math.sqrt(v.dot(v))
-    if kind is NormKind.LINF:
-        return float(np.abs(v, order="C").max())
-    raise _not_a_norm(kind)
+    ``norms(v[None], kind)[0]``; an l2 norm builds no 2-D array."""
+    if kind is not NormKind.L2:
+        return float(norms(v[None], kind)[0])
+    # v.dot(v) of a contiguous vector runs the dot loop that np.vecdot runs
+    # per row; a strided vector is copied first, as in ``norms``.
+    if v.strides[0] != v.itemsize:
+        v = np.ascontiguousarray(v)
+    return math.sqrt(v.dot(v))
 
 
 def freeze(obj, **fields) -> None:
@@ -573,8 +570,11 @@ def clamp_unit(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def require_compatible(a: SampleSet, b: SampleSet) -> None:
-    """Two sample sets that feed one computation must agree on d and norm."""
+def _compatible_sets(a, b) -> tuple[SampleSet, SampleSet]:
+    """The two inputs of one computation as SampleSets that agree on d and
+    norm: a SampleSet as it is, rows read in l2 as ``SampleSet(rows)`` reads
+    them. Sets that disagree are a DimensionMismatchError."""
+    a, b = (s if isinstance(s, SampleSet) else SampleSet(s) for s in (a, b))
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"sample sets have different dimensions: {a.dimension} vs {b.dimension}"
@@ -583,14 +583,7 @@ def require_compatible(a: SampleSet, b: SampleSet) -> None:
         raise DimensionMismatchError(
             f"sample sets carry different norms: {a.norm.value} vs {b.norm.value}"
         )
-
-
-def _compatible_sets(a, b) -> tuple[SampleSet, SampleSet]:
-    """The two inputs of one computation as SampleSets that agree on d and
-    norm: a SampleSet as it is, rows read in l2 as ``SampleSet(rows)`` reads them."""
-    sets = tuple(s if isinstance(s, SampleSet) else SampleSet(s) for s in (a, b))
-    require_compatible(*sets)
-    return sets
+    return a, b
 
 
 Conditions = Sequence[ConditionFunction]

@@ -223,6 +223,46 @@ def test_iterative_fit_rows_that_overflow(kind, fitted, rows, message):
         iterative_scores_batch(s, rows, [[1.0, 1.0]])
 
 
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_iterative_refuses_rows_the_model_was_not_fitted_on(kind):
+    X = np.random.default_rng(25).normal(size=(40, 3))
+    s = fit(X, k=6, norm=kind)
+    queries = np.array([[0.1, 0.2, -0.3], [3.0, -2.0, 1.0]])
+    assert np.isfinite(iterative_scores_batch(s, X, queries)).all()
+    for other in (-X, X[:-1], X + 1):
+        with pytest.raises(DimensionMismatchError, match="not the data the model was fitted on"):
+            iterative_scores_batch(s, other, queries)
+
+
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_iterative_takes_its_fit_rows_whatever_the_last_bits_of_the_models_norms(kind):
+    # a model fitted under another BLAS may hold other last bits of its l2
+    # norms; only the mean, the same bits everywhere, decides the refusal
+    X = np.random.default_rng(26).normal(size=(40, 3))
+    s = fit(X, k=6, norm=kind)
+    up = FittedScorer(norm=kind, mean=s.mean, fit_radius=np.nextafter(s.fit_radius, np.inf),
+                      radii=s.radii, accept_rates=s.accept_rates,
+                      region_radii=np.nextafter(s.region_radii, 0.0))
+    queries = np.array([[0.1, 0.2, -0.3], [3.0, -2.0, 1.0]])
+    np.testing.assert_allclose(iterative_scores_batch(up, X, queries),
+                               iterative_scores_batch(s, X, queries), rtol=0, atol=1e-12)
+
+
+@given(st.data(), st.sampled_from(ALL_NORMS), st.integers(1, 8), st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_iterative_scores_of_permuted_fit_rows_are_bitwise_equal(data, kind, k, k2):
+    # a permutation keeps every statistic the model holds, so it is scored,
+    # and its first-pass scores are the same ones in another order
+    seeded = st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).normal(size=(30, 4)) * 1e3)
+    rows = data.draw(repeated_rows() | seeded)
+    order = data.draw(st.permutations(range(len(rows))))
+    s = fit(rows, k=k, norm=kind)
+    queries = np.vstack([rows[::-1] * 1.5, np.zeros((1, rows.shape[1]))])
+    want = iterative_scores_batch(s, rows, queries, k2=k2)
+    assert iterative_scores_batch(s, rows[order], queries, k2=k2).tobytes() == want.tobytes()
+
+
 def test_iterative_1d_fit_data_is_a_column():
     s = fit([[0.2], [1.0], [0.7]], k=3)
     queries = [[0.5], [2.0]]

@@ -285,6 +285,23 @@ def test_iterative_bad_fit_data_exit_2(tmp_path, capsys, rows, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def test_iterative_fit_data_other_than_the_models_exit_3(tmp_path, capsys, rng):
+    train, other = tmp_path / "train.csv", tmp_path / "other.csv"
+    queries, model, scores = tmp_path / "q.csv", tmp_path / "model.json", tmp_path / "scores.csv"
+    write_csv(train, rng.normal(size=(30, 2)))
+    write_csv(other, rng.normal(size=(30, 2)))
+    write_csv(queries, rng.normal(size=(5, 2)))
+    assert run_cli(capsys, "fit", str(train), "--k", "5", "--out", str(model))[0] == 0
+    argv = ["score", str(model), str(queries), "--iterative", "--scores-out", str(scores)]
+    assert run_cli(capsys, *argv, "--fit-data", str(train))[0] == 0
+    scores.unlink()
+    code, out, err = run_cli(capsys, *argv, "--fit-data", str(other))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {other}: ") and err.count("\n") == 1
+    assert "not the data the model was fitted on" in err
+    assert not scores.exists()
+
+
 def test_iterative_reads_fit_data_without_a_sample_set(tmp_path, capsys, monkeypatch, rng):
     data, model = tmp_path / "fit.csv", tmp_path / "model.json"
     rows = rng.normal(size=(30, 3))
@@ -428,6 +445,13 @@ def test_eval_labels_of_two_columns_exit_2(tmp_path, capsys):
     labels.write_text("1,0\n0,1\n")
     code, out, err = run_cli(capsys, "eval", str(scores), "--labels", str(labels))
     assert (code, out, err) == (2, "", f"error: {labels}: expected a single label column, got 2\n")
+
+
+def test_eval_of_three_columns_exit_2(tmp_path, capsys):
+    scored = tmp_path / "scored.csv"
+    scored.write_text("0.9,1,0\n0.1,0,1\n")
+    code, out, err = run_cli(capsys, "eval", str(scored))
+    assert (code, out, err) == (2, "", f"error: {scored}: expected two columns (score, label), got 3\n")
 
 
 def test_eval_single_class_exit_4(tmp_path, capsys):

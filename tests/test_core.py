@@ -172,6 +172,12 @@ def test_sample_set_1d_input_is_column():
     assert ss.sorted_norms.tolist() == [0.2, 1.0]
 
 
+def test_make_sample_set_returns_a_set_in_its_own_norm_itself():
+    ss = SampleSet([[1.0, 2.0], [0.5, 0.0]], NormKind.L1)
+    assert make_sample_set(ss) is ss
+    assert make_sample_set(ss, "l1") is ss
+
+
 def test_indicator_vectorized_matches_scalar(rng):
     X = rng.normal(size=(50, 3))
     for kind in ALL_NORMS:

@@ -360,6 +360,16 @@ def test_subset_bound_on_a_shared_joint_equals_the_per_call_form(pair, data, kin
         assert subset_bound(joint, subset, kind, use_domain) == want
 
 
+def test_one_dimensional_points_are_a_column():
+    column = DiscreteDistribution([[0.0], [2.0], [-1.0]], [0.5, 0.25, 0.25])
+    for d in (DiscreteDistribution([0.0, 2.0, -1.0], [0.5, 0.25, 0.25]),
+              DiscreteDistribution.from_json_dict(
+                  {"dimension": 1, "points": [0.0, 2.0, -1.0], "masses": [0.5, 0.25, 0.25]})):
+        assert d.dimension == 1
+        assert d.points.tobytes() == column.points.tobytes()
+        assert d.mean().tobytes() == column.mean().tobytes()
+
+
 def test_json_round_trip(tmp_path):
     doc = {"dimension": 2, "points": [[0.0, 1.0], [1.0, 0.0]], "masses": [0.25, 0.75]}
     path = tmp_path / "dist.json"
