@@ -431,9 +431,9 @@ def iterative_scores_batch(
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
     mean = _sample_statistics(rows, scorer.norm).mean
-    first = scorer.clamped_scores(rows)  # the norms fit, so an overflow names the query
     if mean.tobytes() != scorer.mean.tobytes():
         raise DimensionMismatchError("fit set is not the data the model was fitted on: "
                                      "its mean differs from the model's")
+    first = scorer.clamped_scores(rows)  # the norms fit, so an overflow names the query
     second = fit(first, norm=NormKind.L2, radii=[j / k2 for j in range(1, k2 + 1)])
     return second.raw_scores(scorer.clamped_scores(queries))

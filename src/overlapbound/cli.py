@@ -31,6 +31,7 @@ from .core import (
     NormKind,
     RadiusFamily,
     RadiusIndicator,
+    _require_finite,
     exact_mean,
 )
 
@@ -192,7 +193,8 @@ def _score_command(args) -> None:
     if args.iterative:
         if not args.fit_data:
             raise InputError("--iterative needs --fit-data (the model stores no samples)")
-        fit_rows = dataio._read_finite_samples(args.fit_data)
+        fit_rows = dataio.read_sample_array(args.fit_data)
+        _require_finite(fit_rows, f"{args.fit_data}: non-finite sample values")
         try:
             columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_rows, queries,
                                                                      k2=args.k2)

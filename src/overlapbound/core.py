@@ -407,40 +407,46 @@ class _RowStatistics(NamedTuple):
     mean: np.ndarray
 
 
-def _walk_statistics(blocks, n: int, kind: NormKind, sums: _ColumnSums, message: str):
-    """The ``_RowStatistics`` of n rows fed in ``blocks``. A block's one min
-    and one max serve both as the finiteness check and as the top of its
-    first extraction level; its column sums go to ``sums`` and its norms into
-    one n-vector, sorted in place at the end, so the extra memory is that
-    n-vector plus fixed block scratch. Raises InputError with ``message`` for
-    non-finite entries, then for a norm that overflows float64, then for a
-    column sum that does."""
-    sorted_norms, lo = np.empty(n), 0
+def _walk_statistics(blocks, n: int | None, kind: NormKind, message: str, sums=None):
+    """The ``_RowStatistics`` of the n rows (None: as many as come) fed in
+    ``blocks``. A block's one min and one max serve as the finiteness check
+    and as the top of its first extraction level; its column sums go to
+    ``sums`` (None: exact ``_ColumnSums``) and its norms into one n-vector,
+    joined from the blocks' parts once if n is None, and sorted in place.
+    Raises InputError with ``message`` for non-finite entries, then for a
+    norm that overflows float64, then for a column sum that does."""
+    sorted_norms, parts, lo = None if n is None else np.empty(n), [], 0
     for block in blocks:
         top = _top(block)
         if not math.isfinite(top):
             raise InputError(message)
+        sums = sums or _ColumnSums(block.shape[1])
         sums.add(block, top)
         with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
-            sorted_norms[lo:lo + len(block)] = norms(block, kind)
+            if sorted_norms is None:
+                parts.append(norms(block, kind))
+            else:
+                sorted_norms[lo:lo + len(block)] = norms(block, kind)
         lo += len(block)
+    if sorted_norms is None:
+        sorted_norms = np.concatenate(parts)
     sorted_norms.sort()
     max_norm = float(sorted_norms[-1])
     if not math.isfinite(max_norm):
         raise InputError(f"sample {kind.value} norms overflow float64")
-    return _RowStatistics(sorted_norms, max_norm, sums.result() / n)
+    return _RowStatistics(sorted_norms, max_norm, sums.result() / lo)
 
 
-def _sample_statistics(a: np.ndarray, kind: NormKind,
-                       message: str = "sample array has non-finite entries") -> _RowStatistics:
+def _sample_statistics(a: np.ndarray, kind: NormKind) -> _RowStatistics:
     """The statistics of a ``_sample_rows`` array, walked in blocks of about
     ``_BLOCK_ELEMENTS`` values (see ``_walk_statistics``)."""
     if not isinstance(kind, NormKind):  # non-finite entries are reported first
-        _require_finite(a, message)
+        _require_finite(a)
         raise _not_a_norm(kind)
     rows = _block_rows(a.shape[1])
     blocks = (a[lo:lo + rows] for lo in range(0, a.shape[0], rows))
-    return _walk_statistics(blocks, a.shape[0], kind, _CertifiedSums(a), message)
+    return _walk_statistics(blocks, len(a), kind, "sample array has non-finite entries",
+                            _CertifiedSums(a))
 
 
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:

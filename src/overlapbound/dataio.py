@@ -1,28 +1,22 @@
 """Reading and writing sample files: CSV and the packed binary format.
 
-CSV holds one numeric row per sample; a first row with no numeric cell is a header.
-The binary format is for large batches: magic ``OVLB``, a uint32 version,
-uint64 row and column counts, then row-major little-endian float64 data.
-"""
+CSV holds one numeric row per sample; a first row with no numeric cell is a
+header. The binary format is for large batches: magic ``OVLB``, a uint32
+version, uint64 row and column counts, then row-major little-endian float64
+data. A file is opened once, and its rows are walked from the start, as often
+as asked, in blocks of about ``_BLOCK_ELEMENTS`` values."""
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import json
 import os
 import struct
 
 import numpy as np
 
-from .core import (
-    InputError,
-    NormKind,
-    SampleSet,
-    _block_rows,
-    _ColumnSums,
-    _require_finite,
-    _sample_statistics,
-    _walk_statistics,
-)
+from .core import InputError, NormKind, SampleSet, _block_rows, _walk_statistics
 
 BINARY_MAGIC = b"OVLB"
 BINARY_VERSION = 1
@@ -48,50 +42,105 @@ def write_samples_binary(path, samples) -> None:
             fh.write(np.ascontiguousarray(a[lo:lo + rows], dtype="<f8"))
 
 
-def _read_samples_binary(path, norm: NormKind | None = None):
-    """An OVLB file's (n, d) array or, given a norm, only the statistics a
-    SampleSet keeps (``_RowStatistics``).
-
-    Statistics come from blocks of about ``_BLOCK_ELEMENTS`` values read into
-    one reused buffer and fed to ``_walk_statistics``, as an in-memory array's
-    are, so no more than a block of rows is in memory at a time. The file is
-    read once, so its column sums go to the exact ``_ColumnSums``. A payload
-    of other than n·d float64 values, or a non-finite value, is an InputError
-    naming the file.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise InputError(f"{path}: truncated binary header")
-        magic, version, n, d = _HEADER.unpack(head)
-        if magic != BINARY_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}")
-        if version != BINARY_VERSION:
-            raise InputError(f"{path}: unsupported binary version {version}")
-        if n * d == 0:
-            raise InputError(f"{path}: no data values ({n} rows, {d} columns)")
-        # check the size before reading, so a corrupt header cannot ask numpy
-        # for more memory than the file holds, and no data goes unread
-        found, stray = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, 8)
-        if (found, stray) != (n * d, 0):
-            tail = f" and {stray} stray bytes" if stray and found >= n * d else ""
-            raise InputError(f"{path}: expected {n * d} float64 values, found {found}{tail}")
-        blocks = _read_blocks(fh, path, n, d, n if norm is None else min(n, _block_rows(d)))
-        if norm is None:  # the whole array, read as one block
-            return next(blocks)
-        return _walk_statistics(blocks, n, norm, _ColumnSums(d), f"{path}: non-finite sample values")
+def _read_file(path, walk):
+    """``walk(blocks, n)`` for a sample file, opened once: OVLB if it starts
+    with the magic, else CSV, whose n is None. ``blocks()`` walks its rows."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read file: {exc}") from exc
+    with fh:
+        if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
+            return _read_samples_binary(path, fh, walk)
+        return walk(_CsvSource(path, fh).blocks, None)
 
 
-def _read_blocks(fh, path, n: int, d: int, rows: int):
-    """Yield the file's n rows of width d, ``rows`` at a time, in one buffer."""
-    buffer = np.empty((rows, d), dtype="<f8")
-    for lo in range(0, n, rows):
-        block = buffer[:n - lo]
-        got = fh.readinto(block)
-        if got != block.nbytes:  # the file shrank after the size check
-            raise InputError(f"{path}: expected {n * d} float64 values, "
-                             f"found {(lo * d * 8 + got) // 8}")
-        yield block
+def _read_samples_binary(path, fh, walk):
+    """``walk(blocks, n)`` for an OVLB file open as ``fh``, past its magic.
+    A payload of other than n·d float64 values is an InputError naming the
+    file, found before any is read, so a corrupt header cannot ask numpy for
+    more memory than the file holds."""
+    head = BINARY_MAGIC + fh.read(_HEADER.size - len(BINARY_MAGIC))
+    if len(head) < _HEADER.size:
+        raise InputError(f"{path}: truncated binary header")
+    _, version, n, d = _HEADER.unpack(head)
+    if version != BINARY_VERSION:
+        raise InputError(f"{path}: unsupported binary version {version}")
+    if n * d == 0:
+        raise InputError(f"{path}: no data values ({n} rows, {d} columns)")
+    found, stray = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, 8)
+    if (found, stray) != (n * d, 0):
+        tail = f" and {stray} stray bytes" if stray and found >= n * d else ""
+        raise InputError(f"{path}: expected {n * d} float64 values, found {found}{tail}")
+
+    def blocks(rows: int = min(n, _block_rows(d))):
+        """The rows, ``rows`` at a time, read into one reused buffer."""
+        buffer = np.empty((rows, d), dtype="<f8")
+        fh.seek(_HEADER.size)
+        for lo in range(0, n, rows):
+            block = buffer[:n - lo]
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank after the size check
+                raise InputError(f"{path}: expected {n * d} float64 values, found {lo * d + got // 8}")
+            yield block
+
+    return walk(blocks, n)
+
+
+class _CsvSource:
+    """A CSV file's lines, ends kept, as ``str.splitlines`` splits the whole
+    text: reads of ``8 * _BLOCK_ELEMENTS`` bytes (more for a longer line) go
+    through an incremental ``utf-8-sig`` decoder, and each read's last line
+    waits for the next (a CRLF pair may be split). A walk learns the width d
+    from the first non-blank line, a header if no cell of it is a number."""
+
+    def __init__(self, path, fh) -> None:
+        self.path, self.fh = path, fh
+
+    def _start(self) -> None:
+        """Go to the first data line from the file's start, and set d."""
+        self.fh.seek(0)
+        self.decoder = codecs.getincrementaldecoder("utf-8-sig")()
+        self.lines, self.at, self.tail, self.done, self.eof, self.d = [], 0, "", 0, False, 0
+        while line := self.take(1):
+            if line[0].strip():
+                cells = line[0].split(",")
+                if self.d or any(_is_number(c.strip()) for c in cells):  # data: take it again
+                    self.d, self.at = self.d or len(cells), self.at - 1
+                    return
+                self.d = len(cells)  # a header
+        raise InputError(f"{self.path}: no data rows")
+
+    def take(self, m: int) -> list[str]:
+        """The next m lines or fewer, all of one read; [] at the end."""
+        while self.at == len(self.lines) and not self.eof:  # read on, dropping the lines read
+            self.done, self.lines = self.done + len(self.lines), []
+            try:
+                data = self.fh.read(max(8 * _block_rows(1), len(self.tail)))
+                self.eof = not data
+                try:
+                    text = self.tail + self.decoder.decode(data, final=self.eof)
+                    if self.eof:  # the decoder holds part of a byte-order mark back
+                        codecs.utf_8_decode(self.decoder.getstate()[0], "strict", True)
+                except UnicodeDecodeError:
+                    self.fh.seek(0)
+                    self.fh.read().decode("utf-8-sig")  # raises it again, placed in the file
+                    raise
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"{self.path}: cannot read file: {exc}") from exc
+            del data
+            self.lines, self.at = text.splitlines(True), 0
+            self.tail = self.lines.pop() if self.lines and not self.eof else ""
+        lines = self.lines[self.at:self.at + m]
+        self.at += len(lines)
+        return lines
+
+    def blocks(self):
+        """The rows from the start, at most ``_block_rows(d)`` lines of one read at a time."""
+        self.d = 0  # the walk starts in its first _parse_csv_rows call
+        while not (self.d and self.eof and self.at == len(self.lines)):
+            if len(block := _parse_csv_rows(self.path, self)):
+                yield block
 
 
 def read_json(path, what: str):
@@ -111,95 +160,60 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _parse_csv_rows(path) -> np.ndarray:
-    """A CSV file's rows, tried first with numpy's C reader.
-
-    The header rule is applied to the first non-blank line, and the data
-    lines go to ``np.loadtxt``. Its result is kept only when it has one row
-    per data line and the first line's width; anything else, including a
-    cell numpy refuses but ``float`` reads (``1_0``), goes to the per-cell
-    parser, which owns the grammar and every error message.
-    """
-    try:  # decoded whole: a text-mode read takes a file holding part of a byte-order mark as empty
-        with open(path, "rb") as fh:
-            lines = fh.read().decode("utf-8-sig").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: cannot read file: {exc}") from exc
-    data = [line for line in lines if line.strip()]
-    if data:
-        first = data[0].split(",")
-        if not any(_is_number(c.strip()) for c in first):
-            del data[0]  # a header
-        if data:  # numpy warns on no data
-            try:
-                array = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-            except ValueError:
-                pass
-            else:
-                if array.shape == (len(data), len(first)):
-                    return array
-    return _parse_csv_cells(path, lines)
+def _parse_csv_rows(path, lines: _CsvSource) -> np.ndarray:
+    """The next rows of a CSV file, from at most ``_block_rows(d)`` lines of
+    one read, decoded in this call. numpy's C reader is kept only when it
+    gives one row of d per data line; anything else, such as ``1_0``, goes
+    to the per-cell parser, which owns the grammar and every error message."""
+    if not lines.d:
+        lines._start()
+    start, width = lines.done + lines.at + 1, lines.d
+    block = lines.take(_block_rows(width))
+    data = list(filter(str.strip, block))  # blank lines are skipped
+    if not data:  # numpy warns on no data
+        return np.empty((0, width))
+    with contextlib.suppress(ValueError):
+        array = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        if array.shape == (len(data), width):
+            return array
+    try:
+        return _parse_csv_cells(path, block, start, width)
+    except InputError:  # a bad byte further on comes first, as in a whole-file decode
+        while lines.take(len(block)):
+            pass
+        raise
 
 
-def _parse_csv_cells(path, lines: list[str]) -> np.ndarray:
-    """The decoded lines of a CSV file, parsed one cell at a time with
+def _parse_csv_cells(path, lines: list[str], start: int, width: int) -> np.ndarray:
+    """CSV lines numbered from ``start``, parsed one cell at a time with
     ``float``; the source of the CSV grammar and of its errors."""
     rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start):
         if not line.strip():
             continue
         cells = [c.strip() for c in line.split(",")]  # float() refuses U+001F; strip drops it
         try:
             row = [float(c) for c in cells]
         except ValueError:
-            numeric = list(map(_is_number, cells))
-            if width is None and not any(numeric):
-                width = len(cells)  # a header: the first row, with no numeric cell
-                continue
-            col = numeric.index(False)
+            col = list(map(_is_number, cells)).index(False)
             raise InputError(f"{path}:{lineno}:{col + 1}: not a number: {cells[col]!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise InputError(f"{path}:{lineno}:1: row has {len(row)} columns, expected {width}")
         rows.append(row)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def read_sample_array(path) -> np.ndarray:
-    """Load a (n, d) sample array from CSV or the binary format."""
-    if _is_binary(path):
-        return _read_samples_binary(path)
-    return _parse_csv_rows(path)
-
-
-def _is_binary(path) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(4) == BINARY_MAGIC
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read file: {exc}") from exc
-
-
-def _read_finite_samples(path) -> np.ndarray:
-    """``read_sample_array``, refusing non-finite values."""
-    array = read_sample_array(path)
-    _require_finite(array, f"{path}: non-finite sample values")
-    return array
+    """A sample file's (n, d) array from one walk of its blocks: an OVLB
+    file's rows are read as one block, a CSV file's blocks joined once."""
+    return _read_file(path, lambda blocks, n: next(blocks(n)) if n else np.concatenate(list(blocks())))
 
 
 def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
-    """A sample file's SampleSet: an OVLB file is read in blocks and never
-    held whole, and a CSV file is parsed whole and its rows dropped once the
-    statistics are taken."""
-    if _is_binary(path):
-        stats = _read_samples_binary(path, norm)
-    else:
-        stats = _sample_statistics(_parse_csv_rows(path), norm, f"{path}: non-finite sample values")
-    return SampleSet(stats, norm)
+    """A sample file's SampleSet from one walk of its blocks, each dropped
+    once its statistics are taken: the file is never held whole."""
+    return SampleSet(_read_file(path, lambda blocks, n: _walk_statistics(
+        blocks(), n, norm, f"{path}: non-finite sample values")), norm)
 
 
 def _binary_labels(column: np.ndarray, path) -> np.ndarray:

@@ -211,15 +211,23 @@ def test_iterative_fit_data_errors(fit_data, error, message):
         iterative_scores_batch(s, fit_data, [[1.0, 1.0, 1.0]])
 
 
+_GAPS_OVERFLOW = [[1.7e308, 0.0], [-1.7e308, 0.0], [-1.7e308, 0.0]]
+
+
 @pytest.mark.parametrize("kind, fitted, rows, message", [
     (NormKind.L2, [[1.0, 0.0]], [[1e200, 1.0], [1.0, 2.0]], "sample l2 norms overflow float64"),
     (NormKind.L1, [[1.0, 0.0]], [[1e308, 1e308]], "sample l1 norms overflow float64"),
-    # the norm fits and the gap to the mean does not: the first pass names the query
-    (NormKind.LINF, [[-1.5e308, 0.0]], [[1.5e308, 0.0]], "query linf norms overflow float64"),
+    # the fitted rows: the norms fit and a gap to the mean does not, and the
+    # first pass names the query
+    (NormKind.LINF, _GAPS_OVERFLOW, _GAPS_OVERFLOW, "query linf norms overflow float64"),
+    # the means are compared before any row is scored: a gap that would
+    # overflow does not hide rows that are not the fitted ones
+    (NormKind.LINF, [[-1.5e308, 0.0]], [[1.5e308, 0.0]], "not the data the model was fitted on"),
 ])
 def test_iterative_fit_rows_that_overflow(kind, fitted, rows, message):
     s = fit(fitted, k=3, norm=kind)
-    with pytest.raises(InputError, match=message):
+    error = DimensionMismatchError if "fitted on" in message else InputError
+    with pytest.raises(error, match=message):
         iterative_scores_batch(s, rows, [[1.0, 1.0]])
 
 

@@ -327,6 +327,25 @@ def test_shift_simulate_beyond_memory_exit_2(capsys, worked_files):
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_ovlb_and_csv_fits_of_the_same_rows_equal_the_in_process_fit(tmp_path, capsys, monkeypatch,
+                                                                      norm):
+    # small blocks and reads, and centred columns, whose array sums fall back
+    # to exact sums of the remainders: both files stream, and every model is
+    # the same bytes
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 64)
+    a = np.random.default_rng(2022).standard_normal((600, 16))
+    a[:, :8] -= a[:, :8].mean(axis=0)
+    binary, text = tmp_path / "rows.ovlb", tmp_path / "rows.csv"
+    write_samples_binary(binary, a)
+    text.write_text("".join(",".join(map(repr, row)) + "\n" for row in a.tolist()))
+    want = fit(a, k=9, norm=norm).to_json_text() + "\n"
+    for path in (binary, text):
+        model = tmp_path / f"{path.suffix[1:]}-model.json"
+        assert run_cli(capsys, "fit", str(path), "--k", "9", "--norm", norm, "--out", str(model))[0] == 0
+        assert model.read_text() == want
+
+
 @pytest.mark.parametrize("n", [2**60, 2**62, 2**70])
 def test_shift_simulate_beyond_any_array_size_exit_2(capsys, worked_files, n):
     # numpy refuses such a size with a ValueError, not a MemoryError

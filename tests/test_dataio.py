@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapbound import InputError, NormKind, RadiusIndicator, SampleSet, compute_bound, core, dataio, fit
+from overlapbound.cli import main
+from overlapbound.core import _require_finite
 from overlapbound.dataio import (
-    _parse_csv_rows,
-    _read_finite_samples,
     read_sample_array,
     read_samples,
     read_scores_and_labels,
@@ -142,6 +142,7 @@ _SHORTEST_REPR_CSV = "".join(
 
 @given(_csv_bytes())
 @example(content=b"")  # an empty file
+@example(content=b"\xef\xbb")  # part of a byte-order mark, and nothing after it
 @example(content=b"\xef\xbb\xbfx, y\r\n\n")  # only a header: numpy would warn of no data
 @example(content=b"1,2#x\n3,4\n")  # not a comment: numpy's default would drop "#x"
 @example(content=b"x,y\n1,2\n3,4\n")  # a header, then data
@@ -153,7 +154,37 @@ _SHORTEST_REPR_CSV = "".join(
 def test_csv_rows_equal_those_of_the_per_cell_parser(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(content)
-    assert _parse_outcome(_parse_csv_rows, path) == _parse_outcome(per_cell_csv_rows, path)
+    assert _parse_outcome(read_sample_array, path) == _parse_outcome(per_cell_csv_rows, path)
+
+
+@given(_csv_bytes(), st.integers(1, 12))
+@example(content=b"\xef\xbb", block_elements=1)
+@example(content="1,\u00e9\r\n2,3\r\n".encode(), block_elements=1)  # CRLF and U+00E9 across reads
+@example(content=b"\xef\xbb\xbf1,2\n" * 3 + b"x,3\n", block_elements=1)
+@settings(deadline=None)
+def test_csv_rows_read_in_small_blocks_equal_those_of_the_per_cell_parser(
+    tmp_path_factory, content, block_elements
+):
+    # reads of 8 bytes up: line ends, characters and byte-order marks are
+    # split between reads, and blocks hold a line or a few
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+        got = _parse_outcome(read_sample_array, path)
+    assert got == _parse_outcome(per_cell_csv_rows, path)
+
+
+def test_a_bad_byte_beyond_the_first_read_is_reported_at_its_place_in_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 2)  # reads of 16 bytes
+    path = tmp_path / "data.csv"
+    for content in (b"1,2\n" * 20 + b"3,\xff\n", b"1,x\n" + b"1,2\n" * 20 + b"\xff\n",
+                    b"\xef\xbb\xbf" + b"1,2\n" * 20 + b"\xe2\x82"):
+        path.write_bytes(content)
+        want = _parse_outcome(per_cell_csv_rows, path)
+        assert want.startswith(f"{path}: cannot read file: 'utf-8' codec can't decode")
+        for reader in (read_sample_array, read_samples):
+            assert _parse_outcome(reader, path) == want
 
 
 @pytest.mark.parametrize("content", [
@@ -170,10 +201,10 @@ def test_a_well_formed_csv_never_reaches_the_per_cell_parser(tmp_path, monkeypat
     monkeypatch.setattr(dataio, "_parse_csv_cells", lambda *a: entries.append(a) or per_cell(*a))
     path = tmp_path / "data.csv"
     path.write_bytes(content)
-    assert _parse_outcome(_parse_csv_rows, path) == _parse_outcome(per_cell_csv_rows, path)
+    assert _parse_outcome(read_sample_array, path) == _parse_outcome(per_cell_csv_rows, path)
     assert entries == []
     path.write_bytes(b"1_0\n2\n")  # read only by float(), so the per-cell parser is reached
-    assert _parse_csv_rows(path).tolist() == [[10.0], [2.0]]
+    assert read_sample_array(path).tolist() == [[10.0], [2.0]]
     assert len(entries) == 1
 
 
@@ -217,22 +248,28 @@ def test_scores_and_labels_two_files(tmp_path):
         read_scores_and_labels(s, l)
 
 
-def test_reading_and_checking_an_ovlb_file_makes_no_temporary(tmp_path, rng):
+def test_reading_and_checking_an_ovlb_file_makes_no_temporary(tmp_path, rng, capsys):
+    # the whole-array read and the finiteness check that score --iterative
+    # makes of its --fit-data file
     path = tmp_path / "data.ovlb"
     a = rng.normal(size=(20000, 32))
     write_samples_binary(path, a)
     tracemalloc.start()
     try:
-        got = _read_finite_samples(path)
+        got = read_sample_array(path)
+        _require_finite(got, f"{path}: non-finite sample values")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got.tobytes() == a.tobytes()
     assert peak <= 1.01 * a.nbytes, peak / a.nbytes
+    model, queries = tmp_path / "model.json", tmp_path / "queries.ovlb"
+    fit(a).save(model)
+    write_samples_binary(queries, a[:5])
     a[123, 4] = np.nan
     write_samples_binary(path, a)
-    with pytest.raises(InputError, match="data.ovlb: non-finite sample values"):
-        _read_finite_samples(path)
+    assert main(["score", str(model), str(queries), "--iterative", "--fit-data", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: non-finite sample values\n"
 
 
 def _traced_peak(call) -> int:
@@ -426,3 +463,52 @@ def test_a_set_read_from_statistics_refuses_what_needs_rows(tmp_path, rng):
         compute_bound(got, whole, [RadiusIndicator(1.0, NormKind.L1)])
     with pytest.raises(InputError, match="keeps only its statistics"):
         core.make_sample_set(got, "l1")
+
+
+def _csv_text(a) -> str:
+    return "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+
+
+def test_one_source_walked_twice_gives_the_same_blocks(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 16)  # many blocks and reads
+    a = rng.normal(size=(50, 3))
+    binary, text = tmp_path / "data.ovlb", tmp_path / "data.csv"
+    write_samples_binary(binary, a)
+    text.write_text("x,y,z\n" + _csv_text(a))
+
+    def walk_twice(blocks, n):
+        return [[block.tobytes() for block in blocks()] for _ in range(2)]
+
+    for path in (binary, text):
+        first, second = dataio._read_file(path, walk_twice)
+        assert first == second and b"".join(first) == a.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 128])
+def test_statistics_of_a_csv_file_add_at_most_16_bytes_of_peak_per_row(tmp_path, d):
+    # shortest-repr rows, more than one read even at 2e4 rows; they are read a
+    # block at a time, so only the norms grow with n: one n-vector of block
+    # parts and the n-vector they are joined into
+    lines = _csv_text(np.random.default_rng(7).normal(size=(1000, d)))
+    peaks = {}
+    for n in (20_000, 80_000):
+        path = tmp_path / f"{n}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([lines] * (n // 1000))
+        peaks[n] = _traced_peak(lambda: read_samples(path))
+        path.unlink()
+    per_row = (peaks[80_000] - peaks[20_000]) / 60_000
+    assert per_row <= 16, per_row
+
+
+def test_a_non_finite_value_is_reported_before_a_parse_error_in_a_later_block(tmp_path, monkeypatch):
+    # read_samples takes each block's statistics before it parses the next
+    # block, so the first faulty block gives the error; a whole-array read
+    # parses every block before any value is checked
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)  # reads of 32 bytes
+    path = tmp_path / "data.csv"
+    path.write_text("1,nan\n" + "1,2\n" * 20 + "3,x\n")
+    with pytest.raises(InputError, match=r"data.csv: non-finite sample values$"):
+        read_samples(path)
+    with pytest.raises(InputError, match=r"data.csv:22:2: not a number: 'x'$"):
+        read_sample_array(path)
