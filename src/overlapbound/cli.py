@@ -302,14 +302,12 @@ def cmd_oracle(args) -> None:
         for key, use_domain_radius in (("bound_domain_radius", True),
                                        ("bound_complement_radius", False)):
             try:
-                entry[key] = oracle.subset_bound(joint, mask, norm, use_domain_radius,
-                                                 support_norms=support)
+                entry[key] = oracle._subset_bound(joint, mask, support, norm, use_domain_radius)
             except DegenerateDomainError:
                 entry[key] = None
         per_radius.append(entry)
     try:
-        family_bound = oracle.indicator_bound(p, q, conditions, norm, joint=joint,
-                                              support_norms=support)
+        family_bound = oracle._indicator_bound(joint, support, conditions, norm)
     except DegenerateDomainError:
         family_bound = None
     _emit(

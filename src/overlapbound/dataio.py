@@ -1,17 +1,18 @@
 """Reading and writing sample files: CSV and the packed binary format.
 
 CSV holds one numeric row per sample; a first row with no numeric cell is a
-header. The binary format is for large batches: magic ``OVLB``, a uint32
-version, uint64 row and column counts, then row-major little-endian float64
-data. A file is opened once, and its rows are walked from the start, as often
-as asked, in blocks of about ``_BLOCK_ELEMENTS`` values."""
+header. It is UTF-8 (a leading byte-order mark is skipped), read in pieces cut
+after their last line break. The binary format is for large batches: magic
+``OVLB``, a uint32 version, uint64 row and column counts, then row-major
+little-endian float64 data. A file is opened once, and its rows are walked
+from the start, as often as asked, in blocks of about ``_BLOCK_ELEMENTS`` values."""
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -52,7 +53,13 @@ def _read_file(path, walk):
     with fh:
         if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
             return _read_samples_binary(path, fh, walk)
-        return walk(_CsvSource(path, fh).blocks, None)
+
+        def blocks():
+            source = _csv_lines(path, fh)
+            while (rows := _parse_csv_rows(path, source)).shape[1]:  # (0, 0) once spent
+                if len(rows):
+                    yield rows
+        return walk(blocks, None)
 
 
 def _read_samples_binary(path, fh, walk):
@@ -87,60 +94,45 @@ def _read_samples_binary(path, fh, walk):
     return walk(blocks, n)
 
 
-class _CsvSource:
+# Up to the last line break of ``str.splitlines`` in a read, if any: each is
+# a whole UTF-8 character, and a CR that ends the read is none (an LF may follow).
+_LAST_BREAK = re.compile(rb"(?s)(?:.*(?:[\n\v\f\x1c-\x1e]|\r(?!\Z)|\xc2\x85|\xe2\x80[\xa8\xa9]))?")
+
+
+def _csv_lines(path, fh):
     """A CSV file's lines, ends kept, as ``str.splitlines`` splits the whole
-    text: reads of ``8 * _BLOCK_ELEMENTS`` bytes (more for a longer line) go
-    through an incremental ``utf-8-sig`` decoder, and each read's last line
-    waits for the next (a CRLF pair may be split). A walk learns the width d
-    from the first non-blank line, a header if no cell of it is a number."""
-
-    def __init__(self, path, fh) -> None:
-        self.path, self.fh = path, fh
-
-    def _start(self) -> None:
-        """Go to the first data line from the file's start, and set d."""
-        self.fh.seek(0)
-        self.decoder = codecs.getincrementaldecoder("utf-8-sig")()
-        self.lines, self.at, self.tail, self.done, self.eof, self.d = [], 0, "", 0, False, 0
-        while line := self.take(1):
-            if line[0].strip():
-                cells = line[0].split(",")
-                if self.d or any(_is_number(c.strip()) for c in cells):  # data: take it again
-                    self.d, self.at = self.d or len(cells), self.at - 1
-                    return
-                self.d = len(cells)  # a header
-        raise InputError(f"{self.path}: no data rows")
-
-    def take(self, m: int) -> list[str]:
-        """The next m lines or fewer, all of one read; [] at the end."""
-        while self.at == len(self.lines) and not self.eof:  # read on, dropping the lines read
-            self.done, self.lines = self.done + len(self.lines), []
+    text, in blocks (first line number, d, lines) of at most ``_block_rows(d)``
+    lines of one read, cut after its last line break and decoded strictly
+    (``utf-8-sig`` before line 1). The first non-blank line sets d, and is
+    skipped, a header, if no cell of it is a number."""
+    fh.seek(0)
+    rest, lineno, d, found, eof = b"", 1, 0, False, False
+    while not eof:
+        try:
             try:
-                data = self.fh.read(max(8 * _block_rows(1), len(self.tail)))
-                self.eof = not data
-                try:
-                    text = self.tail + self.decoder.decode(data, final=self.eof)
-                    if self.eof:  # the decoder holds part of a byte-order mark back
-                        codecs.utf_8_decode(self.decoder.getstate()[0], "strict", True)
-                except UnicodeDecodeError:
-                    self.fh.seek(0)
-                    self.fh.read().decode("utf-8-sig")  # raises it again, placed in the file
-                    raise
-            except (OSError, UnicodeDecodeError) as exc:
-                raise InputError(f"{self.path}: cannot read file: {exc}") from exc
-            del data
-            self.lines, self.at = text.splitlines(True), 0
-            self.tail = self.lines.pop() if self.lines and not self.eof else ""
-        lines = self.lines[self.at:self.at + m]
-        self.at += len(lines)
-        return lines
-
-    def blocks(self):
-        """The rows from the start, at most ``_block_rows(d)`` lines of one read at a time."""
-        self.d = 0  # the walk starts in its first _parse_csv_rows call
-        while not (self.d and self.eof and self.at == len(self.lines)):
-            if len(block := _parse_csv_rows(self.path, self)):
-                yield block
+                piece = rest + fh.read(max(8 * _block_rows(1), len(rest)))
+                eof = len(piece) == len(rest)
+                cut = len(piece) if eof else _LAST_BREAK.match(piece).end()
+                rest, piece = piece[cut:], piece[:cut]
+                piece = piece.decode("utf-8-sig" if lineno == 1 else "utf-8")
+            except UnicodeDecodeError:
+                fh.seek(0)
+                fh.read().decode("utf-8-sig")  # raises it again, placed in the file
+                raise
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: cannot read file: {exc}") from exc
+        lines, at, piece = piece.splitlines(True), 0, None  # the text, dropped once split
+        while not found and at < len(lines):  # up to the first data line
+            if lines[at].strip():
+                cells = lines[at].split(",")
+                found = bool(d) or any(_is_number(c.strip()) for c in cells)  # else a header
+                d = d or len(cells)
+            at += not found
+        for lo in range(at, len(lines), _block_rows(d)):
+            yield lineno + lo, d, lines[lo:lo + _block_rows(d)]
+        lineno, lines = lineno + len(lines), None  # dropped before the next decode
+    if not found:
+        raise InputError(f"{path}: no data rows")
 
 
 def read_json(path, what: str):
@@ -160,15 +152,12 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _parse_csv_rows(path, lines: _CsvSource) -> np.ndarray:
-    """The next rows of a CSV file, from at most ``_block_rows(d)`` lines of
-    one read, decoded in this call. numpy's C reader is kept only when it
-    gives one row of d per data line; anything else, such as ``1_0``, goes
-    to the per-cell parser, which owns the grammar and every error message."""
-    if not lines.d:
-        lines._start()
-    start, width = lines.done + lines.at + 1, lines.d
-    block = lines.take(_block_rows(width))
+def _parse_csv_rows(path, source) -> np.ndarray:
+    """The rows of ``source``'s next block (see ``_csv_lines``), read and
+    decoded in this call; (0, 0) once it is spent. numpy's C reader is kept
+    only when it gives one row of d per data line; anything else, such as
+    ``1_0``, goes to the per-cell parser, which owns the grammar and errors."""
+    start, width, block = next(source, (1, 0, []))
     data = list(filter(str.strip, block))  # blank lines are skipped
     if not data:  # numpy warns on no data
         return np.empty((0, width))
@@ -179,7 +168,7 @@ def _parse_csv_rows(path, lines: _CsvSource) -> np.ndarray:
     try:
         return _parse_csv_cells(path, block, start, width)
     except InputError:  # a bad byte further on comes first, as in a whole-file decode
-        while lines.take(len(block)):
+        for _ in source:
             pass
         raise
 

@@ -218,8 +218,6 @@ def subset_bound(
     subset: SubsetSpec,
     norm: NormKind = NormKind.L2,
     use_domain_radius: bool = True,
-    *,
-    support_norms: np.ndarray | None = None,
 ) -> float:
     """Exact upper bound on the overlap built from one subset.
 
@@ -227,12 +225,13 @@ def subset_bound(
     on the subset, each scaled by max-norm radii taken exactly over the joint
     support. ``use_domain_radius`` selects the denominator: the max norm over
     the whole support (True) or over the subset's complement (False).
-    ``support_norms``, when given, must be ``joint.support_norms(norm)``, so
-    that a caller bounding many subsets of one joint computes them once.
     """
-    mask = joint.membership(subset)
-    if support_norms is None:
-        support_norms = joint.support_norms(norm)
+    return _subset_bound(joint, joint.membership(subset), joint.support_norms(norm), norm, use_domain_radius)
+
+
+def _subset_bound(joint: JointSupport, mask: np.ndarray, support_norms: np.ndarray,
+                  norm: NormKind, use_domain_radius: bool) -> float:
+    """``subset_bound`` from a mask over the joint and its ``support_norms(norm)``."""
     r_region = float(support_norms[mask].max(initial=0.0))
     denom_norms = support_norms if use_domain_radius else support_norms[~mask]
     r_denom = float(denom_norms.max(initial=0.0))
@@ -252,25 +251,22 @@ def indicator_bound(
     q: DiscreteDistribution,
     conditions: Sequence[ConditionFunction],
     norm: NormKind = NormKind.L2,
-    *,
-    joint: JointSupport | None = None,
-    support_norms: np.ndarray | None = None,
 ) -> float:
     """Exact upper bound on the overlap over a family of condition functions.
 
     Uses exact acceptance probabilities instead of the per-subset variation
     mass, taking the best (largest) separation term across the family.
-    ``joint`` and ``support_norms``, when given, must be
-    ``JointSupport.of(p, q)`` and its ``support_norms(norm)``, so that a
-    caller that holds them does not build them again. A ball in ``norm`` is
-    read off the support's norms.
+    A ball in ``norm`` is read off the support's norms.
     """
     if len(conditions) == 0:
         raise InputError("need at least one condition function")
-    if joint is None:
-        joint = JointSupport.of(p, q)
-    if support_norms is None:
-        support_norms = joint.support_norms(norm)
+    joint = JointSupport.of(p, q)
+    return _indicator_bound(joint, joint.support_norms(norm), conditions, norm)
+
+
+def _indicator_bound(joint: JointSupport, support_norms: np.ndarray,
+                     conditions: Sequence[ConditionFunction], norm: NormKind) -> float:
+    """``indicator_bound`` from ``JointSupport.of(p, q)`` and its ``support_norms(norm)``."""
     r_domain = float(support_norms.max())
     if r_domain == 0.0:
         raise DegenerateDomainError(
@@ -285,11 +281,6 @@ def indicator_bound(
         else:
             mask = joint.membership(g)
         r_region = float(support_norms[mask].max(initial=0.0))
-        rate_gap = abs(
-            math.fsum(joint.p_masses[mask].tolist())
-            - math.fsum(joint.q_masses[mask].tolist())
-        )
-        term = 0.5 * ((r_domain - r_region) / r_domain) * rate_gap
-        if term > best:
-            best = term
+        rates = [math.fsum(masses[mask].tolist()) for masses in (joint.p_masses, joint.q_masses)]
+        best = max(best, 0.5 * ((r_domain - r_region) / r_domain) * abs(rates[0] - rates[1]))
     return 1.0 - 0.5 * (mean_gap / r_domain) - best

@@ -512,3 +512,37 @@ def test_a_non_finite_value_is_reported_before_a_parse_error_in_a_later_block(tm
         read_samples(path)
     with pytest.raises(InputError, match=r"data.csv:22:2: not a number: 'x'$"):
         read_sample_array(path)
+
+
+@pytest.mark.parametrize("end", ["\x85", "\u2028", "\r"])
+def test_a_csv_file_without_lf_adds_at_most_16_bytes_of_peak_per_row(tmp_path, end):
+    # a read is cut after its last line break of any kind, so a file whose
+    # only breaks are NEL, LS or a lone CR is read a block at a time too.
+    # Both sizes take several full reads: at 2e4 rows an LS file (2-byte
+    # characters once decoded) peaks in its first read, before the walk's
+    # block scratch exists, and the difference would count that scratch
+    lines = _csv_text(np.random.default_rng(7).normal(size=(1000, 2))).replace("\n", end)
+    peaks = {}
+    for n in (40_000, 80_000):
+        path = tmp_path / f"{n}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([lines] * (n // 1000))
+        peaks[n] = _traced_peak(lambda: read_samples(path))
+        path.unlink()
+    per_row = (peaks[80_000] - peaks[40_000]) / 40_000
+    assert per_row <= 16, per_row
+
+
+@pytest.mark.parametrize("content, want", [
+    # the second read starts with U+FEFF, a bad cell and not a byte-order mark
+    (b"1,2\n" * 2 + b"\xef\xbb\xbf3,4\n", r"data.csv:3:1: not a number: '\\ufeff3'$"),
+    # the first read ends in the CR of a CRLF pair, which is one line break
+    (b"1,2,3,4\r\nx,2,3,4\r\n", r"data.csv:2:1: not a number: 'x'$"),
+], ids=["mark", "crlf"])
+def test_what_starts_or_ends_a_read_is_read_as_in_the_whole_file(tmp_path, monkeypatch, content, want):
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)  # reads of 8 bytes
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    for reader in (read_sample_array, read_samples, per_cell_csv_rows):
+        with pytest.raises(InputError, match=want):
+            reader(path)

@@ -75,6 +75,18 @@ def test_worked_pair_bounds(worked_pair):
     assert indicator_bound(p, q, [ball]) == pytest.approx(0.6, abs=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, q: indicator_bound(p, q, [RadiusIndicator(0.5)], joint=JointSupport.of(q, q)),
+    lambda p, q: indicator_bound(p, q, [RadiusIndicator(0.5)], support_norms=np.ones(2)),
+    lambda p, q: subset_bound(JointSupport.of(p, q), RadiusIndicator(0.5), support_norms=np.ones(2)),
+])
+def test_the_bounds_build_their_own_joint_and_support_norms(worked_pair, call):
+    # a joint or norms built elsewhere may belong to other distributions, and
+    # would give a silently wrong bound
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call(*worked_pair)
+
+
 def test_bounds_are_one_for_identical():
     p = DiscreteDistribution([[0.5, 0.5], [1.0, 0.0]], [0.25, 0.75])
     assert subset_bound(JointSupport.of(p, p), RadiusIndicator(0.7)) == pytest.approx(1.0, abs=1e-15)
