@@ -27,14 +27,13 @@ from .core import (
     RadiusFamily,
     SampleSet,
     _block_rows,
-    _requested_norm,
     _require_finite,
     _sample_rows,
-    _sample_statistics,
     _vector_norm,
     ball_stats,
     clamp_unit,
     freeze,
+    make_sample_set,
     norms,
 )
 from .dataio import read_json
@@ -348,25 +347,20 @@ def fit(
 ) -> FittedScorer:
     """Cache the in-class statistics needed for constant-space scoring.
 
-    One pass over the data. A float64 array is read in place, not copied; a
-    SampleSet supplies its statistics in its own norm (``norm=None`` keeps
-    it), and another norm is an InputError, as a set keeps no rows.
-    ``radii`` overrides the default evenly spaced family (j/k of the in-class
-    max norm, j = 1..k); when given, k is its length.
+    The statistics are ``make_sample_set(in_class, norm)``: one pass over
+    rows, a float64 array read in place, not copied, and a SampleSet in its
+    own norm as it is (``norm=None`` keeps it); another norm is an InputError,
+    as a set keeps no rows. ``radii`` overrides the default evenly spaced
+    family (j/k of the in-class max norm, j = 1..k); when given, k is its length.
     """
-    kind = _requested_norm(in_class, norm)
-    if isinstance(in_class, SampleSet) and in_class.norm is kind:
-        stats = in_class
-    else:
-        stats = _sample_statistics(_sample_rows(in_class), kind)
-    max_norm = stats.max_norm
+    stats = make_sample_set(in_class, norm)
     if radii is not None:  # FittedScorer refuses radii that break its rules
         family = tuple(float(r) for r in radii)
     else:
-        family = RadiusFamily(k=k, top=max_norm, norm=kind).radii
+        family = RadiusFamily(k=k, top=stats.max_norm, norm=stats.norm).radii
     counts, region = ball_stats(stats.sorted_norms, family)
-    return FittedScorer(norm=kind, mean=stats.mean, fit_radius=max_norm, radii=family,
-                        accept_rates=counts / len(stats.sorted_norms), region_radii=region)
+    return FittedScorer(norm=stats.norm, mean=stats.mean, fit_radius=stats.max_norm, radii=family,
+                        accept_rates=counts / len(stats), region_radii=region)
 
 
 def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecord:
@@ -430,10 +424,9 @@ def iterative_scores_batch(
     k2 = scorer.k if k2 is None else k2
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
-    mean = _sample_statistics(rows, scorer.norm).mean
-    if mean.tobytes() != scorer.mean.tobytes():
+    if SampleSet(rows, scorer.norm).mean.tobytes() != scorer.mean.tobytes():
         raise DimensionMismatchError("fit set is not the data the model was fitted on: "
                                      "its mean differs from the model's")
     first = scorer.clamped_scores(rows)  # the norms fit, so an overflow names the query
-    second = fit(first, norm=NormKind.L2, radii=[j / k2 for j in range(1, k2 + 1)])
+    second = fit(first, norm=NormKind.L2, radii=RadiusFamily(k=k2, top=1.0).radii)
     return second.raw_scores(scorer.clamped_scores(queries))

@@ -181,6 +181,8 @@ def _score_command(args) -> None:
     threshold = args.threshold
     if threshold is not None and not math.isfinite(threshold):
         raise InputError(f"--threshold must be finite, got {threshold!r}")
+    if args.iterative and not args.fit_data:  # before any file is read
+        raise InputError("--iterative needs --fit-data (the model stores no samples)")
     scorer = classifier.FittedScorer.load(args.model)
     queries = dataio.read_sample_array(args.queries)
     if queries.shape[1] != scorer.dimension:
@@ -191,8 +193,6 @@ def _score_command(args) -> None:
     raw = scorer.raw_scores(queries)
     columns = {"score": raw, "clamped": np.clip(raw, 0.0, 1.0)}
     if args.iterative:
-        if not args.fit_data:
-            raise InputError("--iterative needs --fit-data (the model stores no samples)")
         fit_rows = dataio.read_sample_array(args.fit_data)
         _require_finite(fit_rows, f"{args.fit_data}: non-finite sample values")
         try:

@@ -437,18 +437,6 @@ def _walk_statistics(blocks, n: int | None, kind: NormKind, message: str, sums=N
     return _RowStatistics(sorted_norms, max_norm, sums.result() / lo)
 
 
-def _sample_statistics(a: np.ndarray, kind: NormKind) -> _RowStatistics:
-    """The statistics of a ``_sample_rows`` array, walked in blocks of about
-    ``_BLOCK_ELEMENTS`` values (see ``_walk_statistics``)."""
-    if not isinstance(kind, NormKind):  # non-finite entries are reported first
-        _require_finite(a)
-        raise _not_a_norm(kind)
-    rows = _block_rows(a.shape[1])
-    blocks = (a[lo:lo + rows] for lo in range(0, a.shape[0], rows))
-    return _walk_statistics(blocks, len(a), kind, "sample array has non-finite entries",
-                            _CertifiedSums(a))
-
-
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
     """Per closed ball of radius r: how many norms are <= r, and the largest
     of them (0 when there are none).
@@ -467,6 +455,7 @@ class SampleSet:
     norm that scores them: the norms in ascending order (for ``ball_stats``),
     the max norm and the mean. ``samples``, rows or the private
     ``_RowStatistics`` of a file read in ``norm``, is read once, in place,
+    in blocks of about ``_BLOCK_ELEMENTS`` values (see ``_walk_statistics``),
     and not kept; what needs rows takes rows. ``norm`` must be a NormKind.
     """
 
@@ -478,7 +467,14 @@ class SampleSet:
 
     def __post_init__(self, samples) -> None:
         if not isinstance(samples, _RowStatistics):  # else taken in this set's norm
-            samples = _sample_statistics(_sample_rows(samples), self.norm)
+            a = _sample_rows(samples)
+            if not isinstance(self.norm, NormKind):  # non-finite entries are reported first
+                _require_finite(a)
+                raise _not_a_norm(self.norm)
+            rows = _block_rows(a.shape[1])
+            samples = _walk_statistics((a[lo:lo + rows] for lo in range(0, len(a), rows)), len(a),
+                                       self.norm, "sample array has non-finite entries",
+                                       _CertifiedSums(a))
         freeze(self, **samples._asdict())
 
     def __len__(self) -> int:
@@ -552,20 +548,15 @@ class RadiusFamily:
         return tuple(RadiusIndicator(r, self.norm) for r in self.radii)
 
 
-def _requested_norm(samples, norm: NormKind | str | None) -> NormKind:
-    """``norm`` as a NormKind; None means a SampleSet's own norm, else L2."""
-    if norm is None:
-        return samples.norm if isinstance(samples, SampleSet) else NormKind.L2
-    return norm if isinstance(norm, NormKind) else NormKind.from_string(str(norm))
-
-
 def make_sample_set(samples, norm: NormKind | str | None = None) -> SampleSet:
     """Convenience constructor accepting raw arrays, lists of rows, or 1-D data.
 
     ``norm=None`` keeps an existing SampleSet's norm and defaults raw data to
     L2. A SampleSet keeps no rows, so asking it for another norm is an InputError.
     """
-    kind = _requested_norm(samples, norm)
+    if norm is None:
+        norm = samples.norm if isinstance(samples, SampleSet) else NormKind.L2
+    kind = norm if isinstance(norm, NormKind) else NormKind.from_string(str(norm))
     if isinstance(samples, SampleSet) and samples.norm is kind:
         return samples
     return SampleSet(samples, kind)
@@ -578,9 +569,9 @@ def clamp_unit(x: float) -> float:
 
 def _compatible_sets(a, b) -> tuple[SampleSet, SampleSet]:
     """The two inputs of one computation as SampleSets that agree on d and
-    norm: a SampleSet as it is, rows read in l2 as ``SampleSet(rows)`` reads
-    them. Sets that disagree are a DimensionMismatchError."""
-    a, b = (s if isinstance(s, SampleSet) else SampleSet(s) for s in (a, b))
+    norm, as ``make_sample_set`` builds them: a SampleSet as it is, rows in
+    l2. Sets that disagree are a DimensionMismatchError."""
+    a, b = map(make_sample_set, (a, b))
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"sample sets have different dimensions: {a.dimension} vs {b.dimension}"

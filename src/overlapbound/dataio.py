@@ -94,9 +94,11 @@ def _read_samples_binary(path, fh, walk):
     return walk(blocks, n)
 
 
-# Up to the last line break of ``str.splitlines`` in a read, if any: each is
-# a whole UTF-8 character, and a CR that ends the read is none (an LF may follow).
-_LAST_BREAK = re.compile(rb"(?s)(?:.*(?:[\n\v\f\x1c-\x1e]|\r(?!\Z)|\xc2\x85|\xe2\x80[\xa8\xa9]))?")
+# Up to the last line break of ``str.splitlines`` in a read: each is a whole
+# UTF-8 character, and a CR that ends the read is none (an LF may follow). The
+# bytes carried from the last read hold no whole break, but may end in a CR or
+# a break's first two bytes, so a search starts 2 bytes before their end.
+_LAST_BREAK = re.compile(rb"(?s).*(?:[\n\v\f\x1c-\x1e]|\r(?!\Z)|\xc2\x85|\xe2\x80[\xa8\xa9])")
 
 
 def _csv_lines(path, fh):
@@ -104,23 +106,26 @@ def _csv_lines(path, fh):
     text, in blocks (first line number, d, lines) of at most ``_block_rows(d)``
     lines of one read, cut after its last line break and decoded strictly
     (``utf-8-sig`` before line 1). The first non-blank line sets d, and is
-    skipped, a header, if no cell of it is a number."""
+    skipped, a header, if no cell of it is a number. ``done`` places a bad
+    byte as a whole-file ``utf-8-sig`` decode does, after a leading mark."""
     fh.seek(0)
-    rest, lineno, d, found, eof = b"", 1, 0, False, False
+    rest, lineno, d, found, eof, done = b"", 1, 0, False, False, 0
     while not eof:
         try:
-            try:
-                piece = rest + fh.read(max(8 * _block_rows(1), len(rest)))
-                eof = len(piece) == len(rest)
-                cut = len(piece) if eof else _LAST_BREAK.match(piece).end()
-                rest, piece = piece[cut:], piece[:cut]
-                piece = piece.decode("utf-8-sig" if lineno == 1 else "utf-8")
-            except UnicodeDecodeError:
-                fh.seek(0)
-                fh.read().decode("utf-8-sig")  # raises it again, placed in the file
-                raise
-        except (OSError, UnicodeDecodeError) as exc:
+            piece = rest + fh.read(max(8 * _block_rows(1), len(rest)))
+            eof = len(piece) == len(rest)
+            last = _LAST_BREAK.match(piece, max(0, len(rest) - 2))  # see _LAST_BREAK
+            cut = len(piece) if eof else last.end() if last else 0
+            rest, piece = piece[cut:], piece[:cut]
+            done += cut - 3 * (lineno == 1 and piece.startswith(b"\xef\xbb\xbf"))
+            piece = piece.decode("utf-8-sig" if lineno == 1 else "utf-8")
+        except OSError as exc:
             raise InputError(f"{path}: cannot read file: {exc}") from exc
+        except UnicodeDecodeError as exc:  # exc.object, the piece after any mark, ends at done
+            pos, end = (done - len(exc.object) + i for i in (exc.start, exc.end - 1))
+            where = f"byte 0x{exc.object[exc.start]:02x}" if pos == end else "bytes"
+            raise InputError(f"{path}: cannot read file: {exc.encoding!r} codec can't decode {where} "
+                             f"in position {pos}{'' if pos == end else f'-{end}'}: {exc.reason}") from exc
         lines, at, piece = piece.splitlines(True), 0, None  # the text, dropped once split
         while not found and at < len(lines):  # up to the first data line
             if lines[at].strip():

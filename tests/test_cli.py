@@ -268,6 +268,11 @@ def test_iterative_needs_fit_data(tmp_path, capsys):
     code, _, err = run_cli(capsys, "score", str(model), str(train), "--iterative")
     assert code == 2
     assert "--fit-data" in err
+    # refused before the model or the queries are read
+    code, out, err = run_cli(capsys, "score", str(tmp_path / "missing.json"),
+                             str(tmp_path / "missing.csv"), "--iterative")
+    assert (code, out) == (2, "")
+    assert err == "error: --iterative needs --fit-data (the model stores no samples)\n"
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -302,20 +307,22 @@ def test_iterative_fit_data_other_than_the_models_exit_3(tmp_path, capsys, rng):
     assert not scores.exists()
 
 
-def test_iterative_reads_fit_data_without_a_sample_set(tmp_path, capsys, monkeypatch, rng):
+def test_iterative_walks_the_fit_data_once(tmp_path, capsys, monkeypatch, rng):
+    # the iterative pass takes two statistics walks, both as SampleSets: the
+    # mean check over the d-wide fit rows, then the second stage's fit over
+    # their first-pass scores, one column
     data, model = tmp_path / "fit.csv", tmp_path / "model.json"
-    rows = rng.normal(size=(30, 3))
-    write_csv(data, rows.tolist())
+    write_csv(data, rng.normal(size=(30, 3)).tolist())
     run_cli(capsys, "fit", str(data), "--k", "5", "--out", str(model))
-    calls = []
-    original = SampleSet.__post_init__
+    sets, walks = [], []
+    built, walk = SampleSet.__post_init__, core._walk_statistics
     monkeypatch.setattr(SampleSet, "__post_init__",
-                        lambda self, samples: calls.append(self) or original(self, samples))
+                        lambda self, samples: built(self, samples) or sets.append(self.dimension))
+    monkeypatch.setattr(core, "_walk_statistics",
+                        lambda *args: walks.append(len((stats := walk(*args)).mean)) or stats)
     code, out, _ = run_cli(capsys, "score", str(model), str(data), "--iterative",
                            "--fit-data", str(data))
-    assert code == 0 and calls == []
-    SampleSet(rows)  # the counter sees a SampleSet that is built
-    assert len(calls) == 1
+    assert code == 0 and sets == walks == [3, 1]
 
 
 def test_shift_simulate_beyond_memory_exit_2(capsys, worked_files):

@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 import tracemalloc
@@ -546,3 +547,68 @@ def test_what_starts_or_ends_a_read_is_read_as_in_the_whole_file(tmp_path, monke
     for reader in (read_sample_array, read_samples, per_cell_csv_rows):
         with pytest.raises(InputError, match=want):
             reader(path)
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "mark"])
+@pytest.mark.parametrize("tail", [b"3,\xff\n4,5\n", b"3,\xe2\x82\n4,5\n", b"3,4\n\xf0\x9f\x98"],
+                         ids=["one-byte", "two-bytes", "cut-at-the-end"])
+def test_a_bad_byte_several_reads_in_is_placed_as_in_a_whole_file_decode(tmp_path, monkeypatch,
+                                                                         mark, tail):
+    # positions count from after a leading mark, as utf-8-sig counts them
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 2)  # reads of 16 bytes
+    path = tmp_path / "data.csv"
+    path.write_bytes(content := mark + b"1.5,2\n" * 20 + tail)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        content.decode("utf-8-sig")
+    for reader in (read_sample_array, read_samples):
+        with pytest.raises(InputError) as got:
+            reader(path)
+        assert str(got.value) == f"{path}: cannot read file: {whole.value}"
+
+
+@pytest.mark.parametrize("reader", [read_samples, read_sample_array])
+def test_a_bad_byte_on_the_last_line_adds_no_peak(tmp_path, reader):
+    # the bad byte is placed from the bytes decoded before its read: the file
+    # (2.5 MB) is not read or decoded whole again. The interpreter's own
+    # bookkeeping differs by some bytes from one call to the next, hence 4 KB
+    text = _csv_text(np.random.default_rng(11).normal(size=(4000, 32))).encode()
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_bytes(text[:-1] + b" \n")  # the same length, with a blank in place of the bad byte
+    bad.write_bytes(text[:-1] + b"\xff\n")
+    errors = []
+
+    def read(path):
+        try:
+            reader(path)
+        except InputError as exc:
+            errors.append(str(exc))
+
+    read(good)  # first calls make caches that would count against the file read first
+    peak = _traced_peak(lambda: read(bad))
+    assert peak <= _traced_peak(lambda: read(good)) + 4096, peak
+    assert len(errors) == 1 and "can't decode byte 0xff in position" in errors[0]
+
+
+def test_a_line_longer_than_a_read_is_searched_for_its_break_once(tmp_path, monkeypatch):
+    # a search for a read's last line break covers that read and at most 2
+    # carried bytes, so a line is not scanned again on each read it spans
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 64)  # reads of 512 bytes or more
+    a = np.random.default_rng(5).normal(size=(3, 2000))  # lines of about 40 KB
+    path = tmp_path / "long.csv"
+    path.write_text(_csv_text(a))
+    reads, searches, pattern = [], [], dataio._LAST_BREAK
+
+    class Reader(io.BufferedReader):
+        def read(self, size=-1):
+            reads.append(len(data := super().read(size)))
+            return data
+
+    class Pattern:
+        def match(self, string, pos=0):
+            searches.append((len(string) - pos, reads[-1]))
+            return pattern.match(string, pos)
+
+    monkeypatch.setattr(dataio, "open", lambda file, mode: Reader(io.FileIO(file)), raising=False)
+    monkeypatch.setattr(dataio, "_LAST_BREAK", Pattern())
+    assert read_sample_array(path).tobytes() == a.tobytes()
+    assert len(searches) > 10 and all(span <= read + 2 for span, read in searches), searches
