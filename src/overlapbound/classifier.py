@@ -27,7 +27,6 @@ from .core import (
     RadiusFamily,
     SampleSet,
     _block_rows,
-    _require_finite,
     _sample_rows,
     _vector_norm,
     ball_stats,
@@ -63,7 +62,10 @@ def _model_value(attr: str, value, fields: dict):
     ``fields`` holds the fields read so far; k and dimension fix list lengths.
     """
     if attr == "norm":
-        return NormKind.from_string(value) if isinstance(value, str) else None
+        try:
+            return NormKind.from_string(value) if isinstance(value, str) else None
+        except InputError:  # an unknown name: the field's message names the file
+            return None
     if attr == "degenerate":
         return value if isinstance(value, bool) else None
     if attr in ("k", "dimension"):
@@ -174,7 +176,7 @@ class FittedScorer:
         # Per j, the separation of a query outside ball j whose pool is rFit;
         # rFit = 0 divides by zero, but such a pool scores 1 regardless.
         with np.errstate(all="ignore"):
-            outside = _separation(region, 0.0 - rates, top)
+            outside = _separation(region, rates, top)
         # Read-only arrays built once, so that raw_scores converts nothing per
         # call. Index J of the k + 1 vectors serves a query inside balls J..k-1:
         # the best separation of the balls before J, and ball J's region radius
@@ -228,25 +230,23 @@ class FittedScorer:
             # the rate gap 1 - gMeans_j never increases, so both nonnegative
             # factors of the separation never increase (rounding is
             # monotone) and ball `first` holds their maximum. The balls
-            # before it give the precomputed prefix maximum while the pool
-            # is rFit.
+            # below the query give their prefix maximum at pool rFit,
+            # precomputed.
             first = np.searchsorted(self._radii, qn)
-            best = np.maximum(self._outside_best[first], _separation(
-                np.maximum(qn, self._first_region[first]), self._first_gap[first], pool))
-            # Beyond the fit ball the pool is the query's own norm: weigh
-            # every ball, a chunk of rows at a time: no more rows than a
-            # query block, and no more (row, ball) pairs than a block has
-            # values. A NaN norm is not far.
+            before = self._outside_best[first]
+            # Beyond the fit ball the pool is qn: a ball that holds the query
+            # gives 0, as ball `first` does, and the balls below it are swept
+            # a chunk of rows at a time (no more rows than a query block, no
+            # more (row, ball) pairs than a block has values). NaN is not far.
             far_rows = np.flatnonzero(qn > self.fit_radius)
             chunk = min(rows, _block_rows(self.k))
             for lo in range(0, far_rows.size, chunk):
                 far = far_rows[lo : lo + chunk]
                 col = qn[far, None]
-                inside = col <= self._radii
-                # Pooled in-ball max norm: the cached value, or the query
-                # norm if the query joined the ball.
-                region = np.maximum(col * inside, self._region)
-                best[far] = _separation(region, inside - self._rates, col).max(axis=1)
+                before[far] = np.where(col > self._radii, _separation(self._region, self._rates, col),
+                                       -np.inf).max(axis=1)
+            best = np.maximum(before, _separation(
+                np.maximum(qn, self._first_region[first]), self._first_gap[first], pool))
             raw = _closed_form(gaps, pool, best)
         if self.fit_radius == 0.0:
             # An all-origin pool means both sides are the same point mass.
@@ -416,7 +416,7 @@ def iterative_scores_batch(
     permutation, are scored.
     """
     rows = _sample_rows(in_class)
-    _require_finite(rows)
+    mean = SampleSet(rows, scorer.norm).mean  # the finite check: entries, then norms
     if rows.shape[1] != scorer.dimension:
         raise DimensionMismatchError(
             f"fit set has dimension {rows.shape[1]}, scorer expects {scorer.dimension}"
@@ -424,7 +424,7 @@ def iterative_scores_batch(
     k2 = scorer.k if k2 is None else k2
     if k2 < 1:
         raise InputError(f"k2 must be >= 1, got {k2}")
-    if SampleSet(rows, scorer.norm).mean.tobytes() != scorer.mean.tobytes():
+    if mean.tobytes() != scorer.mean.tobytes():
         raise DimensionMismatchError("fit set is not the data the model was fitted on: "
                                      "its mean differs from the model's")
     first = scorer.clamped_scores(rows)  # the norms fit, so an overflow names the query

@@ -114,6 +114,15 @@ def _positive_k(args) -> None:
             raise InputError(f"--{flag} must be between 1 and {MAX_K}, got {k}")
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Errors raised inside are about the values of the file at ``path``: name it."""
+    try:
+        yield
+    except (InputError, DimensionMismatchError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _read_pair(path_a, path_b, norm: NormKind):
     """Two sample files that one computation pools: they must agree on d."""
     a, b = dataio.read_samples(path_a, norm), dataio.read_samples(path_b, norm)
@@ -160,9 +169,10 @@ def cmd_fit(args) -> None:
 
 def _write_scores_csv(write, columns: dict) -> None:
     """Per-query CSV through an ``_outputs`` writer: row_index, then each
-    column (floats, or a list of str) in order, one row at a time as it is
-    formatted."""
-    cells = [v if isinstance(v, list) else map(repr, v.tolist()) for v in columns.values()]
+    column (floats, or bools written in/out) in order, one row at a time as
+    it is formatted."""
+    cells = [map(("out", "in").__getitem__ if v.dtype == bool else repr, v.tolist())
+             for v in columns.values()]
     write(itertools.chain([",".join(["row_index", *columns]) + "\n"],
                           (",".join([str(i), *row]) + "\n" for i, row in enumerate(zip(*cells)))))
 
@@ -190,19 +200,18 @@ def _score_command(args) -> None:
             f"{args.queries} has dimension {queries.shape[1]}, "
             f"model {args.model} expects {scorer.dimension}"
         )
-    raw = scorer.raw_scores(queries)
+    with _naming(args.queries):
+        raw = scorer.raw_scores(queries)
     columns = {"score": raw, "clamped": np.clip(raw, 0.0, 1.0)}
     if args.iterative:
         fit_rows = dataio.read_sample_array(args.fit_data)
-        _require_finite(fit_rows, f"{args.fit_data}: non-finite sample values")
-        try:
+        # the queries are scored and --k2 is in range, so every error is the fit rows'
+        with _naming(args.fit_data):
+            _require_finite(fit_rows, "non-finite sample values")
             columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_rows, queries,
                                                                      k2=args.k2)
-        except DimensionMismatchError as exc:  # the rows do not fit the model: name the file
-            raise DimensionMismatchError(f"{args.fit_data}: {exc}") from None
     if threshold is not None:
-        decide_on = columns.get("iterative", raw).tolist()
-        columns["verdict"] = ["in" if s >= threshold else "out" for s in decide_on]
+        columns["verdict"] = columns.get("iterative", raw) >= threshold
     if args.scores_out is None and args.out is None:
         _write_scores_csv(sys.stdout.writelines, columns)
         return  # the CSV alone goes to stdout; keep the stream parseable
@@ -220,8 +229,8 @@ def _score_command(args) -> None:
         summary["mean_iterative_score"] = _mean(columns["iterative"])
     if threshold is not None:
         summary["threshold"] = threshold
-        summary["n_in"] = columns["verdict"].count("in")
-        summary["n_out"] = columns["verdict"].count("out")
+        summary["n_in"] = int(np.count_nonzero(columns["verdict"]))
+        summary["n_out"] = len(raw) - summary["n_in"]
     with _outputs(args.scores_out, args.out) as (write_scores, write_summary):
         _write_scores_csv(write_scores, columns)
         write_summary([_json_text(summary)])
@@ -267,7 +276,8 @@ def cmd_eval(args) -> None:
     from . import metrics
 
     scores, labels = dataio.read_scores_and_labels(args.scores, args.labels)
-    ls = metrics.LabeledScores(scores, labels)
+    with _naming(args.scores):  # the labels are read and checked
+        ls = metrics.LabeledScores(scores, labels)
     _emit(
         {
             "auroc": metrics.auroc(ls),

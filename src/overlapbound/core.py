@@ -407,19 +407,21 @@ class _RowStatistics(NamedTuple):
     mean: np.ndarray
 
 
-def _walk_statistics(blocks, n: int | None, kind: NormKind, message: str, sums=None):
+def _walk_statistics(blocks, n: int | None, kind: NormKind, sums=None, source=None):
     """The ``_RowStatistics`` of the n rows (None: as many as come) fed in
     ``blocks``. A block's one min and one max serve as the finiteness check
     and as the top of its first extraction level; its column sums go to
     ``sums`` (None: exact ``_ColumnSums``) and its norms into one n-vector,
     joined from the blocks' parts once if n is None, and sorted in place.
-    Raises InputError with ``message`` for non-finite entries, then for a
-    norm that overflows float64, then for a column sum that does."""
+    Raises InputError for non-finite entries, then for a norm that
+    overflows float64, then for a column sum that does; each message starts
+    with ``source``, the path of a file, if one is given."""
     sorted_norms, parts, lo = None if n is None else np.empty(n), [], 0
     for block in blocks:
         top = _top(block)
         if not math.isfinite(top):
-            raise InputError(message)
+            raise InputError("sample array has non-finite entries" if source is None
+                             else f"{source}: non-finite sample values")
         sums = sums or _ColumnSums(block.shape[1])
         sums.add(block, top)
         with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
@@ -432,9 +434,12 @@ def _walk_statistics(blocks, n: int | None, kind: NormKind, message: str, sums=N
         sorted_norms = np.concatenate(parts)
     sorted_norms.sort()
     max_norm = float(sorted_norms[-1])
-    if not math.isfinite(max_norm):
-        raise InputError(f"sample {kind.value} norms overflow float64")
-    return _RowStatistics(sorted_norms, max_norm, sums.result() / lo)
+    try:
+        if not math.isfinite(max_norm):
+            raise InputError(f"sample {kind.value} norms overflow float64")
+        return _RowStatistics(sorted_norms, max_norm, sums.result() / lo)
+    except InputError as exc:
+        raise exc if source is None else InputError(f"{source}: {exc}") from None
 
 
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -473,8 +478,7 @@ class SampleSet:
                 raise _not_a_norm(self.norm)
             rows = _block_rows(a.shape[1])
             samples = _walk_statistics((a[lo:lo + rows] for lo in range(0, len(a), rows)), len(a),
-                                       self.norm, "sample array has non-finite entries",
-                                       _CertifiedSums(a))
+                                       self.norm, _CertifiedSums(a))
         freeze(self, **samples._asdict())
 
     def __len__(self) -> int:

@@ -205,9 +205,10 @@ def read_sample_array(path) -> np.ndarray:
 
 def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
     """A sample file's SampleSet from one walk of its blocks, each dropped
-    once its statistics are taken: the file is never held whole."""
+    once its statistics are taken: the file is never held whole. An error
+    about its values names the file."""
     return SampleSet(_read_file(path, lambda blocks, n: _walk_statistics(
-        blocks(), n, norm, f"{path}: non-finite sample values")), norm)
+        blocks(), n, norm, source=path)), norm)
 
 
 def _binary_labels(column: np.ndarray, path) -> np.ndarray:

@@ -203,6 +203,8 @@ def test_iterative_batch_matches_scalar(rng):
         ([], InputError, r"nonempty \(n, d\) sample array, got shape \(0, 1\)"),
         ([[1.0, np.nan, 2.0], [1.0, 1.0, 1.0]], InputError, "sample array has non-finite entries"),
         ([[1.0, 2.0], [np.inf, 1.0]], InputError, "sample array has non-finite entries"),
+        # the walk that takes the mean is the finite check: before the width
+        ([[1e200, 1.0], [1.0, 2.0]], InputError, "sample l2 norms overflow float64"),
     ],
 )
 def test_iterative_fit_data_errors(fit_data, error, message):
@@ -552,8 +554,11 @@ def test_corrupted_model_field_fails_to_load(tmp_path_factory, data, d, k):
     doc.update(bad if key is None else {key: bad})
     path = tmp_path_factory.mktemp("model") / "model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as caught:
         FittedScorer.load(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    if key == "norm":  # an unknown name too is the field's message
+        assert str(caught.value) == f"{path}: model field 'norm' must be a norm name"
 
 
 def test_query_norm_overflow_is_input_error():
@@ -607,16 +612,22 @@ def scorers_and_queries(draw):
     kind = draw(st.sampled_from(ALL_NORMS))
     k = draw(st.integers(1, 40))
     radii = None
+    top = float(norms(rows, kind).max())
+    # a batch mostly beyond the fit ball: each query scaled by 10 to 1e3
+    far = (top + 1.0) * 10.0 ** rng.uniform(1, 3, size=(1000, 1)) if draw(st.booleans()) else None
     if draw(st.booleans()):
-        top = float(norms(rows, kind).max())
         exact = norms(rows, kind).tolist()
         beyond = (rng.uniform(1.0, 3.0, size=3) * (top + 1.0)).tolist()
+        if far is not None:  # balls that hold some far queries
+            beyond += far[:3, 0].tolist()
         radii = sorted(set(draw(st.lists(st.sampled_from(exact + beyond), min_size=1, max_size=k))))
     scorer = fit(rows, k=k, norm=kind, radii=radii)
     l = draw(st.sampled_from([1, 2, 17, 200] if d < 3000 else [1, 2, 30, 60]))
     queries = rng.normal(size=(l, d)) * 10.0 ** rng.uniform(-3, 3)
     picked = rng.random(l) < 0.5  # fit rows, stretched or shrunk at times
     queries[picked] = rows[rng.integers(0, n, size=l)[picked]] * draw(st.sampled_from([1.0, 0.5, 2.0]))
+    if far is not None:
+        queries = rng.normal(size=(l, d)) * far[-l:]
     queries[rng.random(l) < 0.2] = 0.0
     bad = draw(st.sampled_from([None] * 6 + [np.nan, np.inf, 1e200, 1.7e308]))
     if bad is not None:
@@ -640,6 +651,24 @@ def test_raw_scores_equal_the_k_wide_sweep_bitwise(case):
     if isinstance(want, bytes):
         one = [score(scorer, row).score for row in queries[:3]]
         assert np.array(one).tobytes() == want[: 8 * len(one)]
+
+
+@pytest.mark.parametrize("kind", ALL_NORMS)
+@pytest.mark.parametrize("radii, below", [
+    # balls above rFit = 2: the query of norm 10 is beyond the fit ball and
+    # inside the last ball only, or inside every ball
+    ((1.0, 2.0, 5.0, 50.0), 3),
+    ((20.0, 30.0), 0),
+])
+def test_a_far_query_that_balls_hold_scores_as_the_k_wide_sweep(kind, radii, below):
+    scorer = fit([[2.0, 0.0], [0.0, 1.0], [0.5, 0.5]], norm=kind, radii=radii)
+    query = np.array([[-10.0, 0.0]])
+    want = sweep_raw_scores(scorer, query)
+    assert scorer.raw_scores(query).tobytes() == want.tobytes()
+    assert np.searchsorted(radii, 10.0) == below
+    if below == 0:  # every ball holds it and separates nothing: the mean term alone
+        gap = norms(query - scorer.mean, kind)
+        assert want.tobytes() == (1.0 - 0.5 * (gap / 10.0)).tobytes()
 
 
 def test_raw_scores_memory_does_not_grow_with_k():

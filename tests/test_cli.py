@@ -80,6 +80,31 @@ def test_bound_malformed_row_exit_2(tmp_path, capsys, worked_files):
     assert "bad.csv:2:1" in err
 
 
+def test_errors_about_a_files_values_name_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, rows in {"fit.csv": [[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]], "huge.csv": [[1e308, 1.0]] * 2,
+                       "far.csv": [[1e200, 1.0]], "nan.csv": [[np.nan, 1.0]],
+                       "wide.csv": [[1e200, 1.0, 1.0]], "scores.csv": [[0.9, 1.0], [np.nan, 0.0]]}.items():
+        write_csv(tmp_path / name, rows)
+    assert run_cli(capsys, "fit", "fit.csv", "--k", "3", "--out", "model.json")[0] == 0
+    iterative = ["score", "model.json", "fit.csv", "--iterative", "--fit-data"]
+    for argv, name, message in [
+        # bound names the bad file whether it comes first or second
+        (["bound", "fit.csv", "far.csv"], "far.csv", "sample l2 norms overflow float64"),
+        (["bound", "far.csv", "fit.csv"], "far.csv", "sample l2 norms overflow float64"),
+        (["fit", "huge.csv", "--norm", "l1", "--out", "m.json"], "huge.csv",
+         "the sum of column 0 overflows float64"),
+        (["score", "model.json", "far.csv"], "far.csv", "query l2 norms overflow float64"),
+        (["score", "model.json", "nan.csv"], "nan.csv", "query block has non-finite entries"),
+        ([*iterative, "far.csv"], "far.csv", "sample l2 norms overflow float64"),
+        ([*iterative, "nan.csv"], "nan.csv", "non-finite sample values"),
+        # the overflow is found before the width
+        ([*iterative, "wide.csv"], "wide.csv", "sample l2 norms overflow float64"),
+        (["eval", "scores.csv"], "scores.csv", "scores must be finite"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {name}: {message}\n"), argv
+
+
 def test_bound_dimension_mismatch_exit_3(tmp_path, capsys, worked_files):
     pos, _ = worked_files
     wide = tmp_path / "wide.csv"
