@@ -27,6 +27,7 @@ from .core import (
     RadiusFamily,
     SampleSet,
     _block_rows,
+    _naming,
     _sample_rows,
     _vector_norm,
     ball_stats,
@@ -213,8 +214,9 @@ class FittedScorer:
         # One block of scratch per call, so that a shared scorer stays
         # safe to use from several threads. The mean is tiled to a block's
         # shape, so that each gap is one flat subtraction, not one per row.
-        tiled_mean = np.tile(self.mean, (min(rows, n), 1))
-        scratch = np.empty_like(tiled_mean)
+        # One allocation: two can sit 16 bytes apart modulo 4096, where the subtraction's loads alias.
+        tiled_mean, scratch = np.empty((2, min(rows, n), self.dimension))
+        tiled_mean[...] = self.mean
         # A non-finite entry or an overflowing norm leaves a non-finite
         # score, which is caught below.
         with np.errstate(all="ignore"):
@@ -297,27 +299,23 @@ class FittedScorer:
             fh.write("\n")
 
     @classmethod
-    def from_json_dict(cls, doc: dict, source: str = "<memory>") -> "FittedScorer":
+    def from_json_dict(cls, doc: dict) -> "FittedScorer":
         """Rebuild a scorer, checking every field against its kind in ``_MODEL_FIELDS``."""
         if not isinstance(doc, dict):
-            raise InputError(f"{source}: model JSON must be an object")
+            raise InputError("model JSON must be an object")
         version = doc.get("format_version")
         for key, _, _ in _MODEL_FIELDS[:-1]:
             if key not in doc:
-                raise InputError(
-                    f"{source}: model file (format_version={version!r}) is missing field {key!r}"
-                )
+                raise InputError(f"model file (format_version={version!r}) is missing field {key!r}")
         if version != MODEL_FORMAT_VERSION:
-            raise InputError(
-                f"{source}: unsupported model format_version {version!r}, "
-                f"expected {MODEL_FORMAT_VERSION}"
-            )
+            raise InputError(f"unsupported model format_version {version!r}, "
+                             f"expected {MODEL_FORMAT_VERSION}")
         fields = {}
         for key, attr, accepted in _MODEL_FIELDS:
             if key in doc:
                 value = _model_value(attr, doc[key], fields)
                 if value is None:
-                    raise InputError(f"{source}: model field {key!r} must be {accepted}")
+                    raise InputError(f"model field {key!r} must be {accepted}")
                 fields[attr] = value
         k, _, degenerate = (fields.pop(attr) for attr in ("k", "dimension", "degenerate"))
         if "radii" not in fields:
@@ -325,18 +323,16 @@ class FittedScorer:
                 fields["radii"] = RadiusFamily(k=k, top=fields["fit_radius"]).radii
             except InputError:  # no family for a bad rFit: the scorer names the rule
                 fields["radii"] = ()
-        try:
-            scorer = cls(**fields)
-            if scorer.degenerate != degenerate:
-                raise InputError("model fields are inconsistent: "
-                                 "'degenerate' must be true exactly when 'rFit' is 0")
-        except InputError as exc:
-            raise InputError(f"{source}: {exc}") from None
+        scorer = cls(**fields)
+        if scorer.degenerate != degenerate:
+            raise InputError("model fields are inconsistent: "
+                             "'degenerate' must be true exactly when 'rFit' is 0")
         return scorer
 
     @classmethod
     def load(cls, path) -> "FittedScorer":
-        return cls.from_json_dict(read_json(path, "model"), source=str(path))
+        with _naming(path):
+            return cls.from_json_dict(read_json(path, "model"))
 
 
 def fit(

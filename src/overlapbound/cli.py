@@ -31,7 +31,7 @@ from .core import (
     NormKind,
     RadiusFamily,
     RadiusIndicator,
-    _require_finite,
+    _naming,
     exact_mean,
 )
 
@@ -112,15 +112,6 @@ def _positive_k(args) -> None:
         k = getattr(args, flag, None)
         if k is not None and not 1 <= k <= MAX_K:
             raise InputError(f"--{flag} must be between 1 and {MAX_K}, got {k}")
-
-
-@contextlib.contextmanager
-def _naming(path):
-    """Errors raised inside are about the values of the file at ``path``: name it."""
-    try:
-        yield
-    except (InputError, DimensionMismatchError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_pair(path_a, path_b, norm: NormKind):
@@ -204,12 +195,10 @@ def _score_command(args) -> None:
         raw = scorer.raw_scores(queries)
     columns = {"score": raw, "clamped": np.clip(raw, 0.0, 1.0)}
     if args.iterative:
-        fit_rows = dataio.read_sample_array(args.fit_data)
         # the queries are scored and --k2 is in range, so every error is the fit rows'
         with _naming(args.fit_data):
-            _require_finite(fit_rows, "non-finite sample values")
-            columns["iterative"] = classifier.iterative_scores_batch(scorer, fit_rows, queries,
-                                                                     k2=args.k2)
+            columns["iterative"] = classifier.iterative_scores_batch(
+                scorer, dataio.read_sample_array(args.fit_data), queries, k2=args.k2)
     if threshold is not None:
         columns["verdict"] = columns.get("iterative", raw) >= threshold
     if args.scores_out is None and args.out is None:

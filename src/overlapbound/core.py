@@ -6,6 +6,7 @@ across threads. A SampleSet keeps read-only statistics, not the rows it reads.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import InitVar, dataclass, field
@@ -29,6 +30,18 @@ class DegenerateDomainError(ValueError):
 
 class MetricUndefinedError(ValueError):
     """A ranking metric was requested on a single-class score set."""
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Errors raised inside are about the file at ``path``: an InputError or
+    DimensionMismatchError gets the prefix ``<path>: `` unless it has ``<path>:``."""
+    try:
+        yield
+    except (InputError, DimensionMismatchError) as exc:
+        if str(exc).startswith(f"{path}:"):
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 class NormKind(enum.Enum):
@@ -392,10 +405,11 @@ def _sample_rows(samples) -> np.ndarray:
     return a
 
 
-def _require_finite(a: np.ndarray, message: str = "sample array has non-finite entries") -> None:
-    # NaN propagates through min and max, so a nonempty array needs no n×d temporary
-    if not math.isfinite(_top(a)):
-        raise InputError(message)
+def _require_finite(a: np.ndarray) -> float:
+    # the one finite check of sample values, and _top(a): NaN passes min and max, so no n×d temporary
+    if not math.isfinite(top := _top(a)):
+        raise InputError("non-finite sample values")
+    return top
 
 
 class _RowStatistics(NamedTuple):
@@ -407,21 +421,17 @@ class _RowStatistics(NamedTuple):
     mean: np.ndarray
 
 
-def _walk_statistics(blocks, n: int | None, kind: NormKind, sums=None, source=None):
+def _walk_statistics(blocks, n: int | None, kind: NormKind, sums=None):
     """The ``_RowStatistics`` of the n rows (None: as many as come) fed in
     ``blocks``. A block's one min and one max serve as the finiteness check
     and as the top of its first extraction level; its column sums go to
     ``sums`` (None: exact ``_ColumnSums``) and its norms into one n-vector,
     joined from the blocks' parts once if n is None, and sorted in place.
     Raises InputError for non-finite entries, then for a norm that
-    overflows float64, then for a column sum that does; each message starts
-    with ``source``, the path of a file, if one is given."""
+    overflows float64, then for a column sum that does."""
     sorted_norms, parts, lo = None if n is None else np.empty(n), [], 0
     for block in blocks:
-        top = _top(block)
-        if not math.isfinite(top):
-            raise InputError("sample array has non-finite entries" if source is None
-                             else f"{source}: non-finite sample values")
+        top = _require_finite(block)
         sums = sums or _ColumnSums(block.shape[1])
         sums.add(block, top)
         with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
@@ -434,12 +444,9 @@ def _walk_statistics(blocks, n: int | None, kind: NormKind, sums=None, source=No
         sorted_norms = np.concatenate(parts)
     sorted_norms.sort()
     max_norm = float(sorted_norms[-1])
-    try:
-        if not math.isfinite(max_norm):
-            raise InputError(f"sample {kind.value} norms overflow float64")
-        return _RowStatistics(sorted_norms, max_norm, sums.result() / lo)
-    except InputError as exc:
-        raise exc if source is None else InputError(f"{source}: {exc}") from None
+    if not math.isfinite(max_norm):
+        raise InputError(f"sample {kind.value} norms overflow float64")
+    return _RowStatistics(sorted_norms, max_norm, sums.result() / lo)
 
 
 def ball_stats(sorted_norms: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import re
 import struct
 
 import numpy as np
 
-from .core import InputError, NormKind, SampleSet, _block_rows, _walk_statistics
+from .core import InputError, NormKind, SampleSet, _block_rows, _naming, _walk_statistics
 
 BINARY_MAGIC = b"OVLB"
 BINARY_VERSION = 1
@@ -46,20 +45,20 @@ def write_samples_binary(path, samples) -> None:
 def _read_file(path, walk):
     """``walk(blocks, n)`` for a sample file, opened once: OVLB if it starts
     with the magic, else CSV, whose n is None. ``blocks()`` walks its rows."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read file: {exc}") from exc
-    with fh:
-        if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
-            return _read_samples_binary(path, fh, walk)
+    with _naming(path):
+        try:
+            with open(path, "rb") as fh:
+                if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
+                    return _read_samples_binary(path, fh, walk)
 
-        def blocks():
-            source = _csv_lines(path, fh)
-            while (rows := _parse_csv_rows(path, source)).shape[1]:  # (0, 0) once spent
-                if len(rows):
-                    yield rows
-        return walk(blocks, None)
+                def blocks():
+                    source = _csv_lines(path, fh)
+                    while (rows := _parse_csv_rows(path, source)).shape[1]:  # (0, 0) once spent
+                        if len(rows):
+                            yield rows
+                return walk(blocks, None)
+        except OSError as exc:
+            raise InputError(f"cannot read file: {exc}") from exc
 
 
 def _read_samples_binary(path, fh, walk):
@@ -94,11 +93,15 @@ def _read_samples_binary(path, fh, walk):
     return walk(blocks, n)
 
 
-# Up to the last line break of ``str.splitlines`` in a read: each is a whole
-# UTF-8 character, and a CR that ends the read is none (an LF may follow). The
-# bytes carried from the last read hold no whole break, but may end in a CR or
-# a break's first two bytes, so a search starts 2 bytes before their end.
-_LAST_BREAK = re.compile(rb"(?s).*(?:[\n\v\f\x1c-\x1e]|\r(?!\Z)|\xc2\x85|\xe2\x80[\xa8\xa9])")
+def _last_break(piece: bytes, start: int) -> int:
+    """The end of ``piece``'s last ``str.splitlines`` line break from ``start``
+    on, or 0. A CR that ends ``piece`` is none (an LF may follow)."""
+    cut = 0  # each break a whole UTF-8 character; LF first, so the others are sought after it
+    for brk in (b"\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e",
+                b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9"):
+        if (at := piece.rfind(brk, max(start, cut), len(piece) - (brk == b"\r"))) >= 0:
+            cut = at + len(brk)
+    return cut
 
 
 def _csv_lines(path, fh):
@@ -114,15 +117,20 @@ def _csv_lines(path, fh):
         try:
             piece = rest + fh.read(max(8 * _block_rows(1), len(rest)))
             eof = len(piece) == len(rest)
-            last = _LAST_BREAK.match(piece, max(0, len(rest) - 2))  # see _LAST_BREAK
-            cut = len(piece) if eof else last.end() if last else 0
+            # the carried bytes hold no whole break, but may end in a CR or a
+            # break's first two bytes, so a search starts 2 bytes before their end
+            cut = len(piece) if eof else _last_break(piece, max(0, len(rest) - 2))
             rest, piece = piece[cut:], piece[:cut]
             done += cut - 3 * (lineno == 1 and piece.startswith(b"\xef\xbb\xbf"))
+            # a decode error copies what it decodes, so a read that is not ASCII
+            # is checked first in parts of an eighth of a read, each ending after an LF
+            hi = len(piece) if piece.isascii() else 0
+            while hi < len(piece):
+                lo, hi = hi, piece.find(b"\n", hi + _block_rows(1)) + 1 or len(piece)
+                str(memoryview(piece)[lo:hi], "utf-8-sig" if lineno == 1 and not lo else "utf-8")
             piece = piece.decode("utf-8-sig" if lineno == 1 else "utf-8")
-        except OSError as exc:
-            raise InputError(f"{path}: cannot read file: {exc}") from exc
-        except UnicodeDecodeError as exc:  # exc.object, the piece after any mark, ends at done
-            pos, end = (done - len(exc.object) + i for i in (exc.start, exc.end - 1))
+        except UnicodeDecodeError as exc:  # exc.object, a part after any mark, ends at hi
+            pos, end = (done - len(piece) + hi - len(exc.object) + i for i in (exc.start, exc.end - 1))
             where = f"byte 0x{exc.object[exc.start]:02x}" if pos == end else "bytes"
             raise InputError(f"{path}: cannot read file: {exc.encoding!r} codec can't decode {where} "
                              f"in position {pos}{'' if pos == end else f'-{end}'}: {exc.reason}") from exc
@@ -205,10 +213,8 @@ def read_sample_array(path) -> np.ndarray:
 
 def read_samples(path, norm: NormKind = NormKind.L2) -> SampleSet:
     """A sample file's SampleSet from one walk of its blocks, each dropped
-    once its statistics are taken: the file is never held whole. An error
-    about its values names the file."""
-    return SampleSet(_read_file(path, lambda blocks, n: _walk_statistics(
-        blocks(), n, norm, source=path)), norm)
+    once its statistics are taken: the file is never held whole."""
+    return SampleSet(_read_file(path, lambda blocks, n: _walk_statistics(blocks(), n, norm)), norm)
 
 
 def _binary_labels(column: np.ndarray, path) -> np.ndarray:
@@ -233,10 +239,9 @@ def read_scores_and_labels(scores_path, labels_path=None) -> tuple[np.ndarray, n
         return table[:, 0], _binary_labels(table[:, 1], scores_path)
     scores = read_sample_array(scores_path)
     labels = read_sample_array(labels_path)
-    if scores.shape[1] != 1:
-        raise InputError(f"{scores_path}: expected a single score column, got {scores.shape[1]}")
-    if labels.shape[1] != 1:
-        raise InputError(f"{labels_path}: expected a single label column, got {labels.shape[1]}")
+    for path, what, a in ((scores_path, "score", scores), (labels_path, "label", labels)):
+        if a.shape[1] != 1:
+            raise InputError(f"{path}: expected a single {what} column, got {a.shape[1]}")
     if scores.shape[0] != labels.shape[0]:
         raise InputError(
             f"{scores_path} has {scores.shape[0]} rows but {labels_path} has {labels.shape[0]}"

@@ -20,6 +20,7 @@ from .core import (
     InputError,
     NormKind,
     RadiusIndicator,
+    _naming,
     exact_column_sums,
     freeze,
     norms,
@@ -89,24 +90,25 @@ class DiscreteDistribution:
         return _weighted_mean(self.points, self.masses)
 
     @classmethod
-    def from_json_dict(cls, doc: dict, source: str = "<memory>") -> "DiscreteDistribution":
+    def from_json_dict(cls, doc: dict) -> "DiscreteDistribution":
         try:
             dim = doc["dimension"]
             points = np.asarray(doc["points"], dtype=np.float64)
             masses = np.asarray(doc["masses"], dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"{source}: expected keys dimension/points/masses: {exc}") from exc
+            raise InputError(f"expected keys dimension/points/masses: {exc}") from exc
         if type(dim) is not int or dim < 1:
-            raise InputError(f"{source}: 'dimension' must be an integer >= 1, got {dim!r}")
+            raise InputError(f"'dimension' must be an integer >= 1, got {dim!r}")
         if points.ndim == 1:
             points = points.reshape(-1, 1)
         if points.shape[1:] != (dim,):
-            raise InputError(f"{source}: points have shape {points.shape}, dimension says {dim}")
+            raise InputError(f"points have shape {points.shape}, dimension says {dim}")
         return cls(points, masses)
 
     @classmethod
     def from_json_file(cls, path) -> "DiscreteDistribution":
-        return cls.from_json_dict(read_json(path, "distribution"), source=str(path))
+        with _naming(path):
+            return cls.from_json_dict(read_json(path, "distribution"))
 
 
 @dataclass(frozen=True, eq=False)

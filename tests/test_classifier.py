@@ -201,8 +201,8 @@ def test_iterative_batch_matches_scalar(rng):
         (np.ones((4, 2)), DimensionMismatchError, "fit set has dimension 2, scorer expects 3"),
         (np.empty((0, 3)), InputError, r"nonempty \(n, d\) sample array, got shape \(0, 3\)"),
         ([], InputError, r"nonempty \(n, d\) sample array, got shape \(0, 1\)"),
-        ([[1.0, np.nan, 2.0], [1.0, 1.0, 1.0]], InputError, "sample array has non-finite entries"),
-        ([[1.0, 2.0], [np.inf, 1.0]], InputError, "sample array has non-finite entries"),
+        ([[1.0, np.nan, 2.0], [1.0, 1.0, 1.0]], InputError, "non-finite sample values"),
+        ([[1.0, 2.0], [np.inf, 1.0]], InputError, "non-finite sample values"),
         # the walk that takes the mean is the finite check: before the width
         ([[1e200, 1.0], [1.0, 2.0]], InputError, "sample l2 norms overflow float64"),
     ],

@@ -103,6 +103,25 @@ def test_errors_about_a_files_values_name_the_file(tmp_path, capsys, monkeypatch
         (["eval", "scores.csv"], "scores.csv", "scores must be finite"),
     ]:
         assert run_cli(capsys, *argv) == (2, "", f"error: {name}: {message}\n"), argv
+    # an oracle distribution file, whichever place it takes
+    (tmp_path / "good.json").write_text('{"dimension": 1, "points": [[0], [2]], "masses": [0.5, 0.5]}')
+    for name, points, masses, message in [
+        ("nan.json", "[[NaN], [2]]", "[0.5, 0.5]", "support points have non-finite coordinates"),
+        ("twice.json", "[[1], [1]]", "[0.5, 0.5]", "support points must be pairwise distinct"),
+        ("heavy.json", "[[0], [2]]", "[0.5, 0.6]", "masses must sum to 1 within 1e-12, got 1.1"),
+    ]:
+        (tmp_path / name).write_text(f'{{"dimension": 1, "points": {points}, "masses": {masses}}}')
+        for pair in ([name, "good.json"], ["good.json", name]):
+            assert run_cli(capsys, "oracle", *pair) == (2, "", f"error: {name}: {message}\n"), pair
+    # an error that names its file itself names it once
+    (tmp_path / "bad.csv").write_text("1,2\nx,1\n")
+    (tmp_path / "broken.json").write_text("{")
+    for argv, want in [
+        (["fit", "bad.csv", "--out", "m.json"], "error: bad.csv:2:1: not a number: 'x'\n"),
+        (["score", "broken.json", "fit.csv"], "error: broken.json: cannot read model JSON: "),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(want) and err.count(argv[1]) == 1, err
 
 
 def test_bound_dimension_mismatch_exit_3(tmp_path, capsys, worked_files):

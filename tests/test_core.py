@@ -466,7 +466,7 @@ def test_blockwise_statistics_equal_one_shot_bitwise(a, kind, block_elements):
 def test_non_finite_and_overflow_are_told_apart(kind):
     inf_row = np.array([[np.inf, 1.0]])
     for build in (lambda a: SampleSet(a, kind), lambda a: fit(a, norm=kind)):
-        with pytest.raises(InputError, match="sample array has non-finite entries"):
+        with pytest.raises(InputError, match="non-finite sample values"):
             build(inf_row)
     huge_row = np.array([[1e200, 1.0]])
     for build in (lambda a: SampleSet(a, NormKind.L2), lambda a: fit(a, norm="l2")):
@@ -478,7 +478,7 @@ def test_non_finite_entries_are_reported_before_a_bad_norm(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)
     a = np.ones((10, 2))
     a[-1, 0] = np.nan  # in the last block
-    with pytest.raises(InputError, match="non-finite entries"):
+    with pytest.raises(InputError, match="non-finite sample values"):
         SampleSet(a, "l2")
     with pytest.raises(InputError, match="NormKind.from_string"):
         SampleSet(np.ones((10, 2)), "l2")

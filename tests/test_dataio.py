@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import struct
 import tracemalloc
@@ -250,15 +251,15 @@ def test_scores_and_labels_two_files(tmp_path):
 
 
 def test_reading_and_checking_an_ovlb_file_makes_no_temporary(tmp_path, rng, capsys):
-    # the whole-array read and the finiteness check that score --iterative
-    # makes of its --fit-data file
+    # the whole-array read that score --iterative makes of its --fit-data
+    # file, and a finiteness check
     path = tmp_path / "data.ovlb"
     a = rng.normal(size=(20000, 32))
     write_samples_binary(path, a)
     tracemalloc.start()
     try:
         got = read_sample_array(path)
-        _require_finite(got, f"{path}: non-finite sample values")
+        _require_finite(got)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -392,7 +393,6 @@ def test_a_bad_value_in_any_block_is_the_same_error_as_in_csv(tmp_path, monkeypa
     binary, text = tmp_path / "data.ovlb", tmp_path / "data.csv"
     write_samples_binary(binary, np.array(rows))
     text.write_text("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
-    non_finite = message.startswith("non-finite")
     for path in (binary, text):
         with pytest.raises(InputError) as caught:
             read_samples(path, norm)
@@ -400,7 +400,7 @@ def test_a_bad_value_in_any_block_is_the_same_error_as_in_csv(tmp_path, monkeypa
     for build in (lambda a: SampleSet(a, norm), lambda a: fit(a, norm=norm)):
         with pytest.raises(InputError) as caught:
             build(np.array(rows))
-        assert str(caught.value) == ("sample array has non-finite entries" if non_finite else message)
+        assert str(caught.value) == message
 
 
 def test_statistics_hold_one_n_vector_beyond_block_scratch(tmp_path, monkeypatch):
@@ -598,19 +598,38 @@ def test_a_line_longer_than_a_read_is_searched_for_its_break_once(tmp_path, monk
     a = np.random.default_rng(5).normal(size=(3, 2000))  # lines of about 40 KB
     path = tmp_path / "long.csv"
     path.write_text(_csv_text(a))
-    reads, searches, pattern = [], [], dataio._LAST_BREAK
+    reads, searches, last_break = [], [], dataio._last_break
 
     class Reader(io.BufferedReader):
         def read(self, size=-1):
             reads.append(len(data := super().read(size)))
             return data
 
-    class Pattern:
-        def match(self, string, pos=0):
-            searches.append((len(string) - pos, reads[-1]))
-            return pattern.match(string, pos)
+    def search(piece, start):
+        searches.append((len(piece) - start, reads[-1]))
+        return last_break(piece, start)
 
     monkeypatch.setattr(dataio, "open", lambda file, mode: Reader(io.FileIO(file)), raising=False)
-    monkeypatch.setattr(dataio, "_LAST_BREAK", Pattern())
+    monkeypatch.setattr(dataio, "_last_break", search)
     assert read_sample_array(path).tobytes() == a.tobytes()
     assert len(searches) > 10 and all(span <= read + 2 for span, read in searches), searches
+
+
+@pytest.mark.parametrize("tail", [b"3,\xff\n", b"3,\xe2\x82\n", b"\xc3\xa9\n3,\x80\n", b"3,4\n\xf0\x9f\x98"],
+                         ids=["one-byte", "two-bytes", "after-a-good-one", "cut-at-the-end"])
+def test_a_bad_byte_in_a_later_part_of_a_read_is_placed_as_in_a_whole_file_decode(tmp_path, monkeypatch,
+                                                                                  tail):
+    # a read that is not ASCII is decoded first in parts ending after an LF,
+    # so that the error copies one part; reads of 32 bytes, parts of 4 or
+    # more, and the bad byte in the read's last part or in one before it
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 4)
+    path = tmp_path / "data.csv"
+    leads = (b"\xef\xbb\xbf", b"\xc3\xa9,", b"")
+    for lead, before, after in itertools.product(leads, (1, 7, 20), (0, 20)):
+        path.write_bytes(content := lead + b"1.5,2\n" * before + tail + b"1.5,2\n" * after)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            content.decode("utf-8-sig")
+        for reader in (read_sample_array, read_samples):
+            with pytest.raises(InputError) as got:
+                reader(path)
+            assert str(got.value) == f"{path}: cannot read file: {whole.value}"

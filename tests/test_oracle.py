@@ -392,4 +392,4 @@ def test_json_round_trip(tmp_path):
     assert d.dimension == 2
     assert d.masses.tolist() == [0.25, 0.75]
     with pytest.raises(InputError):
-        DiscreteDistribution.from_json_dict({"points": [[0.0]]}, source="x")
+        DiscreteDistribution.from_json_dict({"points": [[0.0]]})
