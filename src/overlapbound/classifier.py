@@ -181,17 +181,14 @@ class FittedScorer:
         # Read-only arrays built once, so that raw_scores converts nothing per
         # call. Index J of the k + 1 vectors serves a query inside balls J..k-1:
         # the best separation of the balls before J, and ball J's region radius
-        # and |1 - rate| (0 past the last ball). ``score`` reads the same
-        # three values at J as one tuple of floats.
+        # and |1 - rate| (0 past the last ball). ``score`` reads them at J too.
         outside_best = np.maximum.accumulate(np.append(-np.inf, outside))
         first_region, first_gap = np.append(region, 0.0), np.append(np.abs(1.0 - rates), 0.0)
         freeze(self, mean=mean, fit_radius=top, radii=tuple(radii.tolist()),
                accept_rates=tuple(rates.tolist()), region_radii=tuple(region.tolist()),
                dimension=len(mean), k=len(radii), degenerate=top == 0.0, _radii=radii,
-               _rates=rates, _region=region, _outside_best=outside_best,
-               _first_region=first_region, _first_gap=first_gap,
-               _ball_terms=tuple(zip(outside_best.tolist(), first_region.tolist(),
-                                     first_gap.tolist())))
+               _rates=rates, _outside_best=outside_best, _first_region=first_region,
+               _first_gap=first_gap)
 
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.
@@ -208,14 +205,17 @@ class FittedScorer:
             raise DimensionMismatchError(
                 f"queries have shape {queries.shape}, scorer expects dimension {self.dimension}"
             )
-        n = queries.shape[0]
-        qn, gaps = np.empty(n), np.empty(n)
-        rows = _block_rows(self.dimension)
-        # One block of scratch per call, so that a shared scorer stays
-        # safe to use from several threads. The mean is tiled to a block's
-        # shape, so that each gap is one flat subtraction, not one per row.
-        # One allocation: two can sit 16 bytes apart modulo 4096, where the subtraction's loads alias.
-        tiled_mean, scratch = np.empty((2, min(rows, n), self.dimension))
+        n, d = queries.shape
+        qn, gaps, rows = np.empty(n), np.empty(n), _block_rows(d)
+        # One block of scratch per call, so that a shared scorer stays safe to use from
+        # several threads. The mean is tiled to a block's shape, so that each gap is one flat
+        # subtraction. One allocation: two can sit 16 bytes apart modulo 4096, where its loads
+        # alias. Each buffer starts on a 64-byte line, as the loop is slower off one.
+        size = min(rows, n) * d  # the values of a block of scratch
+        line = -(-size // 8) * 8  # ... in whole 64-byte lines of 8
+        flat = np.empty(line + size + 7)  # 7 spare values reach the first line
+        flat = flat[-flat.ctypes.data % 64 // 8:]
+        tiled_mean, scratch = (flat[lo:lo + size].reshape(-1, d) for lo in (0, line))
         tiled_mean[...] = self.mean
         # A non-finite entry or an overflowing norm leaves a non-finite
         # score, which is caught below.
@@ -245,8 +245,8 @@ class FittedScorer:
             for lo in range(0, far_rows.size, chunk):
                 far = far_rows[lo : lo + chunk]
                 col = qn[far, None]
-                before[far] = np.where(col > self._radii, _separation(self._region, self._rates, col),
-                                       -np.inf).max(axis=1)
+                before[far] = np.where(col > self._radii, _separation(
+                    self._first_region[:-1], self._rates, col), -np.inf).max(axis=1)
             best = np.maximum(before, _separation(
                 np.maximum(qn, self._first_region[first]), self._first_gap[first], pool))
             raw = _closed_form(gaps, pool, best)
@@ -366,11 +366,12 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
     and the full fit set, evaluated from the cached statistics alone, and
     bitwise equal to ``scorer.raw_scores(x[None])[0]``. A query within the
     fit ball costs two 1-D norms (two BLAS dot products for l2) and the
-    ``raw_scores`` formula on Python floats; every other query (beyond the
-    fit ball, against an all-origin fit, non-finite or overflowing) is a
-    one-row ``raw_scores`` call, which also reports its errors. With a
-    threshold, the verdict is "in" iff the score reaches it (the boundary
-    counts as in); a non-finite threshold is an InputError.
+    ``raw_scores`` formula on Python floats, and only such a query takes its
+    gap to the mean. Every other query (beyond the fit ball, against an
+    all-origin fit, non-finite or overflowing) is a one-row ``raw_scores``
+    call, which also reports its errors. With a threshold, the verdict is
+    "in" iff the score reaches it (the boundary counts as in); a non-finite
+    threshold is an InputError.
     """
     if threshold is not None and not math.isfinite(threshold):
         raise InputError(f"threshold must be finite, got {threshold!r}")
@@ -382,13 +383,13 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
     # A row's norm has the same bits as a 1-D vector or in a batch, so both
     # are bitwise those of raw_scores; what is non-finite here goes to
     # raw_scores below.
-    with np.errstate(all="ignore"):
-        qn, gap = _vector_norm(vec, scorer.norm), _vector_norm(vec - scorer.mean, scorer.norm)
     top, raw = scorer.fit_radius, math.nan
-    if 0.0 < top and qn <= top:
-        # raw_scores's in-ball case: bisect_left is searchsorted's side="left"
-        before, region, rate_gap = scorer._ball_terms[bisect.bisect_left(scorer.radii, qn)]
-        raw = _closed_form(gap, top, max(before, _separation(max(qn, region), rate_gap, top)))
+    with np.errstate(all="ignore"):
+        qn = _vector_norm(vec, scorer.norm)
+        if 0.0 < top and qn <= top:  # the in-ball case; bisect_left is searchsorted's side="left"
+            j, gap = bisect.bisect_left(scorer.radii, qn), _vector_norm(vec - scorer.mean, scorer.norm)
+            raw = _closed_form(gap, top, max(scorer._outside_best.item(j), _separation(
+                max(qn, scorer._first_region.item(j)), scorer._first_gap.item(j), top)))
     if not math.isfinite(raw):
         raw = float(scorer.raw_scores(vec[None])[0])
     verdict = None if threshold is None else ("in" if raw >= threshold else "out")

@@ -137,10 +137,7 @@ def _unit(top: float, m: int) -> int:
     """The exponent of the unit of an extraction level of m rows whose
     largest |x| is at most ``top``: with top < 2**e, the unit is
     2**(e - bits), so that m multiples of it of at most 2**e sum to at most
-    2**53 units, or 2**-_UNIT_BITS if that is larger. A non-finite top is
-    an InputError."""
-    if not math.isfinite(top):
-        raise InputError("column sums need finite entries")
+    2**53 units, or 2**-_UNIT_BITS if that is larger; ``top`` is finite."""
     bits = 53 - max(2, (m - 1).bit_length())  # 2**(53 - bits) >= m rows
     return max(math.frexp(top)[1] - bits, -_UNIT_BITS)
 
@@ -220,13 +217,14 @@ class _ColumnSums:
         self.scratch = ()
 
     def add(self, block: np.ndarray, top: float | None = None) -> None:
-        """Add a block's rows; ``top``, when given, is at least its largest |x|."""
+        """Add a block's rows; ``top``, when given, is at least its largest |x|.
+        Without it, non-finite entries are an InputError."""
         rows = _block_rows(self.d)
         for start in range(0, block.shape[0], rows):
             if self.pending >= _FOLD_PARTS:
                 self._fold()
             part = block[start:start + rows]
-            self._add(part, _top(part) if top is None else top)
+            self._add(part, _require_finite(part) if top is None else top)
             self.pending += 1
 
     def _buffers(self, m: int):
@@ -239,7 +237,7 @@ class _ColumnSums:
         until the remainder is all zero."""
         hi, spare, ones = self._buffers(part.shape[0])
         x = part
-        while top != 0.0:  # NaN enters
+        while top != 0.0:
             x = self._extract(x, _unit(top, x.shape[0]), hi, ones)
             hi, spare = spare, hi
             top = _top(x)

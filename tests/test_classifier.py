@@ -1,7 +1,10 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -372,6 +375,25 @@ def test_per_query_work_independent_of_fit_size(rng, monkeypatch):
             monkeypatch.setattr(mod, "norms", real_norms)
             monkeypatch.setattr(mod, "_vector_norm", real_vector_norm)
         assert rows_seen == [] and vectors_seen == [(6,), (6,)], n
+        # beyond the fit ball, with a non-finite entry, or against an
+        # all-origin fit: one 1-D norm of the query, then the one-row batch
+        events = []
+        real_raw_scores = FittedScorer.raw_scores
+        monkeypatch.setattr(mod, "_vector_norm",
+                            lambda v, kind: events.append("norm") or real_vector_norm(v, kind))
+        monkeypatch.setattr(FittedScorer, "raw_scores",
+                            lambda self, points: events.append("batch") or real_raw_scores(self, points))
+        try:
+            origin = fit(np.zeros((n, 6)), k=12)
+            for s, x in ((scorer, 100.0 * queries[0]), (scorer, np.full(6, np.nan)),
+                         (origin, queries[0])):
+                events.clear()
+                with pytest.raises(InputError) if np.isnan(x).any() else nullcontext():
+                    score(s, x)
+                assert events == ["norm", "batch"], (n, x)
+        finally:
+            monkeypatch.setattr(mod, "_vector_norm", real_vector_norm)
+            monkeypatch.setattr(FittedScorer, "raw_scores", real_raw_scores)
     assert counts[20] == counts[20_000]
     assert counts[20][1] == 2 * len(queries)  # query norms + mean-gap rows
 
@@ -391,6 +413,31 @@ def test_score_inside_the_fit_ball_skips_raw_scores(monkeypatch):
     assert calls == []
     score(scorer, [4.0, 4.0])  # beyond the fit ball: the O(k) batch path
     assert calls == [(1, 2)]
+
+
+def test_shared_scorer_scores_bitwise_from_several_threads(rng):
+    # rows inside the fit ball, rows scaled by 1e-200 whose squares underflow,
+    # and rows beyond the fit ball, each scored alone and as a batch of one,
+    # with threads switched as often as the interpreter allows
+    scorer = fit(rng.normal(size=(200, 16)), k=20)
+    rows = rng.normal(size=(300, 16))
+    rows[100:200] *= 1e-200
+    rows[200:] *= 10.0
+    assert (norms(rows[200:], NormKind.L2) > scorer.fit_radius).all()
+
+    def both(row):
+        return score(scorer, row).score, scorer.raw_scores(row[None])[0]
+
+    serial = [both(row) for row in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(both, rows, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array(threaded).tobytes() == np.array(serial).tobytes()
+    assert scorer.raw_scores(rows).tobytes() == np.array(serial)[:, 1].tobytes()
 
 
 def test_custom_radii_survive_round_trip(tmp_path):
@@ -489,7 +536,8 @@ def test_scalar_score_is_one_row_batch(data, rows, kind, k):
         x = np.asfortranarray(np.stack([x, -x]))[0]
     elif layout == "strided":
         x = np.repeat(x, 2)[::2]
-    with warnings.catch_warnings():
+    # a caller's error state does not reach either path
+    with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         got, want = score(s, x).score, s.raw_scores(x[None])[0]
     assert np.float64(got).tobytes() == want.tobytes()

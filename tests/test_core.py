@@ -316,8 +316,11 @@ def test_exact_column_sums_over_the_full_float64_range(a, cuts):
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_exact_column_sums_refuse_non_finite_entries(bad):
-    with pytest.raises(InputError, match="finite"):
+    # the walk's finite rule and message, for a NaN first entry too
+    with pytest.raises(InputError, match="non-finite sample values"):
         core.exact_column_sums(np.array([[1.0, 2.0], [bad, 0.5]]))
+    with pytest.raises(InputError, match="non-finite sample values"):
+        core.exact_mean(np.array([[np.nan, 1.0]]))
 
 
 @pytest.fixture
