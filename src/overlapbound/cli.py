@@ -114,25 +114,26 @@ def _positive_k(args) -> None:
             raise InputError(f"--{flag} must be between 1 and {MAX_K}, got {k}")
 
 
-def _read_pair(path_a, path_b, norm: NormKind):
-    """Two sample files that one computation pools: they must agree on d."""
+def _read_pair(args, path_a, path_b):
+    """Two sample files that one computation pools, read in ``--norm``, and
+    the ``--k`` balls of their pooled family: they must agree on d."""
+    from .bound import pooled_radius_family
+
+    norm = NormKind.from_string(args.norm)
     a, b = dataio.read_samples(path_a, norm), dataio.read_samples(path_b, norm)
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"{path_a} has dimension {a.dimension} but {path_b} has {b.dimension}"
         )
-    return a, b
+    return a, b, pooled_radius_family(a, b, args.k).indicators()
 
 
 def cmd_bound(args) -> None:
-    from .bound import compute_bound, pooled_radius_family
+    from .bound import compute_bound
 
-    norm = NormKind.from_string(args.norm)
-    pos, neg = _read_pair(args.pos, args.neg, norm)
-    conditions = pooled_radius_family(pos, neg, args.k).indicators()
-    report = compute_bound(pos, neg, conditions)
-    doc = report.to_dict()
-    doc["norm"] = norm.value
+    pos, neg, conditions = _read_pair(args, args.pos, args.neg)
+    doc = compute_bound(pos, neg, conditions).to_dict()
+    doc["norm"] = pos.norm.value
     doc["k"] = args.k
     _emit(doc, args.out)
 
@@ -235,17 +236,14 @@ def cmd_classify(args) -> None:  # argparse makes --threshold required here
 
 def cmd_shift(args) -> None:
     from . import shift
-    from .bound import pooled_radius_family
 
-    norm = NormKind.from_string(args.norm)
-    clean, poisoned = _read_pair(args.clean, args.poisoned, norm)
+    clean, poisoned, conditions = _read_pair(args, args.clean, args.poisoned)
     sigmas = _parse_sigma_list(args.sigma)
-    conditions = pooled_radius_family(clean, poisoned, args.k).indicators()
     table = shift.sweep_sigma(clean, poisoned, args.p, sigmas, conditions, q=args.q)
     doc = {
         "sigma": [s for s, _ in table],
         "ceiling": [c for _, c in table],
-        "norm": norm.value,
+        "norm": clean.norm.value,
         "k": args.k,
         "p": args.p,
         "q": args.q,

@@ -140,23 +140,14 @@ class JointSupport:
             raise DimensionMismatchError(
                 f"distributions have different dimensions: {p.dimension} vs {q.dimension}"
             )
-        index: dict[tuple, int] = {}
-        rows: list[list[float]] = []
-        for row in p.points.tolist():
-            index[tuple(row)] = len(rows)
-            rows.append(row)
-        for row in q.points.tolist():
-            key = tuple(row)
-            if key not in index:
-                index[key] = len(rows)
-                rows.append(row)
-        m = len(rows)
-        p_mass = np.zeros(m)
-        q_mass = np.zeros(m)
-        p_mass[: p.points.shape[0]] = p.masses
-        for row, w in zip(q.points.tolist(), q.masses.tolist()):
-            q_mass[index[tuple(row)]] = w
-        return cls(np.asarray(rows, dtype=np.float64), p_mass, q_mass)
+        keys = [tuple(row) for row in p.points.tolist() + q.points.tolist()]
+        # each joint point's place: p's points, then q's others; a point on
+        # both sides keeps p's key, so p's -0.0 wins over q's 0.0
+        at = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        p_mass, q_mass = np.zeros((2, len(at)))
+        p_mass[: len(p.masses)] = p.masses
+        q_mass[[at[key] for key in keys[len(p.masses):]]] = q.masses
+        return cls(np.array(list(at), dtype=np.float64), p_mass, q_mass)
 
     def support_norms(self, kind: NormKind) -> np.ndarray:
         """Norms of the joint support points; InputError if one overflows float64."""

@@ -4,9 +4,9 @@ Everything down to the retired-paths section is deliberately naive pure
 Python (explicit loops over points, pairs, and thresholds) so it shares no
 code path with the package. The retired-paths section keeps earlier package
 code paths (per-radius and per-query loops, the k-wide scoring sweep, the former
-closed forms, the
-by-value accuracy rule with its per-row simulator, the per-call ranking sorts,
-the per-call joint support and the per-cell CSV parser), which the code that replaced them must match
+closed forms, the by-value accuracy rule with its per-row simulator, the
+per-call ranking sorts, the per-call subset bound, the hand-indexed joint
+support and the per-cell CSV parser), which the code that replaced them must match
 bitwise, and the removed helpers that tests still use to build their data or
 to state a property.
 """
@@ -354,6 +354,28 @@ def per_call_subset_bound(p, q, subset, norm: NormKind = NormKind.L2,
     mean_gap = float(norms((p.mean() - q.mean()).reshape(1, -1), norm)[0])
     dv = 0.5 * math.fsum(np.abs(joint.p_masses - joint.q_masses)[mask].tolist())
     return 1.0 - 0.5 * (mean_gap / r_denom) - ((r_denom - r_region) / r_denom) * dv
+
+
+def indexed_joint_support(p, q) -> JointSupport:
+    """The former ``JointSupport.of``: the joint points and q's masses placed
+    through an index kept by hand, one row at a time."""
+    index: dict[tuple, int] = {}
+    rows: list[list[float]] = []
+    for row in p.points.tolist():
+        index[tuple(row)] = len(rows)
+        rows.append(row)
+    for row in q.points.tolist():
+        key = tuple(row)
+        if key not in index:
+            index[key] = len(rows)
+            rows.append(row)
+    m = len(rows)
+    p_mass = np.zeros(m)
+    q_mass = np.zeros(m)
+    p_mass[: p.points.shape[0]] = p.masses
+    for row, w in zip(q.points.tolist(), q.masses.tolist()):
+        q_mass[index[tuple(row)]] = w
+    return JointSupport(np.asarray(rows, dtype=np.float64), p_mass, q_mass)
 
 
 def _is_number(cell: str) -> bool:

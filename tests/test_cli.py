@@ -970,6 +970,15 @@ def test_shift_bad_sigma_list_exit_2(worked_files, sigma, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_shift_reads_its_pair_before_the_sigma_list(tmp_path, worked_files):
+    clean, _ = worked_files
+    missing = tmp_path / "missing.csv"
+    code, out, err = _main_with_warnings_as_errors(
+        ["shift", "--clean", str(clean), "--poisoned", str(missing), "--p", "0.5", "--sigma", "x"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {missing}: cannot read file: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p_doc, q_doc, norm, message", [
     ('{"dimension": 1e400, "points": [[1, 2]], "masses": [1]}', None, "l2",
      "'dimension' must be an integer >= 1, got inf"),

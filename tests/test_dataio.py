@@ -229,6 +229,24 @@ def test_binary_truncated_rejected(tmp_path, rng):
         read_sample_array(path)
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("t.ovlb", b"OVLB", "truncated binary header"),
+    ("v2.ovlb", struct.pack("<4sIQQd", b"OVLB", 2, 1, 1, 1.0), "unsupported binary version 2"),
+    # a CSV file that starts with the magic is read as OVLB, as README says
+    ("magic.csv", b"OVLB,x\n1,2\n", "truncated binary header"),
+])
+def test_binary_header_errors_name_the_file(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    for read in (read_samples, read_sample_array):
+        with pytest.raises(InputError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {message}"
+    assert main(["fit", str(path), "--out", str(tmp_path / "model.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_scores_and_labels_two_column(tmp_path):
     path = tmp_path / "scored.csv"
     path.write_text("score,label\n0.9,1\n0.2,0\n")

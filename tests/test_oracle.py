@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlapbound import (
@@ -28,6 +28,7 @@ from oracles import (
     brute_subset_variation,
     brute_total_variation,
     expectation,
+    indexed_joint_support,
     norm_of,
     per_call_subset_bound,
 )
@@ -295,6 +296,33 @@ def distribution_pairs(draw):
         return DiscreteDistribution(np.array(points, dtype=float), masses)
 
     return one_side(), one_side()
+
+
+def _signed_zero(dist: DiscreteDistribution) -> DiscreteDistribution:
+    """``dist`` with every zero coordinate made -0.0."""
+    return DiscreteDistribution(np.where(dist.points == 0.0, -0.0, dist.points), dist.masses)
+
+
+@given(distribution_pairs(), st.sampled_from(["none", "p", "q"]), st.randoms())
+@example((DiscreteDistribution([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5]),
+          DiscreteDistribution([[3.0, 0.0], [0.0, 1.0]], [0.25, 0.75])), "p", None)
+@settings(max_examples=200, deadline=None)
+def test_joint_support_of_equals_the_hand_indexed_form(pair, signed, random):
+    """Bitwise: p's points first, then q's others; a point on both sides keeps
+    p's coordinates, so p's -0.0 wins over q's 0.0 and p's 0.0 over q's -0.0."""
+    p, q = pair
+    if random is not None:  # q's points in any order, so those p lacks fall among the others
+        order = list(range(len(q.masses)))
+        random.shuffle(order)
+        q = DiscreteDistribution(q.points[order], q.masses[order])
+    if signed == "p":
+        p = _signed_zero(p)
+    elif signed == "q":
+        q = _signed_zero(q)
+    got, want = JointSupport.of(p, q), indexed_joint_support(p, q)
+    for name in ("points", "p_masses", "q_masses", "p_mean", "q_mean"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
 
 
 @given(st.data(), st.integers(1, 8), st.integers(1, 3))
