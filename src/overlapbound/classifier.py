@@ -3,11 +3,12 @@
 Fitting stores the in-class mean plus, for each of k nested balls, the
 in-class acceptance rate and in-ball max norm. That is the whole model:
 its size does not depend on how many samples were fitted, and scoring a
-query within the fit ball costs one mean-gap norm plus one binary search over
-the k radii. The cached path is an exact refactoring of running the pooled
-bound against the query singleton, not an approximation, and tests pin the
-two paths together. The iterative second pass is a second fitted scorer, over
-first-pass scores.
+query within the fit ball costs one mean-gap norm plus finding the first
+ball that holds it: O(1) for evenly spaced radii, a binary search over the k
+radii otherwise. The cached path is an exact refactoring of running the
+pooled bound against the query singleton, not an approximation, and tests
+pin the two paths together. The iterative second pass is a second fitted
+scorer, over first-pass scores.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ def _mean_norm_limit(norm: NormKind, top: float, d: int) -> float:
 def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
     """The first rule of every fitted model that a scorer's values break, if any.
 
-    raw_scores relies on them: it binary-searches the radii and takes the
-    separation's maximum over the balls holding a query at the first of them.
+    raw_scores relies on them: it finds the first radius at or above a query's
+    norm and takes the separation's maximum over the balls holding the query
+    at that ball.
     """
     if not isinstance(norm, NormKind):
         return f"'norm' must be a NormKind, got {type(norm).__name__}"
@@ -137,6 +139,29 @@ def _broken_rule(norm, mean, top, radii, rates, region) -> str | None:
     if not (np.all(rates[1:] >= rates[:-1]) and np.all(region[1:] >= region[:-1])):
         return "'gMeans' and 'gMaxNorms' must be nondecreasing"
     return None
+
+
+def _ball_guess(qn: np.ndarray, scale: float, k: int) -> np.ndarray:
+    """int(min(q * scale - 1/2, k)) per norm q, and k for NaN (``fmin`` drops it)."""
+    return np.fmin(qn * scale - 0.5, k).astype(np.intp)
+
+
+def _ball_scale(radii: np.ndarray) -> float | None:
+    """k / r_k if its ``_ball_guess`` is J = ``searchsorted(radii, q)`` or J - 1
+    for every norm q >= 0 and NaN, else None.
+
+    For evenly spaced radii, q * k / r_k lies in (J, J + 1] up to rounding,
+    hence the half. Both are nondecreasing step functions of q, and J is
+    constant on [0, r_1], on each (r_j, r_j+1] and on (r_k, inf]. So the guess
+    is J or J - 1 everywhere if it is at the ends of those intervals: 0, each
+    r_j, the float after it, and inf. NaN guesses k, where searchsorted puts it.
+    """
+    k = len(radii)
+    with np.errstate(all="ignore"):  # k / 0 and probes that overflow
+        scale = k / radii[-1]
+        probes = np.concatenate(([0.0], radii, np.nextafter(radii, np.inf), [np.inf]))
+        below = np.searchsorted(radii, probes) - _ball_guess(probes, scale, k)
+    return float(scale) if np.isfinite(scale) and 0 <= below.min() <= below.max() <= 1 else None
 
 
 @dataclass(frozen=True)
@@ -184,19 +209,45 @@ class FittedScorer:
         # and |1 - rate| (0 past the last ball). ``score`` reads them at J too.
         outside_best = np.maximum.accumulate(np.append(-np.inf, outside))
         first_region, first_gap = np.append(region, 0.0), np.append(np.abs(1.0 - rates), 0.0)
+        # The radii and an inf past them, for ``_ball_index``'s step.
+        radii_inf = np.append(radii, np.inf)
         freeze(self, mean=mean, fit_radius=top, radii=tuple(radii.tolist()),
                accept_rates=tuple(rates.tolist()), region_radii=tuple(region.tolist()),
-               dimension=len(mean), k=len(radii), degenerate=top == 0.0, _radii=radii,
-               _rates=rates, _outside_best=outside_best, _first_region=first_region,
-               _first_gap=first_gap)
+               dimension=len(mean), k=len(radii), degenerate=top == 0.0, _radii=radii_inf[:-1],
+               _radii_inf=radii_inf, _scale=_ball_scale(radii), _rates=rates,
+               _outside_best=outside_best, _first_region=first_region, _first_gap=first_gap)
+        # Read-only views of the frozen terms: ``score`` reads one Python float
+        # from each faster than ``ndarray.item`` does.
+        freeze(self, _outside_best_at=memoryview(outside_best),
+               _first_region_at=memoryview(first_region), _first_gap_at=memoryview(first_gap))
+
+    def __reduce__(self):
+        # Pickled as its fields: memoryviews do not pickle, and the rebuilt
+        # scorer checks its rules and freezes its arrays again.
+        return type(self), (self.norm, self.mean, self.fit_radius, self.radii,
+                            self.accept_rates, self.region_radii)
+
+    def _ball_index(self, qn: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._radii, qn)``: per norm, the first ball that
+        holds it (k for none, and for NaN).
+
+        Where ``_ball_scale`` proved its guess J or J - 1, one step up makes
+        it exact; unevenly spaced radii are searched.
+        """
+        if self._scale is None:
+            return np.searchsorted(self._radii, qn)
+        first = _ball_guess(qn, self._scale, self.k)
+        first += self._radii_inf[first] < qn
+        return first
 
     def raw_scores(self, points) -> np.ndarray:
         """Vectorized raw confidence scores for a (l, d) query block.
 
         The one copy of the scorer's formula: ``score`` and the iterative
-        pass both call it. A query within the fit ball costs a binary search
-        over the radii, whatever k is. Raises InputError when a query's norm
-        or its gap to the mean overflows float64.
+        pass both call it. A query within the fit ball costs O(1) for evenly
+        spaced radii and a binary search over them otherwise, whatever k is.
+        Raises InputError when a query's norm or its gap to the mean
+        overflows float64.
         """
         queries = np.asarray(points, dtype=np.float64)
         if queries.ndim == 1:
@@ -234,7 +285,7 @@ class FittedScorer:
             # monotone) and ball `first` holds their maximum. The balls
             # below the query give their prefix maximum at pool rFit,
             # precomputed.
-            first = np.searchsorted(self._radii, qn)
+            first = self._ball_index(qn)
             before = self._outside_best[first]
             # Beyond the fit ball the pool is qn: a ball that holds the query
             # gives 0, as ball `first` does, and the balls below it are swept
@@ -380,20 +431,28 @@ def score(scorer: FittedScorer, x, threshold: float | None = None) -> ScoreRecor
         raise InputError(f"expected a nonempty 1-D vector, got shape {vec.shape}")
     if vec.size != scorer.dimension:
         raise DimensionMismatchError(f"expected dimension {scorer.dimension}, got {vec.size}")
-    # A row's norm has the same bits as a 1-D vector or in a batch, so both
-    # are bitwise those of raw_scores; what is non-finite here goes to
-    # raw_scores below.
-    top, raw = scorer.fit_radius, math.nan
-    with np.errstate(all="ignore"):
-        qn = _vector_norm(vec, scorer.norm)
-        if 0.0 < top and qn <= top:  # the in-ball case; bisect_left is searchsorted's side="left"
-            j, gap = bisect.bisect_left(scorer.radii, qn), _vector_norm(vec - scorer.mean, scorer.norm)
-            raw = _closed_form(gap, top, max(scorer._outside_best.item(j), _separation(
-                max(qn, scorer._first_region.item(j)), scorer._first_gap.item(j), top)))
+    raw = _in_ball_raw(scorer, vec)
     if not math.isfinite(raw):
         raw = float(scorer.raw_scores(vec[None])[0])
     verdict = None if threshold is None else ("in" if raw >= threshold else "out")
-    return ScoreRecord(score=raw, clamped=clamp_unit(raw), verdict=verdict)
+    return ScoreRecord(raw, clamp_unit(raw), verdict)
+
+
+@np.errstate(all="ignore")  # as a decorator, each call sets and resets its own state
+def _in_ball_raw(scorer: FittedScorer, vec: np.ndarray) -> float:
+    """``raw_scores``' formula on Python floats for one query within the fit
+    ball, and NaN for any other query.
+
+    A row's norm has the same bits as a 1-D vector or in a batch, so both are
+    bitwise those of raw_scores.
+    """
+    top, qn = scorer.fit_radius, _vector_norm(vec, scorer.norm)
+    if not (0.0 < top and qn <= top):
+        return math.nan
+    j = bisect.bisect_left(scorer.radii, qn)  # searchsorted's side="left"
+    gap = _vector_norm(vec - scorer.mean, scorer.norm)
+    return _closed_form(gap, top, max(scorer._outside_best_at[j], _separation(
+        max(qn, scorer._first_region_at[j]), scorer._first_gap_at[j], top)))
 
 
 def iterative_scores_batch(

@@ -280,9 +280,9 @@ def cmd_eval(args) -> None:
 def cmd_oracle(args) -> None:
     from . import oracle
 
+    norm = NormKind.from_string(args.norm)
     p = oracle.DiscreteDistribution.from_json_file(args.p)
     q = oracle.DiscreteDistribution.from_json_file(args.q)
-    norm = NormKind.from_string(args.norm)
     joint = oracle.JointSupport.of(p, q)
     support = joint.support_norms(norm)
     if args.radius:

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import sys
 import tracemalloc
 import warnings
@@ -8,7 +10,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from overlapbound import (
@@ -415,11 +417,18 @@ def test_score_inside_the_fit_ball_skips_raw_scores(monkeypatch):
     assert calls == [(1, 2)]
 
 
-def test_shared_scorer_scores_bitwise_from_several_threads(rng):
+@pytest.mark.parametrize("radii", [None, "uneven"])
+def test_shared_scorer_scores_bitwise_from_several_threads(rng, radii):
     # rows inside the fit ball, rows scaled by 1e-200 whose squares underflow,
     # and rows beyond the fit ball, each scored alone and as a batch of one,
-    # with threads switched as often as the interpreter allows
-    scorer = fit(rng.normal(size=(200, 16)), k=20)
+    # with threads switched as often as the interpreter allows; the default
+    # family finds balls in O(1), uneven radii by binary search
+    data = rng.normal(size=(200, 16))
+    if radii == "uneven":
+        top = float(norms(data, NormKind.L2).max())
+        radii = [top * 2.0**-j for j in range(19, -1, -1)]
+    scorer = fit(data, k=20, radii=radii)
+    assert (scorer._scale is None) == (radii is not None)
     rows = rng.normal(size=(300, 16))
     rows[100:200] *= 1e-200
     rows[200:] *= 10.0
@@ -440,11 +449,87 @@ def test_shared_scorer_scores_bitwise_from_several_threads(rng):
     assert scorer.raw_scores(rows).tobytes() == np.array(serial)[:, 1].tobytes()
 
 
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_scoring_raises_no_floating_point_error_and_keeps_the_callers_error_state(kind):
+    # in-ball rows, rows scaled by 1e-200 (their squares underflow), far rows,
+    # then a row with a NaN, which is an InputError and not a FloatingPointError
+    rng = np.random.default_rng(5)
+    scorer = fit(rng.normal(size=(50, 8)), k=10, norm=kind)
+    rows = rng.normal(size=(4, 8)) * np.array([[0.1], [1e-200], [100.0], [1.0]])
+    rows[3, 2] = np.nan
+    assert norms(rows[2:3], kind)[0] > scorer.fit_radius
+    outside = np.geterr()
+    with np.errstate(all="raise"):
+        inside = np.geterr()
+        scalar = [score(scorer, row).score for row in rows[:3]]
+        assert scorer.raw_scores(rows[:3]).tobytes() == np.array(scalar).tobytes()
+        for call in (lambda: score(scorer, rows[3]), lambda: scorer.raw_scores(rows)):
+            with pytest.raises(InputError, match="non-finite"):
+                call()
+        assert np.geterr() == inside
+    assert np.geterr() == outside
+
+
+def _one_dimensional_scorer(radii, top):
+    """A hand-built scorer of dimension 1 over ``radii`` with fit radius ``top``."""
+    return FittedScorer(NormKind.L2, [0.0], top, radii, [1.0] * len(radii), [0.0] * len(radii))
+
+
+def _assert_ball_index_is_searchsorted(scorer):
+    # each radius, the floats on either side of it, 0, inf and NaN (a norm is
+    # never negative), and points in between
+    radii = np.array(scorer.radii)
+    queries = np.concatenate([radii, np.nextafter(radii, np.inf), np.nextafter(radii, -np.inf),
+                              [0.0, np.inf, np.nan], np.linspace(0.0, 1.5 * radii[-1], 101)])
+    queries = queries[~(queries < 0.0)]
+    assert scorer._ball_index(queries).tolist() == np.searchsorted(radii, queries).tolist()
+
+
+@given(st.integers(1, 5000), st.one_of(st.just(0.0), st.just(1.0), st.floats(5e-324, 2.3e-308),
+                                       st.floats(1e-300, 1e300)))
+@settings(max_examples=300, deadline=None)
+def test_default_families_find_their_balls_in_constant_time_wherever_k_over_rfit_is_finite(k, top):
+    # top 1.0 is the iterative pass's j/k2 family; subnormal tops tie radii
+    radii = RadiusFamily(k, top).radii
+    scorer = _one_dimensional_scorer(radii, top)
+    with np.errstate(divide="ignore", over="ignore"):
+        finite = bool(np.isfinite(k / np.float64(radii[-1])))
+    assert (scorer._scale is not None) == finite
+    _assert_ball_index_is_searchsorted(scorer)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40), st.floats(1e-300, 1e300))
+@settings(max_examples=200, deadline=None)
+def test_uneven_radii_fall_back_to_searchsorted(fractions, top):
+    # every radius but r_k lies below r_k / (2k): the float just above r_k-1
+    # is first held by ball k - 1 >= 2 (from 0) but would be guessed 0
+    radii = sorted({f * top / (2 * (len(fractions) + 1)) for f in fractions})
+    assume(len(radii) >= 2)
+    scorer = _one_dimensional_scorer(radii + [top], top)
+    assert scorer._scale is None
+    _assert_ball_index_is_searchsorted(scorer)
+
+
 def test_custom_radii_survive_round_trip(tmp_path):
     s = fit([[0.2], [1.0]], radii=[0.3, 0.9])
     path = tmp_path / "custom.json"
     s.save(path)
     assert FittedScorer.load(path).radii == (0.3, 0.9)
+
+
+@pytest.mark.parametrize("radii", [None, [0.1, 0.2, 5.0]])
+def test_pickled_and_copied_scorers_score_bitwise_and_stay_read_only(rng, radii):
+    # the per-ball terms score reads are read-only memoryviews, which do not
+    # pickle, so a scorer pickles as its fields and is rebuilt
+    s = fit(rng.normal(size=(40, 3)), k=4, radii=radii)
+    rows = rng.normal(size=(30, 3)) * 2.0
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert copied.to_json_text() == s.to_json_text()
+        assert copied.raw_scores(rows).tobytes() == s.raw_scores(rows).tobytes()
+        assert [score(copied, r) for r in rows] == [score(s, r) for r in rows]
+        assert (copied._scale is None) == (radii is not None)
+        assert not copied.mean.flags.writeable
+        assert copied._outside_best_at.readonly and copied._first_gap_at.readonly
 
 
 def test_fit_and_score_validation(rng):

@@ -734,6 +734,16 @@ def test_missing_inputs_exit_2(tmp_path, capsys, worked_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["bound", "nope.csv", "nope2.csv"], ["fit", "nope.csv", "--out", "m.json"],
+                                  ["oracle", "nope.json", "nope2.json"]])
+def test_an_unknown_norm_is_named_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # none of the files exists
+    code, out, err = run_cli(capsys, *argv, "--norm", "l3")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown norm 'l3'; expected l1, l2, or linf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["score", "oracle"])
 def test_unreadable_json_exit_2(tmp_path, capsys, worked_files, command):
     for content in (b"[" * 100_000, b"\x80{}"):  # nested past the recursion limit; not UTF-8
