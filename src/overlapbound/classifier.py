@@ -216,14 +216,10 @@ class FittedScorer:
                dimension=len(mean), k=len(radii), degenerate=top == 0.0, _radii=radii_inf[:-1],
                _radii_inf=radii_inf, _scale=_ball_scale(radii), _rates=rates,
                _outside_best=outside_best, _first_region=first_region, _first_gap=first_gap)
-        # Read-only views of the frozen terms: ``score`` reads one Python float
-        # from each faster than ``ndarray.item`` does.
-        freeze(self, _outside_best_at=memoryview(outside_best),
-               _first_region_at=memoryview(first_region), _first_gap_at=memoryview(first_gap))
 
     def __reduce__(self):
-        # Pickled as its fields: memoryviews do not pickle, and the rebuilt
-        # scorer checks its rules and freezes its arrays again.
+        # Pickled as its fields, so that the rebuilt scorer checks its rules
+        # and freezes its arrays again.
         return type(self), (self.norm, self.mean, self.fit_radius, self.radii,
                             self.accept_rates, self.region_radii)
 
@@ -451,8 +447,8 @@ def _in_ball_raw(scorer: FittedScorer, vec: np.ndarray) -> float:
         return math.nan
     j = bisect.bisect_left(scorer.radii, qn)  # searchsorted's side="left"
     gap = _vector_norm(vec - scorer.mean, scorer.norm)
-    return _closed_form(gap, top, max(scorer._outside_best_at[j], _separation(
-        max(qn, scorer._first_region_at[j]), scorer._first_gap_at[j], top)))
+    return _closed_form(gap, top, max(scorer._outside_best.item(j), _separation(
+        max(qn, scorer._first_region.item(j)), scorer._first_gap.item(j), top)))
 
 
 def iterative_scores_batch(

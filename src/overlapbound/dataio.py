@@ -122,19 +122,19 @@ def _csv_lines(path, fh):
             cut = len(piece) if eof else _last_break(piece, max(0, len(rest) - 2))
             rest, piece = piece[cut:], piece[:cut]
             done += cut - 3 * (lineno == 1 and piece.startswith(b"\xef\xbb\xbf"))
-            # a decode error copies what it decodes, so a read that is not ASCII
-            # is checked first in parts of an eighth of a read, each ending after an LF
-            hi = len(piece) if piece.isascii() else 0
+            # a decode error copies what it decodes, so a read is decoded in parts of an
+            # eighth of a read, each ending after an LF: they split into the read's lines
+            lines, hi = [], 0
             while hi < len(piece):
                 lo, hi = hi, piece.find(b"\n", hi + _block_rows(1)) + 1 or len(piece)
-                str(memoryview(piece)[lo:hi], "utf-8-sig" if lineno == 1 and not lo else "utf-8")
-            piece = piece.decode("utf-8-sig" if lineno == 1 else "utf-8")
+                codec = "utf-8-sig" if lineno == 1 and not lo else "utf-8"
+                lines += str(memoryview(piece)[lo:hi], codec).splitlines(True)
         except UnicodeDecodeError as exc:  # exc.object, a part after any mark, ends at hi
             pos, end = (done - len(piece) + hi - len(exc.object) + i for i in (exc.start, exc.end - 1))
             where = f"byte 0x{exc.object[exc.start]:02x}" if pos == end else "bytes"
             raise InputError(f"{path}: cannot read file: {exc.encoding!r} codec can't decode {where} "
                              f"in position {pos}{'' if pos == end else f'-{end}'}: {exc.reason}") from exc
-        lines, at, piece = piece.splitlines(True), 0, None  # the text, dropped once split
+        at, piece = 0, None  # the bytes, dropped once decoded
         while not found and at < len(lines):  # up to the first data line
             if lines[at].strip():
                 cells = lines[at].split(",")

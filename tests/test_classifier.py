@@ -519,8 +519,8 @@ def test_custom_radii_survive_round_trip(tmp_path):
 
 @pytest.mark.parametrize("radii", [None, [0.1, 0.2, 5.0]])
 def test_pickled_and_copied_scorers_score_bitwise_and_stay_read_only(rng, radii):
-    # the per-ball terms score reads are read-only memoryviews, which do not
-    # pickle, so a scorer pickles as its fields and is rebuilt
+    # a scorer pickles as its fields and is rebuilt, so every array of a copy
+    # is checked and frozen again
     s = fit(rng.normal(size=(40, 3)), k=4, radii=radii)
     rows = rng.normal(size=(30, 3)) * 2.0
     for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
@@ -528,8 +528,11 @@ def test_pickled_and_copied_scorers_score_bitwise_and_stay_read_only(rng, radii)
         assert copied.raw_scores(rows).tobytes() == s.raw_scores(rows).tobytes()
         assert [score(copied, r) for r in rows] == [score(s, r) for r in rows]
         assert (copied._scale is None) == (radii is not None)
-        assert not copied.mean.flags.writeable
-        assert copied._outside_best_at.readonly and copied._first_gap_at.readonly
+        arrays = {name: v for name, v in vars(copied).items() if isinstance(v, np.ndarray)}
+        assert {"mean", "_radii_inf", "_rates", "_outside_best", "_first_region",
+                "_first_gap"} <= arrays.keys()
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
 
 
 def test_fit_and_score_validation(rng):
